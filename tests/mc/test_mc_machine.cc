@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+
 #include "harness/experiment.hh"
 #include "mc/mc_machine.hh"
 
@@ -36,46 +39,59 @@ benchMix(const char *name, std::vector<std::string> benches)
     return spec;
 }
 
-/** A 1-core co-run must reproduce the single-core machine exactly. */
-void
-expectSingleCoreParity(const RunConfig &base, const char *bench)
+/** Bit-for-bit double equality (EXPECT_DOUBLE_EQ allows 4 ULPs). */
+std::uint64_t
+bits(double v)
 {
-    RunConfig cfg = base;
-    cfg.numInsts = 60'000;
-    const RunResult single = runBenchmark(bench, cfg, "single");
-
-    const McRunConfig mc = mcConfig(base, 1, 60'000);
-    const McRunResult corun =
-        runMix(benchMix("parity", {bench}), mc, "mc");
-
-    ASSERT_EQ(corun.cores.size(), 1u);
-    const McCoreResult &c = corun.cores[0];
-    EXPECT_EQ(c.insts, single.insts);
-    EXPECT_EQ(c.cycles, single.cycles);
-    EXPECT_EQ(c.busAccesses, single.busAccesses);
-    EXPECT_EQ(c.l2Misses, single.l2Misses);
-    EXPECT_EQ(c.demandAccesses, single.demandAccesses);
-    EXPECT_EQ(c.prefSent, single.prefSent);
-    EXPECT_EQ(c.prefUsed, single.prefUsed);
-    EXPECT_DOUBLE_EQ(c.ipc, single.ipc);
-    EXPECT_DOUBLE_EQ(c.accuracy, single.accuracy);
-    EXPECT_DOUBLE_EQ(c.lateness, single.lateness);
-    EXPECT_DOUBLE_EQ(c.pollution, single.pollution);
+    return std::bit_cast<std::uint64_t>(v);
 }
 
-TEST(McMachine, OneCoreParityFullFdp)
+/**
+ * A 1-core co-run must reproduce the single-core machine exactly, in
+ * every field the two result rows share, across every prefetcher
+ * selection (the manager included), both DRAM backends, and both the
+ * dynamic and the static Very Aggressive policy.
+ */
+TEST(McMachine, OneCoreParityGrid)
 {
-    expectSingleCoreParity(RunConfig::fullFdp(), "swim");
-}
-
-TEST(McMachine, OneCoreParityStaticAggressive)
-{
-    expectSingleCoreParity(RunConfig::staticLevelConfig(5), "art");
-}
-
-TEST(McMachine, OneCoreParityNoPrefetching)
-{
-    expectSingleCoreParity(RunConfig::noPrefetching(), "mcf");
+    const std::pair<const char *, RunConfig> policies[] = {
+        {"fdp", RunConfig::fullFdp()},
+        {"va", RunConfig::staticLevelConfig(5)},
+    };
+    for (const char *bench : {"swim", "art", "mcf"}) {
+        for (const std::string &pf : knownPrefetcherNames()) {
+            for (const DramKind dram :
+                 {DramKind::Flat, DramKind::Controller}) {
+                for (const auto &[policy, config] : policies) {
+                    RunConfig base = applyPrefetcherSelection(config, pf);
+                    base.machine.dramCtrl.kind = dram;
+                    base.numInsts = 60'000;
+                    SCOPED_TRACE(std::string(bench) + "/" + pf + "/" +
+                                 (dram == DramKind::Flat ? "flat" : "ctrl") +
+                                 "/" + policy);
+                    const RunResult s = runBenchmark(bench, base, "single");
+                    const McRunResult corun =
+                        runMix(benchMix("parity", {bench}),
+                               mcConfig(base, 1, base.numInsts), "mc");
+                    ASSERT_EQ(corun.cores.size(), 1u);
+                    const McCoreResult &c = corun.cores[0];
+                    EXPECT_EQ(c.program, s.benchmark);
+                    EXPECT_EQ(c.insts, s.insts);
+                    EXPECT_EQ(c.cycles, s.cycles);
+                    EXPECT_EQ(bits(c.ipc), bits(s.ipc));
+                    EXPECT_EQ(bits(c.bpki), bits(s.bpki));
+                    EXPECT_EQ(bits(c.accuracy), bits(s.accuracy));
+                    EXPECT_EQ(bits(c.lateness), bits(s.lateness));
+                    EXPECT_EQ(bits(c.pollution), bits(s.pollution));
+                    EXPECT_EQ(c.prefSent, s.prefSent);
+                    EXPECT_EQ(c.prefUsed, s.prefUsed);
+                    EXPECT_EQ(c.l2Misses, s.l2Misses);
+                    EXPECT_EQ(c.demandAccesses, s.demandAccesses);
+                    EXPECT_EQ(c.busAccesses, s.busAccesses);
+                }
+            }
+        }
+    }
 }
 
 TEST(McMachine, TwoCoreRunHasSaneShape)
