@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -181,11 +182,6 @@ defaultManagerZoo()
             PrefetcherKind::NextLine};
 }
 
-namespace
-{
-
-/** FdpParams as the machine actually runs them: a static-aggressiveness
- *  configuration pins the controller to the static level. */
 FdpParams
 resolvedFdpParams(const RunConfig &config)
 {
@@ -194,6 +190,9 @@ resolvedFdpParams(const RunConfig &config)
         fp.initialLevel = config.staticLevel;
     return fp;
 }
+
+namespace
+{
 
 /** The prefetcher's construction-time aggressiveness level. */
 unsigned
@@ -453,6 +452,22 @@ parseCountArg(const char *flag, const char *text, std::uint64_t maxValue)
         fatal("%s: %llu is implausibly large (max %llu)", flag,
               static_cast<unsigned long long>(value),
               static_cast<unsigned long long>(maxValue));
+    return value;
+}
+
+double
+parseDecimalArg(const char *flag, const char *text)
+{
+    if (text == nullptr || *text == '\0')
+        fatal("%s: empty value (expected a positive decimal number)", flag);
+    double value = 0.0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] =
+        std::from_chars(text, end, value, std::chars_format::fixed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value))
+        fatal("%s: `%s' is not a positive decimal number", flag, text);
+    if (value <= 0.0)
+        fatal("%s: must be above 0 (got `%s')", flag, text);
     return value;
 }
 

@@ -158,6 +158,10 @@ RunConfig applyPrefetcherSelection(const RunConfig &base,
 /** The manager's candidate zoo when RunConfig.managerZoo is empty. */
 std::vector<PrefetcherKind> defaultManagerZoo();
 
+/** FdpParams as the machine actually runs them: a static-aggressiveness
+ *  configuration pins the controller to the static level. */
+FdpParams resolvedFdpParams(const RunConfig &config);
+
 /**
  * Build the run's prefetcher from the full config: the static
  * PrefetcherKind when the manager is off, or a ManagedPrefetcher over
@@ -273,6 +277,13 @@ std::uint64_t instructionBudget(int argc, char **argv,
  */
 std::uint64_t parseCountArg(const char *flag, const char *text,
                             std::uint64_t maxValue = ~0ull);
+
+/**
+ * Parse the value of a fractional command-line flag defensively: fatal
+ * (with the offending flag and text in the message) unless @p text is a
+ * plain decimal number ("4.5", "12") that is finite and above zero.
+ */
+double parseDecimalArg(const char *flag, const char *text);
 
 } // namespace fdp
 

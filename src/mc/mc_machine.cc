@@ -4,7 +4,7 @@
 #include <deque>
 
 #include "manage/prefetcher_manager.hh"
-#include "mc/mc_memory_system.hh"
+#include "mem/memory_system.hh"
 #include "sim/logging.hh"
 
 namespace fdp
@@ -50,9 +50,7 @@ runMcWorkloads(const McRunConfig &config,
     std::deque<OooCore> cores;
     std::vector<std::unique_ptr<Prefetcher>> prefetchers;
 
-    FdpParams fp = config.base.fdp;
-    if (!fp.dynamicAggressiveness)
-        fp.initialLevel = config.base.staticLevel;
+    const FdpParams fp = resolvedFdpParams(config.base);
 
     std::vector<Prefetcher *> pfPtrs;
     std::vector<FdpController *> fdpPtrs;
@@ -77,8 +75,8 @@ runMcWorkloads(const McRunConfig &config,
         groupPtrs.push_back(&coreStats.back());
     }
 
-    McMemorySystem mem(config.base.machine, events, pfPtrs, fdpPtrs,
-                       sharedStats, groupPtrs);
+    MemorySystem mem(config.base.machine, events, pfPtrs, fdpPtrs,
+                     sharedStats, groupPtrs);
     for (unsigned i = 0; i < n; ++i)
         cores.emplace_back(config.base.core, mem.port(CoreId(i)), events,
                            *workloads[i], coreStats[i]);
@@ -100,7 +98,9 @@ runMcWorkloads(const McRunConfig &config,
     // boundary. Audits ride on the LAST controller only: shared-L2
     // evictions tick the controllers in core-id order, so only after
     // the last one closes its interval are all interval counts equal
-    // again (which the mc audit asserts).
+    // again (which the memory system's audit asserts). Each audit first
+    // publishes the batched counters, so the stat-scoping conservation
+    // check sees every event so far.
     for (unsigned i = 0; i < n; ++i) {
         auto *mgr = dynamic_cast<ManagedPrefetcher *>(pfPtrs[i]);
         const bool auditsHere = periodicAudit && i + 1 == n;
@@ -109,15 +109,17 @@ runMcWorkloads(const McRunConfig &config,
         FdpController &ctrl = controllers[i];
         OooCore &core = cores[i];
         ctrl.setEndOfIntervalHook(
-            [&audits, &events, &ctrl, &core, mgr, auditsHere] {
+            [&audits, &events, &mem, &ctrl, &core, mgr, auditsHere] {
                 if (mgr != nullptr) {
                     const FeedbackCounters &fc = ctrl.counters();
                     mgr->intervalTick({fc.accuracy(), fc.lateness(),
                                        fc.pollution(), core.retired(),
                                        events.horizon()});
                 }
-                if (auditsHere)
+                if (auditsHere) {
+                    mem.flushStats();
                     audits.runAll();
+                }
             });
     }
 
@@ -172,6 +174,7 @@ runMcWorkloads(const McRunConfig &config,
     for (unsigned i = 0; i < n; ++i)
         cores[i].closeRun(start, finish[i]);
 
+    mem.flushStats();
     if (periodicAudit)
         audits.runAll();
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Multi-core co-run driver (DESIGN.md §13): N OooCore pipelines over
- * one McMemorySystem, advanced in lockstep on ONE shared event queue.
+ * one N-core MemorySystem, advanced in lockstep on ONE shared event
+ * queue.
  *
  * Every simulated cycle, cores step in core-id order (retire then
  * dispatch); when no core makes progress the clock jumps to the next

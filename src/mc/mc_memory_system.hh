@@ -1,238 +1,13 @@
-/**
- * @file
- * Shared memory hierarchy for N-core co-runs (DESIGN.md §13): per-core
- * L1s and prefetch request queues over ONE shared L2, ONE shared MSHR
- * file, and ONE bandwidth-limited DRAM bus, with a per-core FDP
- * controller observing each core's own prefetcher.
- *
- * The demand/prefetch/fill state machine is the single-core
- * MemorySystem's, operation for operation, with every request tagged
- * by its CoreId so shared structures attribute costs to cores:
- *  - L2 lines carry the installing core; pollution is charged to the
- *    prefetching core and reported to the victim line's owner core;
- *  - MSHR entries carry the allocating core; a demand that merges into
- *    another core's in-flight prefetch retags the entry to the
- *    demanding core (the late-prefetch credit stays with the issuer);
- *  - DRAM counts bus accesses per core (bandwidth share).
- *
- * Shared-L2 evictions tick EVERY controller's sampling interval, so
- * all cores' intervals stay synchronized (an audited invariant) and
- * end-of-interval audits see the whole machine at one cadence. With
- * numCores == 1 the behavior is bit-identical to MemorySystem.
- */
-
 #ifndef FDP_MC_MC_MEMORY_SYSTEM_HH
 #define FDP_MC_MC_MEMORY_SYSTEM_HH
 
-#include <deque>
-#include <memory>
-#include <vector>
-
-#include "core/fdp_controller.hh"
-#include "mem/cache.hh"
-#include "mem/dram.hh"
-#include "mem/memory_port.hh"
 #include "mem/memory_system.hh"
-#include "mem/mshr.hh"
-#include "prefetch/prefetcher.hh"
-#include "sim/event_queue.hh"
-#include "sim/stats.hh"
-#include "sim/types.hh"
 
 namespace fdp
 {
 
-/** N private L1s + shared L2 + shared MSHRs + shared DRAM. */
-// fdp-analyze: suppress(snapshot-coverage, multi-core co-runs are not
-// snapshot targets yet; warm-fork sweeps cover single-core machines)
-class McMemorySystem : public Auditable
-{
-  public:
-    /**
-     * @param params       machine configuration (Table 3 geometry); the
-     *                     prefetch cache must be disabled (single-core
-     *                     only)
-     * @param events       shared event queue
-     * @param prefetchers  one per core (entries may be null)
-     * @param controllers  one per core, never null
-     * @param sharedStats  group receiving shared-structure statistics
-     *                     (same names as the single-core MemorySystem)
-     * @param coreStats    one group per core for that core's share of
-     *                     every shared counter
-     */
-    McMemorySystem(const MachineParams &params, EventQueue &events,
-                   const std::vector<Prefetcher *> &prefetchers,
-                   const std::vector<FdpController *> &controllers,
-                   StatGroup &sharedStats,
-                   const std::vector<StatGroup *> &coreStats);
-
-    /** Demand load/store by @p core; @p done fires with the data. */
-    void demandAccess(CoreId core, Addr addr, Addr pc, bool isWrite,
-                      Cycle now, DoneFn done);
-
-    /** MemoryPort view binding @p core, for driving an OooCore. */
-    MemoryPort &port(CoreId core);
-
-    unsigned numCores() const { return numCores_; }
-
-    /** True when no misses are in flight and no requests are queued. */
-    bool quiesced() const;
-
-    const SetAssocCache &l1(CoreId core) const;
-    const SetAssocCache &l2() const { return l2_; }
-    DramBackend &dram() { return *dram_; }
-    const DramBackend &dram() const { return *dram_; }
-
-    /** Data-bus utilization over the last closed measurement window,
-     *  normalized by the backend's data-bus count (same value the
-     *  single-core MemorySystem reports for the same request stream). */
-    double busUtilization() const { return busUtil_; }
-
-    /// @name Per-core lifetime statistics
-    /// @{
-    std::uint64_t demandAccesses(CoreId core) const;
-    std::uint64_t l2Misses(CoreId core) const;
-    std::uint64_t mshrStalls(CoreId core) const;
-    std::uint64_t prefDropQueueFull(CoreId core) const;
-    /** Demand blocks this core's prefetch fills evicted (any victim). */
-    std::uint64_t pollutionInflicted(CoreId core) const;
-    /** This core's demand blocks evicted by OTHER cores' prefetches. */
-    std::uint64_t crossPollutionSuffered(CoreId core) const;
-    /** Shared-L2 evictions caused by this core's fills. */
-    std::uint64_t l2EvictionsCaused(CoreId core) const;
-    /** Average alloc-to-fill cycles of this core's demand misses. */
-    double avgDemandMissLatency(CoreId core) const;
-    /// @}
-
-    /**
-     * Invariants: per-core structures within capacity; core-id tags of
-     * queued demands valid; every per-core counter column sums exactly
-     * to its shared total (stat-scoping conservation); all controllers'
-     * sampling intervals synchronized; plus the structural audits of
-     * the L1s, the L2, the MSHR file, and the DRAM model.
-     */
-    void audit() const override;
-    const char *auditName() const override { return "mc_memory_system"; }
-
-  private:
-    friend struct AuditCorrupter;
-
-    /** MemoryPort adapter binding one CoreId. */
-    class Port : public MemoryPort
-    {
-      public:
-        Port(McMemorySystem &sys, CoreId core) : sys_(sys), core_(core) {}
-        void
-        demandAccess(Addr addr, Addr pc, bool isWrite, Cycle now,
-                     DoneFn done) override
-        {
-            sys_.demandAccess(core_, addr, pc, isWrite, now,
-                              std::move(done));
-        }
-
-      private:
-        McMemorySystem &sys_;
-        CoreId core_;
-    };
-
-    struct PendingDemand
-    {
-        CoreId core;
-        BlockAddr block;
-        bool isWrite;
-        DoneFn done;
-        Cycle arrival;
-    };
-
-    /** One core's private structures and its share of every counter. */
-    struct PerCore
-    {
-        PerCore(const MachineParams &params, unsigned numCores,
-                StatGroup &stats);
-
-        SetAssocCache l1;
-        std::deque<BlockAddr> prefetchQueue;
-
-        ScalarStat demandAccesses;
-        ScalarStat l1Hits;
-        ScalarStat l1Misses;
-        ScalarStat l2Hits;
-        ScalarStat l2Misses;
-        ScalarStat mshrMerges;
-        ScalarStat mshrStalls;
-        ScalarStat prefIssued;
-        ScalarStat prefDropL2Hit;
-        ScalarStat prefDropInFlight;
-        ScalarStat prefDropQueueFull;
-        ScalarStat writebacks;
-        ScalarStat demandMissFills;
-        ScalarStat demandMissCycles;
-        ScalarStat l2EvictionsCaused;
-        ScalarStat pollutionInflicted;
-        ScalarStat crossPollutionSuffered;
-    };
-
-    PerCore &core(CoreId c) { return perCore_[c.index()]; }
-    const PerCore &core(CoreId c) const { return perCore_[c.index()]; }
-
-    void observeAndIssue(CoreId core, const PrefetchObservation &obs,
-                         Cycle now);
-    /** Close the shared bus-utilization window if @p now moved past it
-     *  (one shared bus, so one shared window; see MemorySystem). */
-    void updateBusUtil(Cycle now);
-    void drainPrefetchQueue(CoreId core, Cycle now);
-    void drainAllPrefetchQueues(Cycle now);
-    void startDemandMiss(CoreId core, BlockAddr block, bool isWrite,
-                         Cycle now, DoneFn done);
-    void onFill(BlockAddr block, Cycle fillCycle);
-    void insertL2Fill(CoreId by, BlockAddr block, bool prefBit, bool dirty,
-                      Cycle now);
-    void fillL1(CoreId core, BlockAddr block, bool isWrite, Cycle now);
-    void admitPending(Cycle now);
-
-    MachineParams params_;
-    EventQueue &events_;
-    unsigned numCores_;
-    std::vector<Prefetcher *> prefetchers_;
-    std::vector<FdpController *> fdp_;
-
-    /** deque: ScalarStat registers into its group, so no relocation. */
-    std::deque<PerCore> perCore_;
-    std::deque<Port> ports_;
-
-    SetAssocCache l2_;
-    MshrFile mshrs_;
-    std::unique_ptr<DramBackend> dram_;
-
-    /// @name Shared bus-utilization window (see MemorySystem)
-    /// @{
-    double busUtil_ = 0.0;
-    Cycle busWindowStart_ = 0;
-    std::uint64_t busWindowBusy_ = 0;
-    /// @}
-
-    std::deque<PendingDemand> mshrWaitQ_;
-    std::vector<BlockAddr> pfCandidates_;  ///< scratch, reused per access
-    std::vector<DoneFn> fillWaiters_;      ///< scratch, reused per fill
-
-    /// @name Shared totals (single-core MemorySystem stat names)
-    /// @{
-    ScalarStat demandAccesses_;
-    ScalarStat l1Hits_;
-    ScalarStat l1Misses_;
-    ScalarStat l2Hits_;
-    ScalarStat l2Misses_;
-    ScalarStat mshrMerges_;
-    ScalarStat mshrStalls_;
-    ScalarStat prefIssued_;
-    ScalarStat prefDropL2Hit_;
-    ScalarStat prefDropInFlight_;
-    ScalarStat prefDropQueueFull_;
-    ScalarStat writebacks_;
-    ScalarStat demandMissFills_;
-    ScalarStat demandMissCycles_;
-    /// @}
-};
+// The benchmark package (perfbench/src/machines.cc) still names this.
+using McMemorySystem = MemorySystem;
 
 } // namespace fdp
 

@@ -114,6 +114,7 @@ SetAssocCache::access(BlockAddr block, bool isWrite)
     CacheAccessResult result;
     result.hit = true;
     result.hitPrefetched = (l.flags & kPref) != 0;
+    result.owner = l.owner;
     l.flags &= static_cast<std::uint8_t>(~kPref);
     if (isWrite)
         l.flags |= kDirty;
@@ -171,16 +172,6 @@ SetAssocCache::insert(BlockAddr block, bool prefBit, InsertPos pos,
         std::min(insertStackIndex(pos, params_.assoc), chain_len);
     linkAtDepth(set, base, way, depth, chain_len);
     return victim;
-}
-
-CoreId
-SetAssocCache::ownerOf(BlockAddr block) const
-{
-    const std::size_t base = setIndex(block) * params_.assoc;
-    const int w = findWay(base, block);
-    if (w < 0)
-        panic("%s: ownerOf() for absent block", params_.name.c_str());
-    return lines_[base + static_cast<std::size_t>(w)].owner;
 }
 
 bool

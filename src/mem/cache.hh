@@ -48,6 +48,7 @@ struct CacheAccessResult
     bool hit = false;
     /** Hit on a block whose pref-bit was set (bit is cleared by the hit). */
     bool hitPrefetched = false;
+    CoreId owner;  ///< on a hit, the core whose fill installed the block
 };
 
 /** Information about a block evicted by an insertion. */
@@ -83,9 +84,6 @@ class SetAssocCache : public Auditable, public Snapshottable
      */
     CacheVictim insert(BlockAddr block, bool prefBit, InsertPos pos,
                        bool dirty, CoreId owner = kCore0);
-
-    /** Owner tag of @p block, which must be present (see probe()). */
-    CoreId ownerOf(BlockAddr block) const;
 
     /** Mark @p block dirty if present (L1 writeback landing in L2). */
     bool markDirty(BlockAddr block);

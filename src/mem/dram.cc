@@ -1,6 +1,8 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "dram/dram_controller.hh"
 #include "sim/logging.hh"
@@ -12,6 +14,16 @@ std::unique_ptr<DramBackend>
 makeDramBackend(const DramParams &params, const DramCtrlParams &ctrl,
                 EventQueue &events, StatGroup &stats, unsigned numCores)
 {
+    // transferCycles() converts kBlockBytes / busBytesPerCycle to a
+    // Cycle: the rate must be positive and finite, and the quotient
+    // below 2^64, or the conversion is undefined.
+    const double bus = params.busBytesPerCycle;
+    if (!(bus > 0.0) || !std::isfinite(bus) ||
+        !(static_cast<double>(kBlockBytes) / bus <
+          static_cast<double>(std::numeric_limits<Cycle>::max())))
+        fatal("DRAM bus rate %g bytes/cycle: need a positive finite rate "
+              "that moves a %u-byte block in fewer than 2^64 cycles",
+              bus, kBlockBytes);
     if (ctrl.kind == DramKind::Controller)
         return std::make_unique<DramController>(params, ctrl, events,
                                                 stats, numCores);

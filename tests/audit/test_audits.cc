@@ -559,18 +559,18 @@ TEST(MemorySystemAuditDeathTest, NestedL2CorruptionCaught)
 }
 
 // ---------------------------------------------------------------------------
-// McMemorySystem (core-id tagging and stat-scoping conservation)
+// Two-core MemorySystem (core-id tagging and stat-scoping conservation)
 // ---------------------------------------------------------------------------
 
-struct McSystemUnderAudit
+struct TwoCoreSystemUnderAudit
 {
     EventQueue events;
     StatGroup shared_stats{"mem"};
     std::deque<StatGroup> core_stats;
     std::deque<FdpController> fdps;
-    std::unique_ptr<McMemorySystem> mem;
+    std::unique_ptr<MemorySystem> mem;
 
-    McSystemUnderAudit()
+    TwoCoreSystemUnderAudit()
     {
         std::vector<Prefetcher *> pf_ptrs;
         std::vector<FdpController *> fdp_ptrs;
@@ -585,9 +585,9 @@ struct McSystemUnderAudit
             fdp_ptrs.push_back(&fdps.back());
             group_ptrs.push_back(&core_stats.back());
         }
-        mem = std::make_unique<McMemorySystem>(MachineParams{}, events,
-                                               pf_ptrs, fdp_ptrs,
-                                               shared_stats, group_ptrs);
+        mem = std::make_unique<MemorySystem>(MachineParams{}, events,
+                                             pf_ptrs, fdp_ptrs,
+                                             shared_stats, group_ptrs);
         mem->demandAccess(CoreId(0), 0x100000, 0x1000, false, 0,
                           [](Cycle) {});
         mem->demandAccess(CoreId(1), 0x900000, 0x2000, false, 0,
@@ -598,34 +598,27 @@ struct McSystemUnderAudit
 
 TEST(McMemorySystemAudit, CleanSystemPasses)
 {
-    McSystemUnderAudit s;
+    TwoCoreSystemUnderAudit s;
     s.mem->audit();
 }
 
 TEST(McMemorySystemAuditDeathTest, QueuedDemandWithBadCoreTagCaught)
 {
-    McSystemUnderAudit s;
-    AuditCorrupter::mcTagQueuedDemandBadCore(*s.mem);
+    TwoCoreSystemUnderAudit s;
+    AuditCorrupter::memorySystemBadCoreTag(*s.mem);
     EXPECT_DEATH(s.mem->audit(), "queued demand tagged with core");
-}
-
-TEST(McMemorySystemAuditDeathTest, OverfullPerCorePrefetchQueueCaught)
-{
-    McSystemUnderAudit s;
-    AuditCorrupter::mcOverfillPrefetchQueue(*s.mem);
-    EXPECT_DEATH(s.mem->audit(), "prefetch request queue holds");
 }
 
 TEST(McMemorySystemAuditDeathTest, BrokenStatConservationCaught)
 {
-    McSystemUnderAudit s;
-    AuditCorrupter::mcBreakStatConservation(*s.mem);
+    TwoCoreSystemUnderAudit s;
+    AuditCorrupter::memorySystemBreakStatConservation(*s.mem);
     EXPECT_DEATH(s.mem->audit(), "shared total");
 }
 
 TEST(McMemorySystemAuditDeathTest, DesynchronizedIntervalsCaught)
 {
-    McSystemUnderAudit s;
+    TwoCoreSystemUnderAudit s;
     AuditCorrupter::controllerSkipInterval(s.fdps.back());
     EXPECT_DEATH(s.mem->audit(), "sampling intervals");
 }

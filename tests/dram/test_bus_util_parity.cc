@@ -1,10 +1,11 @@
 /**
  * @file
  * The PrefetchObservation::busUtil window must be sourced from the DRAM
- * backend's measured data-bus occupancy identically in the single-core
- * MemorySystem and the multi-core McMemorySystem: the same request
- * stream reports the same utilization through either path, for both
- * the flat model and the FR-FCFS controller.
+ * backend's measured data-bus occupancy identically whichever
+ * MemorySystem constructor built the machine (one-core, or N-core with
+ * per-core groups): the same request stream reports the same
+ * utilization through either path, for both the flat model and the
+ * FR-FCFS controller.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "mc/mc_memory_system.hh"
 #include "mem/memory_system.hh"
 #include "prefetch/stream_prefetcher.hh"
 
@@ -82,7 +82,7 @@ runMc(const MachineParams &mp)
     FdpParams fp;
     fp.dynamicAggressiveness = false;
     FdpController fdp(fp, &pf, core0);
-    McMemorySystem mem(mp, events, {&pf}, {&fdp}, shared, {&core0});
+    MemorySystem mem(mp, events, {&pf}, {&fdp}, shared, {&core0});
     for (const Addr a : demandStream()) {
         Cycle done = kNoCycle;
         mem.demandAccess(kCore0, a, 0x1000, false, events.horizon(),

@@ -1,13 +1,18 @@
 /**
  * @file
  * DramParams timing arithmetic: transfer-cycle rounding, the unloaded
- * latency identity, and the withUnloadedLatency() budget split both
- * memory-system constructors rely on.
+ * latency identity, the withUnloadedLatency() budget split both
+ * memory-system constructors rely on, and the bus-rate check every
+ * backend is built behind.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "dram/dram_backend.hh"
+#include "mem/dram.hh"
 
 namespace fdp
 {
@@ -53,6 +58,28 @@ TEST(DramParamsDeathTest, WithUnloadedLatencyRejectsTinyBudgets)
 {
     EXPECT_DEATH(DramParams::withUnloadedLatency(10),
                  "unloaded DRAM latency");
+}
+
+TEST(DramParamsDeathTest, BackendRejectsUnusableBusRates)
+{
+    // Zero, negative, NaN, infinite, and so slow that one block's
+    // transfer overflows a Cycle: each is a clean fatal for library
+    // callers, on either backend.
+    const double rates[] = {0.0, -1.0, std::nan(""),
+                            std::numeric_limits<double>::infinity(),
+                            1e-300};
+    for (const DramKind kind : {DramKind::Flat, DramKind::Controller})
+        for (const double rate : rates) {
+            DramParams p;
+            p.busBytesPerCycle = rate;
+            DramCtrlParams ctrl;
+            ctrl.kind = kind;
+            EventQueue events;
+            StatGroup stats{"mem"};
+            EXPECT_EXIT(makeDramBackend(p, ctrl, events, stats, 1),
+                        testing::ExitedWithCode(1), "DRAM bus rate")
+                << rate;
+        }
 }
 
 } // namespace

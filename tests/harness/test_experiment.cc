@@ -254,6 +254,31 @@ TEST(InstructionBudgetDeath, TrailingDigitsGarbageIsFatal)
                 testing::ExitedWithCode(1), "not a positive integer");
 }
 
+TEST(DecimalArg, ParsesPlainDecimals)
+{
+    EXPECT_EQ(parseDecimalArg("--bus-gbps", "4.5"), 4.5);
+    EXPECT_EQ(parseDecimalArg("--bus-gbps", "12"), 12.0);
+    EXPECT_EQ(parseDecimalArg("--bus-gbps", "0.25"), 0.25);
+}
+
+TEST(DecimalArgDeath, MalformedValuesAreFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"abc", "nan", "4.5x", "1e-300", "inf", ""})
+        EXPECT_EXIT(parseDecimalArg("--bus-gbps", bad),
+                    testing::ExitedWithCode(1), "--bus-gbps: .*decimal")
+            << bad;
+}
+
+TEST(DecimalArgDeath, NonPositiveValuesAreFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"0", "-1", "0.0"})
+        EXPECT_EXIT(parseDecimalArg("--bus-gbps", bad),
+                    testing::ExitedWithCode(1), "--bus-gbps: must be above 0")
+            << bad;
+}
+
 TEST(RunWorkload, ResultFieldsConsistent)
 {
     RunConfig c = RunConfig::staticLevelConfig(3);

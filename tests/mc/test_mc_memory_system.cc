@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared-hierarchy tests for the multi-core memory system: private L1s
- * over one L2/MSHR/DRAM, per-core attribution of misses, bus traffic,
- * and pollution, cross-core MSHR merging, and the stat-scoping
- * conservation audit.
+ * Shared-hierarchy tests for the N-core MemorySystem: private L1s over
+ * one L2/MSHR/DRAM, per-core attribution of misses, bus traffic, and
+ * pollution, cross-core MSHR merging, and the stat-scoping conservation
+ * audit.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "mc/mc_memory_system.hh"
+#include "mem/memory_system.hh"
 #include "prefetch/stream_prefetcher.hh"
 
 namespace fdp
@@ -27,7 +27,7 @@ struct McSystem
     std::deque<StatGroup> core_stats;
     std::vector<std::unique_ptr<StreamPrefetcher>> pfs;
     std::deque<FdpController> fdps;
-    std::unique_ptr<McMemorySystem> mem;
+    std::unique_ptr<MemorySystem> mem;
 
     explicit McSystem(unsigned cores, bool with_prefetchers = false,
                       MachineParams mp = {})
@@ -52,9 +52,9 @@ struct McSystem
             fdp_ptrs.push_back(&fdps.back());
             group_ptrs.push_back(&core_stats.back());
         }
-        mem = std::make_unique<McMemorySystem>(mp, events, pf_ptrs,
-                                               fdp_ptrs, shared_stats,
-                                               group_ptrs);
+        mem = std::make_unique<MemorySystem>(mp, events, pf_ptrs,
+                                             fdp_ptrs, shared_stats,
+                                             group_ptrs);
     }
 
     /** Blocking demand load: returns the completion cycle. */
@@ -216,9 +216,9 @@ TEST(McMemorySystem, QuiescedAfterDrain)
 
 TEST(McMemorySystem, SingleCoreMatchesMemorySystemLatencies)
 {
-    // The 1-core McMemorySystem must reproduce MemorySystem's latency
-    // composition exactly (the full parity run lives in
-    // test_mc_machine.cc).
+    // A 1-core machine built for co-runs must reproduce the one-core
+    // constructor's latency composition exactly (the full parity run
+    // lives in test_mc_machine.cc).
     McSystem s(1);
     EXPECT_EQ(s.load(0, 0x100000, 0), 512u);
     const Cycle t = s.events.horizon();

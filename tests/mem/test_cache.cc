@@ -90,6 +90,17 @@ TEST(Cache, PrefBitSetAndClearedOnUse)
     EXPECT_FALSE(r.hitPrefetched);
 }
 
+TEST(Cache, HitReportsTheInstallingCore)
+{
+    CacheParams p = smallCache();
+    p.numCores = 2;
+    SetAssocCache c(p);
+    c.insert(5, true, InsertPos::Mru, false, CoreId(1));
+    const CacheAccessResult r = c.access(5, false);
+    EXPECT_TRUE(r.hitPrefetched);
+    EXPECT_EQ(r.owner, CoreId(1));
+}
+
 TEST(Cache, VictimReportsPrefBit)
 {
     SetAssocCache c(smallCache(1, 1));
@@ -292,7 +303,7 @@ class ReferenceLruCache
         if (w < 0)
             return {};
         Way &way = set.ways[static_cast<std::size_t>(w)];
-        CacheAccessResult r{true, way.prefBit};
+        CacheAccessResult r{true, way.prefBit, kCore0};
         way.prefBit = false;
         if (isWrite)
             way.dirty = true;

@@ -4,7 +4,8 @@
 # Stages (run all by default, or select one with --stage so local runs
 # and the GitHub Actions jobs share this single entrypoint):
 #
-#   tier1   default (RelWithDebInfo) build + full ctest
+#   tier1   default (RelWithDebInfo) build + full ctest, plus the
+#           benchmark package (perfbench/) built and unit-tested
 #   asan    ASan+UBSan build + full ctest with FDP_AUDIT=1, so every
 #           run also audits structural invariants at each sampling
 #           interval boundary
@@ -67,6 +68,16 @@ stage_tier1() {
     cmake -B "$ROOT/build-ci" -S "$ROOT" "${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}"
     cmake --build "$ROOT/build-ci" -j "$JOBS"
     ctest --test-dir "$ROOT/build-ci" --output-on-failure -j "$JOBS"
+
+    echo "==== stage tier1: benchmark package build + tests ===="
+    # perfbench/ is its own CMake project compiled against the simulator
+    # library API, so a src/ change that breaks it must fail here.
+    cmake -B "$ROOT/build-ci/perfbench" -S "$ROOT/perfbench" \
+        "${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}"
+    cmake --build "$ROOT/build-ci/perfbench" -j "$JOBS" \
+        --target fdp_perfbench perfbench_tests
+    "$ROOT/build-ci/perfbench/perfbench_tests"
+    python3 -m unittest discover -s "$ROOT/perfbench/tests"
 
     echo "==== stage tier1: trace record/verify/replay round trip ===="
     # Record swim through the live generator, prove the file passes a

@@ -177,7 +177,7 @@ parse(int argc, char **argv)
         } else if (!std::strcmp(a, "--mem-latency")) {
             o.memLatency = parseCountArg("--mem-latency", need(i));
         } else if (!std::strcmp(a, "--bus-gbps")) {
-            o.busGBps = std::stod(need(i));
+            o.busGBps = parseDecimalArg("--bus-gbps", need(i));
         } else if (!std::strcmp(a, "--pcache-kb")) {
             o.pcacheKB = parseCountArg("--pcache-kb", need(i));
         } else if (!std::strcmp(a, "--dram")) {
