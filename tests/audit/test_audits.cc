@@ -609,6 +609,14 @@ TEST(McMemorySystemAuditDeathTest, QueuedDemandWithBadCoreTagCaught)
     EXPECT_DEATH(s.mem->audit(), "queued demand tagged with core");
 }
 
+TEST(McMemorySystemAuditDeathTest, OverfullPerCorePrefetchQueueCaught)
+{
+    // Core 1's queue: the audit must check every core's, not just core 0's.
+    TwoCoreSystemUnderAudit s;
+    AuditCorrupter::memorySystemOverfillQueue(*s.mem, CoreId(1));
+    EXPECT_DEATH(s.mem->audit(), "core 1 prefetch request queue holds");
+}
+
 TEST(McMemorySystemAuditDeathTest, BrokenStatConservationCaught)
 {
     TwoCoreSystemUnderAudit s;

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "core/fdp_controller.hh"
 #include "prefetch/stream_prefetcher.hh"
@@ -36,7 +38,12 @@ struct Table2Case
     bool late;
     bool polluting;
     Action want;
+    // gtest names each case after its raw bytes, so the byte that would
+    // otherwise be uninitialized padding is a member: the case names
+    // are then the same on every run.
+    std::uint8_t pad = 0;
 };
+static_assert(std::has_unique_object_representations_v<Table2Case>);
 
 class Table2 : public ::testing::TestWithParam<Table2Case>
 {

@@ -48,50 +48,68 @@ bits(double v)
 
 /**
  * A 1-core co-run must reproduce the single-core machine exactly, in
- * every field the two result rows share, across every prefetcher
- * selection (the manager included), both DRAM backends, and both the
- * dynamic and the static Very Aggressive policy.
+ * every field the two result rows share.
  */
-TEST(McMachine, OneCoreParityGrid)
+void
+expectSingleCoreParity(const RunConfig &base, const char *bench)
 {
-    const std::pair<const char *, RunConfig> policies[] = {
-        {"fdp", RunConfig::fullFdp()},
-        {"va", RunConfig::staticLevelConfig(5)},
-    };
-    for (const char *bench : {"swim", "art", "mcf"}) {
-        for (const std::string &pf : knownPrefetcherNames()) {
-            for (const DramKind dram :
-                 {DramKind::Flat, DramKind::Controller}) {
-                for (const auto &[policy, config] : policies) {
-                    RunConfig base = applyPrefetcherSelection(config, pf);
-                    base.machine.dramCtrl.kind = dram;
-                    base.numInsts = 60'000;
-                    SCOPED_TRACE(std::string(bench) + "/" + pf + "/" +
-                                 (dram == DramKind::Flat ? "flat" : "ctrl") +
-                                 "/" + policy);
-                    const RunResult s = runBenchmark(bench, base, "single");
-                    const McRunResult corun =
-                        runMix(benchMix("parity", {bench}),
-                               mcConfig(base, 1, base.numInsts), "mc");
-                    ASSERT_EQ(corun.cores.size(), 1u);
-                    const McCoreResult &c = corun.cores[0];
-                    EXPECT_EQ(c.program, s.benchmark);
-                    EXPECT_EQ(c.insts, s.insts);
-                    EXPECT_EQ(c.cycles, s.cycles);
-                    EXPECT_EQ(bits(c.ipc), bits(s.ipc));
-                    EXPECT_EQ(bits(c.bpki), bits(s.bpki));
-                    EXPECT_EQ(bits(c.accuracy), bits(s.accuracy));
-                    EXPECT_EQ(bits(c.lateness), bits(s.lateness));
-                    EXPECT_EQ(bits(c.pollution), bits(s.pollution));
-                    EXPECT_EQ(c.prefSent, s.prefSent);
-                    EXPECT_EQ(c.prefUsed, s.prefUsed);
-                    EXPECT_EQ(c.l2Misses, s.l2Misses);
-                    EXPECT_EQ(c.demandAccesses, s.demandAccesses);
-                    EXPECT_EQ(c.busAccesses, s.busAccesses);
-                }
-            }
-        }
+    SCOPED_TRACE(bench);
+    const RunResult s = runBenchmark(bench, base, "single");
+    const McRunResult corun = runMix(benchMix("parity", {bench}),
+                                     mcConfig(base, 1, base.numInsts), "mc");
+    ASSERT_EQ(corun.cores.size(), 1u);
+    const McCoreResult &c = corun.cores[0];
+    EXPECT_EQ(c.program, s.benchmark);
+    EXPECT_EQ(c.insts, s.insts);
+    EXPECT_EQ(c.cycles, s.cycles);
+    EXPECT_EQ(bits(c.ipc), bits(s.ipc));
+    EXPECT_EQ(bits(c.bpki), bits(s.bpki));
+    EXPECT_EQ(bits(c.accuracy), bits(s.accuracy));
+    EXPECT_EQ(bits(c.lateness), bits(s.lateness));
+    EXPECT_EQ(bits(c.pollution), bits(s.pollution));
+    EXPECT_EQ(c.prefSent, s.prefSent);
+    EXPECT_EQ(c.prefUsed, s.prefUsed);
+    EXPECT_EQ(c.l2Misses, s.l2Misses);
+    EXPECT_EQ(c.demandAccesses, s.demandAccesses);
+    EXPECT_EQ(c.busAccesses, s.busAccesses);
+}
+
+/** Parity for `base` on both DRAM backends, over swim, art and mcf. */
+void
+expectParityAcrossDram(RunConfig base)
+{
+    base.numInsts = 60'000;
+    for (const DramKind dram : {DramKind::Flat, DramKind::Controller}) {
+        base.machine.dramCtrl.kind = dram;
+        SCOPED_TRACE(dram == DramKind::Flat ? "flat" : "ctrl");
+        for (const char *bench : {"swim", "art", "mcf"})
+            expectSingleCoreParity(base, bench);
     }
+}
+
+/** Parity under `policy` for every prefetcher selection, the manager too. */
+void
+expectParityGrid(const RunConfig &policy)
+{
+    for (const std::string &pf : knownPrefetcherNames()) {
+        SCOPED_TRACE(pf);
+        expectParityAcrossDram(applyPrefetcherSelection(policy, pf));
+    }
+}
+
+TEST(McMachine, OneCoreParityFullFdp)
+{
+    expectParityGrid(RunConfig::fullFdp());
+}
+
+TEST(McMachine, OneCoreParityStaticAggressive)
+{
+    expectParityGrid(RunConfig::staticLevelConfig(5));
+}
+
+TEST(McMachine, OneCoreParityNoPrefetching)
+{
+    expectParityAcrossDram(RunConfig::noPrefetching());
 }
 
 TEST(McMachine, TwoCoreRunHasSaneShape)

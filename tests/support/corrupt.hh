@@ -247,12 +247,12 @@ struct AuditCorrupter
         mgr.exploreIdx_ = (mgr.active_ + 1) % mgr.zoo_.size();
     }
 
-    /** Overfill core 0's Prefetch Request Queue past its capacity. */
+    /** Overfill one core's Prefetch Request Queue past its capacity. */
     static void
-    memorySystemOverfillQueue(MemorySystem &mem)
+    memorySystemOverfillQueue(MemorySystem &mem, CoreId core = kCore0)
     {
-        mem.cores_[0].prefetchQueue.resize(mem.params_.prefetchQueueCap + 1,
-                                           0);
+        mem.cores_[core.index()].prefetchQueue.resize(
+            mem.params_.prefetchQueueCap + 1, 0);
     }
 
     /** Corrupt the L2 recency stack beneath the memory system. */
