@@ -171,33 +171,51 @@ OooCore::closeRun(Cycle start, Cycle end)
 void
 OooCore::run(std::uint64_t numInsts)
 {
-    beginRun(numInsts);
-    Cycle cyc = events_.horizon();
-    const Cycle start = cyc;
+    runLockstep(events_, {this}, numInsts);
+}
 
-    while (!runDone()) {
-        events_.serviceUntil(cyc);
-        const bool progressed = step(cyc);
-        if (runDone())
-            break;
+void
+runLockstep(EventQueue &events, std::vector<OooCore *> cores,
+            std::uint64_t numInsts)
+{
+    for (OooCore *c : cores)
+        c->beginRun(numInsts);
+    const Cycle start = events.horizon();
+    Cycle cyc = start;
 
-        // Advance the clock, skipping dead time when fully stalled.
+    for (;;) {
+        events.serviceUntil(cyc);
+        bool progressed = false;
+        for (auto it = cores.begin(); it != cores.end();) {
+            OooCore &c = **it;
+            progressed = c.step(cyc) || progressed;
+            if (c.runDone()) {
+                c.closeRun(start, cyc);
+                it = cores.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        if (cores.empty())
+            return;
+
+        // Advance the clock, skipping dead time when fully stalled. A
+        // live core that made no progress holds micro-ops in its ROB, so
+        // with no event pending and no head to wake it can never finish.
         Cycle nxt = cyc + 1;
         if (!progressed) {
-            Cycle target = std::min(events_.nextEventCycle(), wakeCycle());
-            if (target == kNoCycle) {
-                if (!robEmpty())
-                    panic("core deadlock: stalled with no pending events");
-                target = cyc + 1;
-            }
+            Cycle target = events.nextEventCycle();
+            for (const OooCore *c : cores)
+                target = std::min(target, c->wakeCycle());
+            if (target == kNoCycle)
+                panic("core deadlock: stalled with no pending events");
             if (target > cyc)
                 nxt = target;
-            noteDeadTime(nxt - cyc);
+            for (OooCore *c : cores)
+                c->noteDeadTime(nxt - cyc);
         }
         cyc = nxt;
     }
-
-    closeRun(start, cyc);
 }
 
 void

@@ -36,12 +36,12 @@ struct CoreParams
 /**
  * ROB-limited out-of-order core.
  *
- * Two driving styles share the same per-cycle machinery:
- *  - run() owns the event loop and simulates a whole single-core run;
- *  - the multi-core driver calls beginRun() once, then step() every
- *    cycle it chooses to simulate, using runDone()/wakeCycle()/
- *    noteDeadTime() to interleave several cores deterministically on
- *    one event queue and closeRun() to account the final cycle count.
+ * The core is driven through its stepped interface: beginRun() arms a
+ * budget, step() simulates one cycle, runDone()/wakeCycle()/
+ * noteDeadTime() let a caller interleave cores deterministically on
+ * one event queue, and closeRun() accounts the final cycle count.
+ * runLockstep() drives 1 to N cores this way; run() is runLockstep()
+ * over this core alone.
  */
 class OooCore : public Snapshottable
 {
@@ -52,7 +52,7 @@ class OooCore : public Snapshottable
     /** Simulate until @p numInsts micro-ops have retired. */
     void run(std::uint64_t numInsts);
 
-    /// @name Stepped driving (multi-core interleaving)
+    /// @name Stepped driving (runLockstep and instrumented run loops)
     /// @{
 
     /** Arm a run budget of @p numInsts micro-ops without simulating. */
@@ -162,6 +162,16 @@ class OooCore : public Snapshottable
     ScalarStat stores_;
     ScalarStat robFullCycles_;
 };
+
+/**
+ * Run @p cores on @p events until each has retired @p numInsts
+ * micro-ops. Every cycle the live cores step in list order; when none
+ * progresses the clock jumps to the next event or head-of-ROB wake
+ * cycle. A core that retires its budget closes its run at that cycle
+ * and leaves the list, while the rest keep contending.
+ */
+void runLockstep(EventQueue &events, std::vector<OooCore *> cores,
+                 std::uint64_t numInsts);
 
 } // namespace fdp
 

@@ -224,23 +224,147 @@ makeRunPrefetcher(const RunConfig &config)
     return std::make_unique<ManagedPrefetcher>(mp, std::move(zoo));
 }
 
-SimMachine::SimMachine(Workload &workload, const RunConfig &config)
-    : prefetcher(makeRunPrefetcher(config)),
-      fdp(resolvedFdpParams(config),
-          config.warmupInsts == 0 ? prefetcher.get() : nullptr, fdpStats),
-      mem(config.machine, events,
-          config.warmupInsts == 0 ? prefetcher.get() : nullptr, fdp,
-          memStats),
-      core(config.core, mem, events, workload, coreStats),
-      workload(workload)
+namespace
 {
+
+/** The address of every element of @p items. */
+template <typename T>
+std::vector<T *>
+addressesOf(std::deque<T> &items)
+{
+    std::vector<T *> out;
+    for (T &item : items)
+        out.push_back(&item);
+    return out;
+}
+
+} // namespace
+
+SimMachine::SimMachine(Workload &workload, const RunConfig &config)
+    : SimMachine(config, {&workload}, {}, false)
+{
+}
+
+SimMachine::SimMachine(const RunConfig &config,
+                       const std::vector<Workload *> &workloads,
+                       const std::vector<std::string> &corePrefetchers)
+    : SimMachine(config, workloads, corePrefetchers, true)
+{
+}
+
+SimMachine::SimMachine(const RunConfig &config,
+                       const std::vector<Workload *> &programs,
+                       const std::vector<std::string> &corePrefetchers,
+                       bool perCore)
+    : perCoreStats(perCore),
+      stats([&] {
+          std::deque<StatGroup> groups;
+          if (!perCore) {
+              groups.emplace_back("fdp");
+              groups.emplace_back("core");
+          }
+          for (std::size_t i = 0; perCore && i < programs.size(); ++i)
+              groups.emplace_back("c" + std::to_string(i));
+          return groups;
+      }()),
+      controllers([&] {
+          std::deque<FdpController> ctrls;
+          for (std::size_t i = 0; i < programs.size(); ++i) {
+              FdpParams fp = resolvedFdpParams(config);
+              if (perCore)
+                  fp.label = "fdp_controller.c" + std::to_string(i);
+              ctrls.emplace_back(fp, nullptr, fdpStats(CoreId(i)));
+          }
+          return ctrls;
+      }()),
+      mem(config.machine, events,
+          std::vector<Prefetcher *>(programs.size(), nullptr),
+          addressesOf(controllers), memStats,
+          perCore ? addressesOf(stats) : std::vector<StatGroup *>{}),
+      workloads(programs),
+      periodicAudit(debugBuild() || auditRequestedByEnv())
+{
+    const unsigned n = static_cast<unsigned>(workloads.size());
+    if (!corePrefetchers.empty() && corePrefetchers.size() != n)
+        fatal("co-run of %u cores got %zu per-core prefetcher selections",
+              n, corePrefetchers.size());
+    audits.add(&events);
+    audits.add(&mem);
+    const bool traceManager = std::getenv("FDP_MANAGER_TRACE") != nullptr;
+    for (unsigned i = 0; i < n; ++i) {
+        const CoreId c(i);
+        prefetchers.push_back(makeRunPrefetcher(
+            corePrefetchers.empty()
+                ? config
+                : applyPrefetcherSelection(config, corePrefetchers[i])));
+        cores.emplace_back(config.core, mem.port(c), events, *workloads[i],
+                           stats[perCore ? i : 1]);
+        // Warm-up runs prefetcher-free; measurementBoundary attaches.
+        if (config.warmupInsts == 0) {
+            fdp(c).setPrefetcher(prefetcher(c));
+            mem.setPrefetcher(prefetcher(c), c);
+        }
+        audits.add(&fdp(c));
+        if (prefetcher(c))
+            audits.add(prefetcher(c));
+        // Auditable frontends (e.g. TraceWorkload) join the same pass.
+        if (const auto *aw = dynamic_cast<const Auditable *>(workloads[i]))
+            audits.add(aw);
+
+        // A manager consumes its core's closed interval after the FDP
+        // controller has applied its own throttling, so both share one
+        // boundary; the last core's hook then makes the stat groups
+        // exact at each paper checkpoint and audits there.
+        auto *manager = dynamic_cast<ManagedPrefetcher *>(prefetcher(c));
+        const bool last = i + 1 == n;
+        if (manager == nullptr && !last)
+            continue;
+        fdp(c).setEndOfIntervalHook([this, c, manager, last,
+                                     traceManager] {
+            if (manager != nullptr) {
+                const FeedbackCounters &fc = fdp(c).counters();
+                manager->intervalTick({fc.accuracy(), fc.lateness(),
+                                       fc.pollution(), core(c).retired(),
+                                       events.horizon()});
+                if (traceManager)
+                    std::cerr << "mgr tick=" << manager->ticks()
+                              << " ops=" << core(c).retired() << " phase="
+                              << (manager->phase() ==
+                                          ManagedPrefetcher::Phase::Explore
+                                      ? "explore"
+                                      : "exploit")
+                              << " active=" << manager->activeName()
+                              << '\n';
+            }
+            if (last) {
+                mem.flushStats();
+                if (periodicAudit)
+                    audits.runAll();
+            }
+        });
+    }
+}
+
+void
+SimMachine::run(std::uint64_t numInsts)
+{
+    std::vector<OooCore *> live;
+    for (OooCore &c : cores)
+        live.push_back(&c);
+    runLockstep(events, std::move(live), numInsts);
+    mem.flushStats();
+    if (periodicAudit)
+        audits.runAll();
 }
 
 SnapshotParts
 SimMachine::parts()
 {
-    return SnapshotParts{events,   workload, core,     mem,      fdp,
-                         prefetcher.get(),   fdpStats, memStats, coreStats};
+    if (perCoreStats)
+        fatal("snapshots need the one-core machine layout, not a "
+              "co-run's");
+    return SnapshotParts{events,       workload(), core(),   mem,     fdp(),
+                         prefetcher(), stats[0],   memStats, stats[1]};
 }
 
 void
@@ -251,86 +375,49 @@ measurementBoundary(SimMachine &m)
                "measurement boundary: %zu events pending after drain",
                m.events.size());
     m.mem.flushStats();
-    m.fdpStats.resetAll();
     m.memStats.resetAll();
-    m.coreStats.resetAll();
+    for (StatGroup &g : m.stats)
+        g.resetAll();
     m.mem.resetAttribution();
-    m.fdp.setPrefetcher(m.prefetcher.get());
-    m.fdp.reset();
-    m.mem.setPrefetcher(m.prefetcher.get());
-    // The prefetcher was detached all through warm-up, so for the
-    // static kinds this is a no-op on an already-fresh component. A
-    // ManagedPrefetcher, though, was ticked by the warm-up's interval
-    // boundaries; resetting its FSM here makes the cold path
-    // bit-identical to a fork restore (which rebuilds it fresh).
-    if (m.prefetcher)
-        m.prefetcher->reset();
-}
-
-// Audit the assembled machine at every sampling-interval boundary so
-// structural corruption surfaces at the paper's natural checkpoint
-// cadence instead of as silently wrong results.
-bool
-wireAudits(SimMachine &m, AuditSet &audits)
-{
-    audits.add(&m.events);
-    audits.add(&m.fdp);
-    audits.add(&m.mem);
-    if (m.prefetcher)
-        audits.add(m.prefetcher.get());
-    // Auditable frontends (e.g. TraceWorkload) join the same pass.
-    if (const auto *aw = dynamic_cast<const Auditable *>(&m.workload))
-        audits.add(aw);
-    const bool periodicAudit = debugBuild() || auditRequestedByEnv();
-    // Every sampling interval publishes the memory system's batched
-    // counters, so the stat group is exact at each paper checkpoint;
-    // audit builds then verify the whole machine at the same cadence.
-    // A managed prefetcher also consumes the closed interval here —
-    // after the FDP controller has applied its own throttling policy —
-    // so reconfiguration and throttling share one boundary.
-    auto *manager = dynamic_cast<ManagedPrefetcher *>(m.prefetcher.get());
-    m.fdp.setEndOfIntervalHook([&m, &audits, periodicAudit, manager] {
-        m.mem.flushStats();
-        if (manager != nullptr) {
-            const FeedbackCounters &fc = m.fdp.counters();
-            manager->intervalTick({fc.accuracy(), fc.lateness(),
-                                   fc.pollution(), m.core.retired(),
-                                   m.events.horizon()});
-            if (std::getenv("FDP_MANAGER_TRACE") != nullptr)
-                std::cerr << "mgr tick=" << manager->ticks()
-                          << " ops=" << m.core.retired() << " phase="
-                          << (manager->phase() ==
-                                      ManagedPrefetcher::Phase::Explore
-                                  ? "explore"
-                                  : "exploit")
-                          << " active=" << manager->activeName()
-                          << '\n';
-        }
-        if (periodicAudit)
-            audits.runAll();
-    });
-    return periodicAudit;
+    for (unsigned i = 0; i < m.numCores(); ++i) {
+        const CoreId c(i);
+        Prefetcher *pf = m.prefetcher(c);
+        m.fdp(c).setPrefetcher(pf);
+        m.fdp(c).reset();
+        m.mem.setPrefetcher(pf, c);
+        // The prefetcher was detached all through warm-up, so for the
+        // static kinds this is a no-op on an already-fresh component. A
+        // ManagedPrefetcher, though, was ticked by the warm-up's
+        // interval boundaries; resetting its FSM here makes the cold
+        // path bit-identical to a fork restore (which rebuilds it
+        // fresh).
+        if (pf)
+            pf->reset();
+    }
 }
 
 RunResult
-extractResult(SimMachine &m, const std::string &configLabel)
+extractResult(SimMachine &m, const std::string &configLabel, CoreId core)
 {
-    // Publish batched counters before reading the stat group directly.
+    // Publish batched counters before reading the stat groups directly.
     m.mem.flushStats();
+    const OooCore &cpu = m.core(core);
+    const FdpController &fdp = m.fdp(core);
     RunResult r;
-    r.benchmark = m.workload.name();
+    r.benchmark = m.workload(core).name();
     r.config = configLabel;
-    r.insts = m.core.retired();
-    r.cycles = m.core.cycles();
-    r.ipc = m.core.ipc();
-    r.busAccesses = m.mem.dram().busAccesses();
+    r.insts = cpu.retired();
+    r.cycles = cpu.cycles();
+    r.ipc = cpu.ipc();
+    r.busAccesses = m.mem.dram().busAccessesByCore(core);
     r.bpki = ratio(static_cast<double>(r.busAccesses),
                    static_cast<double>(r.insts) / 1000.0);
-    r.accuracy = m.fdp.lifetimeAccuracy();
-    r.lateness = m.fdp.lifetimeLateness();
-    r.pollution = m.fdp.lifetimePollution();
-    r.l2Misses = m.mem.l2Misses();
-    r.demandAccesses = m.mem.demandAccesses();
+    r.accuracy = fdp.lifetimeAccuracy();
+    r.lateness = fdp.lifetimeLateness();
+    r.pollution = fdp.lifetimePollution();
+    r.l2Misses = m.mem.l2Misses(core);
+    r.demandAccesses = m.mem.demandAccesses(core);
+    r.prefDropQueueFull = m.mem.prefDropQueueFull(core);
     r.mshrStallCount = m.mem.mshrStalls();
     r.avgMissLatency = m.mem.avgDemandMissLatency();
     for (const auto *s : m.memStats.scalars()) {
@@ -340,20 +427,18 @@ extractResult(SimMachine &m, const std::string &configLabel)
             r.prefetchGrants = s->value();
         else if (s->name() == "writeback_grants")
             r.writebackGrants = s->value();
-        else if (s->name() == "pref_drop_queue_full")
-            r.prefDropQueueFull = s->value();
     }
 
-    for (const auto *s : m.fdpStats.scalars()) {
+    for (const auto *s : m.fdpStats(core).scalars()) {
         if (s->name() == "pref_sent")
             r.prefSent = s->value();
         else if (s->name() == "pref_used")
             r.prefUsed = s->value();
     }
-    const DistributionStat &ld = m.fdp.levelDistribution();
+    const DistributionStat &ld = fdp.levelDistribution();
     for (std::size_t i = 0; i < r.levelDist.size(); ++i)
         r.levelDist[i] = ld.fraction(i);
-    const DistributionStat &id = m.fdp.insertDistribution();
+    const DistributionStat &id = fdp.insertDistribution();
     for (std::size_t i = 0; i < r.insertDist.size(); ++i)
         r.insertDist[i] = id.fraction(i);
     return r;
@@ -364,19 +449,11 @@ runWorkload(Workload &workload, const RunConfig &config,
             const std::string &configLabel)
 {
     SimMachine m(workload, config);
-
-    AuditSet audits;
-    const bool periodicAudit = wireAudits(m, audits);
-
     if (config.warmupInsts > 0) {
-        m.core.run(config.warmupInsts);
+        m.run(config.warmupInsts);
         measurementBoundary(m);
     }
-    m.core.run(config.numInsts);
-
-    if (periodicAudit)
-        audits.runAll();
-
+    m.run(config.numInsts);
     return extractResult(m, configLabel);
 }
 

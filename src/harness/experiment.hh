@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "manage/prefetcher_manager.hh"
 #include "mem/memory_system.hh"
 #include "prefetch/prefetcher.hh"
+#include "sim/check.hh"
 #include "snap/machine_snapshot.hh"
 #include "workload/generators.hh"
 
@@ -170,55 +172,110 @@ FdpParams resolvedFdpParams(const RunConfig &config);
 std::unique_ptr<Prefetcher> makeRunPrefetcher(const RunConfig &config);
 
 /**
- * One fully-assembled simulated machine: the event queue, the three
- * stat groups, the prefetcher, the FDP controller, the memory system,
- * and the core, wired together for @p config and driving @p workload.
+ * The one simulated-machine assembly, for 1 to N cores: the event
+ * queue, the stat groups, each core's prefetcher and FDP controller,
+ * one memory system, and the cores, wired together for a RunConfig.
+ * Single-core runs, warm forks, snapshots, and co-runs all build one.
  *
- * When @p config.warmupInsts is 0 the prefetcher is attached from
- * construction (the classic measure-from-reset machine). Otherwise it
- * is built but left detached — the warm-up phase runs prefetcher-free,
- * and measurementBoundary() attaches it. Snapshot capture and restore
- * see the machine through parts().
+ * When config.warmupInsts is 0 the prefetchers are attached from
+ * construction. Otherwise they are built but left detached — the
+ * warm-up phase runs prefetcher-free, and measurementBoundary()
+ * attaches them.
+ *
+ * The machine audits itself: a managed core's end-of-interval hook
+ * ticks its manager off that core's feedback, and the last core's hook
+ * — shared-L2 evictions tick the controllers in core order, so every
+ * core's interval has then closed — publishes the batched counters
+ * and, in debug builds or under FDP_AUDIT=1, audits every component.
  */
 struct SimMachine
 {
+    /** One core; stat groups fdp, mem, and core (the fdpsnap-v1 layout). */
     SimMachine(Workload &workload, const RunConfig &config);
 
-    /** The snapshot view of this machine. */
+    /**
+     * One core per workload; stat group mem plus c<i> per core, and
+     * controllers labelled fdp_controller.c<i>. Core i runs
+     * @p corePrefetchers[i] (a prefetcherSelectionFromName name), or
+     * @p config's own selection when the list is empty.
+     */
+    SimMachine(const RunConfig &config,
+               const std::vector<Workload *> &workloads,
+               const std::vector<std::string> &corePrefetchers);
+
+    /** The interval hooks hold the machine's address. */
+    SimMachine(const SimMachine &) = delete;
+    SimMachine &operator=(const SimMachine &) = delete;
+
+    /**
+     * Run every core in lockstep until each has retired @p numInsts
+     * micro-ops (runLockstep), then publish the batched counters and,
+     * when periodic audits are on, audit the machine.
+     */
+    void run(std::uint64_t numInsts);
+
+    /** The snapshot view of the one-core layout (fatal otherwise). */
     SnapshotParts parts();
 
+    /// @name Per-core views
+    /// @{
+    unsigned numCores() const { return static_cast<unsigned>(cores.size()); }
+    OooCore &core(CoreId c = kCore0) { return cores[c.index()]; }
+    FdpController &fdp(CoreId c = kCore0) { return controllers[c.index()]; }
+    Prefetcher *
+    prefetcher(CoreId c = kCore0)
+    {
+        return prefetchers[c.index()].get();
+    }
+    Workload &workload(CoreId c = kCore0) { return *workloads[c.index()]; }
+    /** The group holding core @p c's FDP controller statistics. */
+    StatGroup &
+    fdpStats(CoreId c = kCore0)
+    {
+        return stats[perCoreStats ? c.index() : 0];
+    }
+    /// @}
+
+    /** True for the co-run layout (one c<i> group per core). */
+    bool perCoreStats;
     EventQueue events;
-    StatGroup fdpStats{"fdp"};
     StatGroup memStats{"mem"};
-    StatGroup coreStats{"core"};
-    std::unique_ptr<Prefetcher> prefetcher;
-    FdpController fdp;
+    /** fdp and core on the one-core layout; c0, c1, … on the co-run
+     *  layout. */
+    std::deque<StatGroup> stats;
+    /** Built before mem, which points at every controller. */
+    std::deque<FdpController> controllers;
     MemorySystem mem;
-    OooCore core;
-    Workload &workload;
+    /** Each core's L2 prefetcher (null for none). */
+    std::vector<std::unique_ptr<Prefetcher>> prefetchers;
+    std::deque<OooCore> cores;
+    std::vector<Workload *> workloads;
+    AuditSet audits;
+    /** Audit at every interval boundary and after every run(). */
+    bool periodicAudit;
+
+  private:
+    SimMachine(const RunConfig &config,
+               const std::vector<Workload *> &workloads,
+               const std::vector<std::string> &corePrefetchers,
+               bool perCoreStats);
 };
 
 /**
  * Transition @p m from warm-up to measurement: drain in-flight misses
  * to a quiesce point, flush and zero every statistic, zero DRAM's
- * per-core attribution, reset the FDP controller to its configured
- * initial policy, and attach the per-configuration prefetcher. Both
- * the cold path (after an in-place warm-up run) and the fork path
- * (after restoring a warm snapshot) cross exactly this boundary, which
- * is what makes them bit-identical.
+ * per-core attribution, and, on every core, reset the FDP controller
+ * to its configured initial policy and attach the per-configuration
+ * prefetcher. Both the cold path (after an in-place warm-up run) and
+ * the fork path (after restoring a warm snapshot) cross exactly this
+ * boundary, which is what makes them bit-identical.
  */
 void measurementBoundary(SimMachine &m);
 
-/**
- * Wire @p m's Auditable components into @p audits and, in debug builds
- * (or under FDP_AUDIT=1), re-audit at every sampling-interval boundary.
- * Returns whether periodic auditing is active, so the caller knows to
- * run a final pass after the measured run.
- */
-bool wireAudits(SimMachine &m, AuditSet &audits);
-
-/** Pull every RunResult field out of a finished measured run. */
-RunResult extractResult(SimMachine &m, const std::string &configLabel);
+/** Pull core @p core's RunResult out of a finished measured run (the
+ *  bus-grant, MSHR-stall, and miss-latency fields are machine-wide). */
+RunResult extractResult(SimMachine &m, const std::string &configLabel,
+                        CoreId core = kCore0);
 
 /**
  * Run one named SPEC stand-in under @p config.

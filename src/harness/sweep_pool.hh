@@ -83,6 +83,15 @@ class SweepPool
     std::exception_ptr firstError_;
 };
 
+/**
+ * Run every job of @p jobs in order: inline on the calling thread when
+ * @p threads is 1, else submitted in that order to a SweepPool of
+ * @p threads workers. A worker's fatal() is re-raised here, on the
+ * calling thread, once the pool has joined every worker.
+ */
+void runJobs(const std::vector<std::function<void()>> &jobs,
+             unsigned threads);
+
 /** One labeled configuration column of a sweep. */
 using LabeledConfig = std::pair<std::string, RunConfig>;
 

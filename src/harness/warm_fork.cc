@@ -33,7 +33,7 @@ captureWarmSnapshot(const std::string &benchmark, const RunConfig &config)
 
     SyntheticWorkload workload(benchmarkParams(benchmark));
     SimMachine m(workload, neutral);
-    m.core.run(config.warmupInsts);
+    m.run(config.warmupInsts);
     drainToQuiesce(m.events, m.mem);
     FDP_ASSERT(m.events.empty(),
                "warm snapshot: %zu events pending after drain",
@@ -74,16 +74,8 @@ runBenchmarkFromSnapshot(const SnapshotImage &image, const RunConfig &config,
     SyntheticWorkload workload(benchmarkParams(image.benchmark));
     SimMachine m(workload, config);
     restoreMachine(m.parts(), image.body, RestoreMode::Fork);
-
-    AuditSet audits;
-    const bool periodicAudit = wireAudits(m, audits);
-
     measurementBoundary(m);
-    m.core.run(config.numInsts);
-
-    if (periodicAudit)
-        audits.runAll();
-
+    m.run(config.numInsts);
     return extractResult(m, configLabel);
 }
 

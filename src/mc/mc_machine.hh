@@ -1,16 +1,10 @@
 /**
  * @file
- * Multi-core co-run driver (DESIGN.md §13): N OooCore pipelines over
- * one N-core MemorySystem, advanced in lockstep on ONE shared event
- * queue.
- *
- * Every simulated cycle, cores step in core-id order (retire then
- * dispatch); when no core makes progress the clock jumps to the next
- * event or head-of-ROB wake cycle, exactly like the single-core run
- * loop. The interleaving is therefore a pure function of the
- * configuration and the workloads — bit-identical across hosts, job
- * counts, and repeated runs — and a 1-core McMachine run reproduces
- * OooCore::run() over MemorySystem cycle for cycle.
+ * Multi-core co-runs (DESIGN.md §13): N cores over one memory system,
+ * built as one SimMachine and driven by runLockstep, exactly as a
+ * single-core run is — warm-up and measurement boundary included. A
+ * 1-core co-run is therefore the single-core machine with per-core
+ * stat groups, and reproduces it cycle for cycle.
  *
  * Each core runs until IT has retired the per-core budget; cores that
  * finish early stop issuing while the rest keep contending (their
@@ -38,7 +32,8 @@ struct McRunConfig
     /**
      * Per-core configuration. machine/core give the Table 3 geometry
      * (the L2, MSHRs, and DRAM of which are shared); prefetcher and
-     * fdp are replicated per core; numInsts is the PER-CORE budget.
+     * fdp are replicated per core; warmupInsts and numInsts are
+     * PER-CORE budgets.
      */
     RunConfig base;
     unsigned numCores = 2;
@@ -106,7 +101,9 @@ struct McRunResult
 
 /**
  * Run @p workloads (one per core, typically from buildMixWorkloads)
- * under @p config. Speedup fields are left zero — runMixSweep fills
+ * under @p config: every core warms up for base.warmupInsts, the
+ * machine crosses measurementBoundary, and every core then runs
+ * base.numInsts. Speedup fields are left zero — runMixSweep fills
  * them from the single-core baselines.
  */
 McRunResult runMcWorkloads(const McRunConfig &config,

@@ -44,13 +44,15 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
     const unsigned n = mix.numCores();
     if (n == 0)
         fatal("mix %s has no entries", mix.name.c_str());
-    std::uint64_t maxInsts = 0;
+    // Every core consumes its warm-up and its measured budget.
+    std::uint64_t maxOps = 0;
     for (const McLabeledConfig &c : configs) {
         if (c.config.numCores != n)
             fatal("mix %s names %u cores but configuration %s has %u",
                   mix.name.c_str(), n, c.label.c_str(),
                   c.config.numCores);
-        maxInsts = std::max(maxInsts, c.config.base.numInsts);
+        maxOps = std::max(maxOps, c.config.base.warmupInsts +
+                                      c.config.base.numInsts);
     }
 
     // Validate every program on the main thread, before any worker
@@ -69,12 +71,12 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
         }
         TraceReader reader(e.tracePath);
         const std::uint64_t available = reader.header().opCount;
-        if (maxInsts > available)
+        if (maxOps > available)
             fatal("trace %s holds %llu micro-ops but this mix consumes "
                   "%llu per core; record a longer trace",
                   e.tracePath.c_str(),
                   static_cast<unsigned long long>(available),
-                  static_cast<unsigned long long>(maxInsts));
+                  static_cast<unsigned long long>(maxOps));
     }
 
     // Effective per-core prefetcher selections, per configuration
@@ -131,50 +133,29 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
     for (std::size_t c = 0; c < configs.size(); ++c)
         alone[c].resize(keys[c].size());
 
-    const auto corunCell = [&mix, &configs, &results](std::size_t c) {
-        results[c] = runMix(mix, configs[c].config, configs[c].label);
-    };
-    const auto aloneCell = [&mix, &configs, &alone, &dup, &exemplar,
-                            &sel](std::size_t c, std::size_t k) {
-        const unsigned coreIdx = exemplar[c][k];
-        const auto workload =
-            buildAloneWorkload(mix.entries[coreIdx], dup[coreIdx]);
-        RunConfig rc = configs[c].config.base;
-        if (!sel[c].empty())
-            rc = applyPrefetcherSelection(rc, sel[c][coreIdx]);
-        alone[c][k] =
-            runWorkload(*workload, rc, configs[c].label + "-alone");
-    };
-
-    if (jobs == 1) {
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            corunCell(c);
-            for (std::size_t k = 0; k < keys[c].size(); ++k)
-                aloneCell(c, k);
+    // Each result lands in its pre-sized slot, so completion order never
+    // affects the output. Co-runs (roughly N single-core runs' worth of
+    // work each) go first, LPT-style.
+    std::vector<std::function<void()>> work;
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        work.push_back([&, c] {
+            results[c] = runMix(mix, configs[c].config, configs[c].label);
+        });
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (std::size_t k = 0; k < keys[c].size(); ++k) {
+            work.push_back([&, c, k] {
+                const unsigned coreIdx = exemplar[c][k];
+                const auto workload =
+                    buildAloneWorkload(mix.entries[coreIdx], dup[coreIdx]);
+                RunConfig rc = configs[c].config.base;
+                if (!sel[c].empty())
+                    rc = applyPrefetcherSelection(rc, sel[c][coreIdx]);
+                alone[c][k] =
+                    runWorkload(*workload, rc, configs[c].label + "-alone");
+            });
         }
-    } else {
-        // Each result lands in its pre-sized slot, so completion order
-        // never affects the output. Co-runs (roughly N single-core
-        // runs' worth of work each) are submitted first, LPT-style.
-        std::string workerFatal;
-        bool sawWorkerFatal = false;
-        {
-            SweepPool pool(jobs);
-            for (std::size_t c = 0; c < configs.size(); ++c)
-                pool.submit([&corunCell, c] { corunCell(c); });
-            for (std::size_t c = 0; c < configs.size(); ++c)
-                for (std::size_t k = 0; k < keys[c].size(); ++k)
-                    pool.submit([&aloneCell, c, k] { aloneCell(c, k); });
-            try {
-                pool.wait();
-            } catch (const FatalError &e) {
-                sawWorkerFatal = true;
-                workerFatal = e.what();
-            }
-        }
-        if (sawWorkerFatal)
-            fatal("%s", workerFatal.c_str());
     }
+    runJobs(work, jobs);
 
     for (std::size_t c = 0; c < configs.size(); ++c) {
         std::vector<double> aloneIpc(n, 0.0);

@@ -460,10 +460,12 @@ std::uint64_t
 MemorySystem::count(CoreId core, Counter k) const
 {
     const Core &c = cores_[core.index()];
-    if (!c.stats[k])
-        panic("%s: no per-core %s (built without per-core stat groups)",
-              auditName(), kCounterInfo[k].name);
-    return c.stats[k]->value() + c.hot[k];
+    if (c.stats[k])
+        return c.stats[k]->value() + c.hot[k];
+    if (numCores_ == 1 && k < kNumTotals)
+        return total(k);
+    panic("%s: no per-core %s (built without per-core stat groups)",
+          auditName(), kCounterInfo[k].name);
 }
 
 double

@@ -140,11 +140,15 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
     bool quiesced() const;
 
     /**
-     * Attach (or detach, with nullptr) core 0's L2 prefetcher. Used by
+     * Attach (or detach, with nullptr) @p core's L2 prefetcher. Used by
      * the warm-up boundary: the warm-up phase runs with no prefetcher so
      * the warmed state is independent of the prefetch configuration.
      */
-    void setPrefetcher(Prefetcher *pf) { cores_[0].prefetcher = pf; }
+    void
+    setPrefetcher(Prefetcher *pf, CoreId core = kCore0)
+    {
+        cores_[core.index()].prefetcher = pf;
+    }
 
     /** Publish the locally batched counters into the stat groups. */
     void flushStats();
@@ -180,8 +184,10 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
     /// @}
 
     /// @name Per-core lifetime statistics
-    /// Read from the per-core stat groups, so only a machine built with
-    /// them has these (others panic); exact like the totals above.
+    /// Read from the per-core stat groups; a one-core machine built
+    /// without them returns its totals, since all of it is core 0's.
+    /// Exact like the totals above. The two pollution counters exist
+    /// only per core, so they panic on a machine without the groups.
     /// @{
     std::uint64_t
     demandAccesses(CoreId core) const

@@ -458,12 +458,8 @@ convergenceWins(const std::string &bench, std::uint64_t insts)
     c.numInsts = insts;
     auto workload = makeBenchmark(bench);
     SimMachine m(*workload, c);
-    AuditSet audits;
-    const bool periodic = wireAudits(m, audits);
-    m.core.run(c.numInsts);
-    if (periodic)
-        audits.runAll();
-    auto *mgr = dynamic_cast<ManagedPrefetcher *>(m.prefetcher.get());
+    m.run(c.numInsts);
+    auto *mgr = dynamic_cast<ManagedPrefetcher *>(m.prefetcher());
     EXPECT_NE(mgr, nullptr);
     std::vector<std::uint64_t> wins;
     for (std::size_t i = 0; i < mgr->zooSize(); ++i)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Co-run driver tests: 1-core parity with the single-core experiment
- * path (bit-identical cycles and stats), multi-core run shape,
- * deterministic repetition, and contention actually showing up in the
- * shared hierarchy.
+ * path (bit-identical cycles and stats, with and without warm-up),
+ * multi-core run shape, deterministic repetition, and contention
+ * actually showing up in the shared hierarchy.
  */
 
 #include <gtest/gtest.h>
@@ -74,16 +74,24 @@ expectSingleCoreParity(const RunConfig &base, const char *bench)
     EXPECT_EQ(c.busAccesses, s.busAccesses);
 }
 
-/** Parity for `base` on both DRAM backends, over swim, art and mcf. */
+/**
+ * Parity for `base` on both DRAM backends, over swim, art and mcf,
+ * measured from reset and again after a 40k-op warm-up.
+ */
 void
 expectParityAcrossDram(RunConfig base)
 {
     base.numInsts = 60'000;
-    for (const DramKind dram : {DramKind::Flat, DramKind::Controller}) {
-        base.machine.dramCtrl.kind = dram;
-        SCOPED_TRACE(dram == DramKind::Flat ? "flat" : "ctrl");
-        for (const char *bench : {"swim", "art", "mcf"})
-            expectSingleCoreParity(base, bench);
+    for (const std::uint64_t warmup : {0, 40'000}) {
+        base.warmupInsts = warmup;
+        SCOPED_TRACE(warmup == 0 ? "cold" : "warm");
+        for (const DramKind dram :
+             {DramKind::Flat, DramKind::Controller}) {
+            base.machine.dramCtrl.kind = dram;
+            SCOPED_TRACE(dram == DramKind::Flat ? "flat" : "ctrl");
+            for (const char *bench : {"swim", "art", "mcf"})
+                expectSingleCoreParity(base, bench);
+        }
     }
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Mix sweep tests: parallel and sequential execution produce
  * bit-identical results (DESIGN.md §10), speedups come out finalized
- * against the right alone baselines, and the report tables / JSON
- * carry every metric.
+ * against the right alone baselines, the report tables / JSON carry
+ * every metric, and a too-short trace is a main-thread fatal.
  */
 
 #include <gtest/gtest.h>
@@ -149,6 +149,28 @@ TEST(MixRunner, RejectsConfigWithWrongCoreCount)
         runMixSweep(spec,
                     {labeled("fdp", RunConfig::fullFdp(), 4, 1000)}, 1),
         testing::ExitedWithCode(1), "cores");
+}
+
+TEST(MixRunnerDeathTest, ShortTraceIsFatalCountingTheWarmUp)
+{
+    // Every core consumes its warm-up and its measured budget, so a
+    // trace that covers the measured run alone is still too short; the
+    // sweep says so from the main thread, before any worker starts.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path =
+        testing::TempDir() + "mix_runner_short.fdptrace";
+    RunConfig record = RunConfig::noPrefetching();
+    record.numInsts = 30'000;
+    recordBenchmark("swim", record, "record", path);
+
+    MixSpec spec;
+    spec.name = "short";
+    spec.entries = {MixEntry{"", path}, MixEntry{"art", ""}};
+    McLabeledConfig cfg = labeled("fdp", RunConfig::fullFdp(), 2, 20'000);
+    cfg.config.base.warmupInsts = 20'000;
+    EXPECT_EXIT(runMixSweep(spec, {cfg}, 4), testing::ExitedWithCode(1),
+                "holds 30000 micro-ops but this mix consumes 40000 per "
+                "core");
 }
 
 } // namespace

@@ -2,11 +2,13 @@
  * @file
  * Integration tests for the memory hierarchy: latency composition,
  * MSHR merging, prefetch issue/drop rules, late-prefetch detection,
- * pollution bookkeeping, prefetch-cache mode, and writebacks.
+ * pollution bookkeeping, prefetch-cache mode, writebacks, and the
+ * per-core accessors of a one-core machine without per-core groups.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "mem/memory_system.hh"
@@ -325,6 +327,97 @@ TEST(MemorySystem, NoPrefetcherMeansNoPrefetchTraffic)
     s.events.serviceUntil(t + 1000000);
     EXPECT_EQ(s.mem->prefetchesIssued(), 0u);
     EXPECT_DOUBLE_EQ(s.fdp->lifetimeAccuracy(), 0.0);
+}
+
+/** Value of the statistic @p name registered in @p group. */
+std::uint64_t
+statValue(const StatGroup &group, const std::string &name)
+{
+    for (const auto *stat : group.scalars())
+        if (stat->name() == name)
+            return stat->value();
+    ADD_FAILURE() << "no statistic " << name;
+    return 0;
+}
+
+/**
+ * Emits four next blocks on every observation, ignoring the queue
+ * budget that every real prefetcher honours, so the Prefetch Request
+ * Queue overflows and counts queue-full drops.
+ */
+class FloodPrefetcher : public Prefetcher
+{
+  public:
+    void setAggressiveness(unsigned) override {}
+    unsigned aggressiveness() const override { return kMaxAggrLevel; }
+    const char *name() const override { return "flood"; }
+    void reset() override {}
+    void audit() const override {}
+    void saveState(SnapWriter &) const override {}
+    void loadState(SnapReader &) override {}
+
+  private:
+    void
+    doObserve(const PrefetchObservation &obs, std::vector<BlockAddr> &out,
+              std::size_t) override
+    {
+        for (BlockAddr d = 1; d <= 4; ++d)
+            out.push_back(obs.block + d);
+    }
+};
+
+/** A one-core machine without per-core groups whose two-entry Prefetch
+ *  Request Queue has overflowed. */
+struct OneCoreWithoutGroups
+{
+    static MachineParams
+    twoEntryQueue()
+    {
+        MachineParams mp;
+        mp.prefetchQueueCap = 2;
+        return mp;
+    }
+
+    OneCoreWithoutGroups()
+    {
+        for (Addr i = 0; i < 16; ++i) {
+            mem.demandAccess(0xE00000 + i * 4096, 0x1000, false,
+                             events.horizon(), [](Cycle) {});
+            events.serviceUntil(events.horizon() + 100000);
+        }
+        mem.flushStats();
+    }
+
+    EventQueue events;
+    StatGroup fdpStats{"fdp"};
+    StatGroup memStats{"mem"};
+    FloodPrefetcher pf;
+    FdpController fdp{FdpParams{}, &pf, fdpStats};
+    MemorySystem mem{twoEntryQueue(), events, &pf, fdp, memStats};
+};
+
+TEST(MemorySystem, OneCoreWithoutGroupsReadsTotalsPerCore)
+{
+    // All of a one-core machine is core 0's, so its per-core accessors
+    // answer from the machine totals.
+    OneCoreWithoutGroups s;
+    EXPECT_GT(s.mem.l2Misses(), 0u);
+    EXPECT_EQ(s.mem.l2Misses(kCore0), s.mem.l2Misses());
+    EXPECT_GT(s.mem.demandAccesses(), 0u);
+    EXPECT_EQ(s.mem.demandAccesses(kCore0), s.mem.demandAccesses());
+    const std::uint64_t drops =
+        statValue(s.memStats, "pref_drop_queue_full");
+    EXPECT_GT(drops, 0u);
+    EXPECT_EQ(s.mem.prefDropQueueFull(kCore0), drops);
+}
+
+TEST(MemorySystemDeathTest, OneCoreWithoutGroupsHasNoPollutionShare)
+{
+    // Pollution attribution exists only per core; without the groups
+    // there is no total to fall back on.
+    OneCoreWithoutGroups s;
+    EXPECT_DEATH(s.mem.pollutionInflicted(kCore0),
+                 "no per-core pollution_inflicted");
 }
 
 } // namespace

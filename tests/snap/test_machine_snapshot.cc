@@ -4,7 +4,8 @@
  * A restored machine is byte-indistinguishable from the original
  * (save -> restore -> re-save produces identical bytes), and running
  * both onward stays bit-identical. Mismatched restores (wrong
- * prefetcher, trailing bytes, recording frontends) die cleanly.
+ * prefetcher, trailing bytes, recording frontends, co-run stat
+ * layouts) die cleanly.
  */
 
 #include <gtest/gtest.h>
@@ -37,7 +38,7 @@ testConfig()
 SnapshotImageBody
 runAndCapture(SimMachine &m, std::uint64_t insts)
 {
-    m.core.run(insts);
+    m.run(insts);
     drainToQuiesce(m.events, m.mem);
     m.mem.flushStats();
     return captureMachine(m.parts());
@@ -69,14 +70,10 @@ TEST(MachineSnapshot, ManagedMachineRoundTripsAndContinues)
     config.fdp.intervalEvictions = 1024;  // several manager ticks
     SyntheticWorkload w1(benchmarkParams("swim"));
     SimMachine m1(w1, config);
-    AuditSet audits1;
-    wireAudits(m1, audits1);  // installs the manager's interval hook
     const SnapshotImageBody saved = runAndCapture(m1, 120'000);
 
     SyntheticWorkload w2(benchmarkParams("swim"));
     SimMachine m2(w2, config);
-    AuditSet audits2;
-    wireAudits(m2, audits2);
     restoreMachine(m2.parts(), saved.bytes, RestoreMode::Full);
     EXPECT_EQ(captureMachine(m2.parts()).bytes, saved.bytes);
 
@@ -101,8 +98,8 @@ TEST(MachineSnapshot, RestoredMachineContinuesBitIdentically)
     const SnapshotImageBody after1 = runAndCapture(m1, 100'000);
     const SnapshotImageBody after2 = runAndCapture(m2, 100'000);
     EXPECT_EQ(after1.bytes, after2.bytes);
-    EXPECT_EQ(m1.core.retired(), m2.core.retired());
-    EXPECT_EQ(m1.core.cycles(), m2.core.cycles());
+    EXPECT_EQ(m1.core().retired(), m2.core().retired());
+    EXPECT_EQ(m1.core().cycles(), m2.core().cycles());
 }
 
 TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
@@ -121,7 +118,7 @@ TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
     // Cold reference: warm in place with the prefetcher detached.
     SyntheticWorkload w1(benchmarkParams("swim"));
     SimMachine m1(w1, fdp);
-    m1.core.run(fdp.warmupInsts);
+    m1.run(fdp.warmupInsts);
     measurementBoundary(m1);
     const SnapshotImageBody end1 = runAndCapture(m1, fdp.numInsts);
 
@@ -183,6 +180,16 @@ TEST_F(MachineSnapshotDeath, TrailingBytesAreFatal)
                 testing::ExitedWithCode(1), "trailing bytes");
 }
 
+TEST_F(MachineSnapshotDeath, CoRunLayoutHasNoSnapshotView)
+{
+    // The fdpsnap-v1 body names the fdp/mem/core stat groups; a machine
+    // with per-core groups, even a one-core co-run, cannot fill it.
+    SyntheticWorkload w(benchmarkParams("swim"));
+    SimMachine m(testConfig(), {&w}, {});
+    EXPECT_EXIT(m.parts(), testing::ExitedWithCode(1),
+                "one-core machine layout");
+}
+
 TEST_F(MachineSnapshotDeath, RecordingWorkloadCannotSnapshot)
 {
     const RunConfig config = testConfig();
@@ -194,7 +201,7 @@ TEST_F(MachineSnapshotDeath, RecordingWorkloadCannotSnapshot)
     SimMachine m(recorder, config);
     EXPECT_EXIT(
         {
-            m.core.run(10'000);
+            m.run(10'000);
             drainToQuiesce(m.events, m.mem);
             captureMachine(m.parts());
         },

@@ -146,7 +146,21 @@ stage_tier1() {
         > "$mdir/jobs4.out" 2> /dev/null
     diff "$mdir/jobs1.out" "$mdir/jobs4.out"
     diff "$mdir/jobs1.json" "$mdir/jobs4.json"
-    echo "mix smoke: co-run bit-identical across --jobs 1 and --jobs 4"
+    # The same with a warm-up phase: every core warms, the machine
+    # crosses the measurement boundary, then measures.
+    "$ROOT/build-ci/bench/fdp_sim" --cores 2 --mix mix2-stream \
+        --warmup 50000 --insts 100000 --jobs 1 \
+        --out "$mdir/warm1.json" > "$mdir/warm1.out" 2> /dev/null
+    "$ROOT/build-ci/bench/fdp_sim" --cores 2 --mix mix2-stream \
+        --warmup 50000 --insts 100000 --jobs 4 \
+        --out "$mdir/warm4.json" > "$mdir/warm4.out" 2> /dev/null
+    diff "$mdir/warm1.out" "$mdir/warm4.out"
+    diff "$mdir/warm1.json" "$mdir/warm4.json"
+    # And audited at every interval boundary (a violation panics).
+    FDP_AUDIT=1 "$ROOT/build-ci/bench/fdp_sim" --cores 2 --mix mix2-stream \
+        --warmup 50000 --insts 100000 --jobs 4 > /dev/null
+    echo "mix smoke: co-run bit-identical across --jobs 1 and --jobs 4," \
+        "cold and warmed; audited warmed run clean"
 
     echo "==== stage tier1: manager determinism smoke ===="
     # The adaptive prefetcher manager explores/exploits off interval

@@ -274,9 +274,6 @@ parse(int argc, char **argv)
                   "--mix/--store");
     }
     if (!o.mix.empty()) {
-        if (o.warmup != 0)
-            fatal("--warmup applies to single-core runs; --mix co-runs "
-                  "do not support it yet");
         if (!o.benches.empty())
             fatal("--mix defines the per-core programs; drop "
                   "--bench/--all");
