@@ -237,6 +237,28 @@ BM_StreamFsmTransition(benchmark::State &state)
 BENCHMARK(BM_StreamFsmTransition);
 
 void
+BM_StreamAllocateChurn(benchmark::State &state)
+{
+    // Art's miss path: scattered misses that match no stream, so every
+    // one falls through the training lookup and evicts the LRU entry of
+    // a full 64-entry table.
+    StreamPrefetcher pf;
+    Rng rng(7);
+    std::vector<BlockAddr> blocks(4096);
+    for (BlockAddr &b : blocks)
+        b = rng.range(std::uint64_t{1} << 30) * 64;  // windows never meet
+    std::vector<BlockAddr> out;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        out.clear();
+        const BlockAddr b = blocks[i++ % blocks.size()];
+        pf.observe({blockBase(b), b, 0x30, true}, out);
+        benchmark::DoNotOptimize(out.size());
+    }
+}
+BENCHMARK(BM_StreamAllocateChurn);
+
+void
 BM_GhbPrefetcherObserve(benchmark::State &state)
 {
     GhbPrefetcher pf;
@@ -419,6 +441,54 @@ BM_DramSchedulePick(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramSchedulePick);
+
+void
+BM_DramSchedulePickDeep(benchmark::State &state)
+{
+    // The saturated mix8-ctrl shape: 8 cores streaming through 2
+    // channels with FDP tiers on and QoS off, each channel holding ~120
+    // queued reads, so every grant picks from a deep queue.
+    EventQueue events;
+    StatGroup stats{"dram"};
+    DramCtrlParams ctrl;
+    ctrl.kind = DramKind::Controller;
+    ctrl.channels = 2;
+    const DramParams params;
+    DramController dram(params, ctrl, events, stats, 8);
+    static constexpr PrefetchTier kTiers[3] = {PrefetchTier::High,
+                                               PrefetchTier::Medium,
+                                               PrefetchTier::Low};
+    // Reads per channel not yet filled: an upper bound on its queue
+    // depth (granted reads stay counted until their fill fires), kept
+    // below the capacity a demand must never reach.
+    std::array<std::size_t, 2> resident{};
+    std::array<BlockAddr, 8> next{};
+    for (unsigned c = 0; c < 8; ++c)
+        next[c] = BlockAddr{c} << 24;
+    std::uint64_t i = 0;
+    const auto enqueueOne = [&] {
+        const unsigned core = static_cast<unsigned>(i % 8);
+        const BlockAddr block = next[core];
+        const unsigned ch = dram.channelOf(block);
+        while (resident[ch] >= params.queueCapacity - 1)
+            events.serviceUntil(events.horizon() + params.transferCycles());
+        const BusPriority prio =
+            i % 3 == 0 ? BusPriority::Demand : BusPriority::Prefetch;
+        if (dram.enqueue(block, prio, events.horizon(),
+                         [&resident, ch](Cycle) { --resident[ch]; },
+                         CoreId(core), kTiers[(i / 3) % 3]))
+            ++resident[ch];
+        ++next[core];
+        ++i;
+    };
+    while (resident[0] + resident[1] < 2 * (params.queueCapacity - 8))
+        enqueueOne();
+    for (auto _ : state) {
+        enqueueOne();
+        benchmark::DoNotOptimize(dram.queued());
+    }
+}
+BENCHMARK(BM_DramSchedulePickDeep);
 
 void
 BM_DramBankTick(benchmark::State &state)

@@ -73,10 +73,11 @@ OooCore::step(Cycle now)
     // Retire up to `width` completed micro-ops in program order.
     unsigned r = 0;
     while (r < params_.width && head_ != tail_) {
-        RobEntry &h = rob_[robIndex(head_)];
+        const RobEntry &h = rob_[headSlot_];
         if (!h.done || h.doneCycle > now)
             break;
         ++head_;
+        headSlot_ = nextSlot(headSlot_);
         ++retiredCount_;
         ++r;
     }
@@ -90,13 +91,19 @@ OooCore::step(Cycle now)
            dispatchedCount_ < budget_) {
         const MicroOp op = workload_.next();
         const std::uint64_t pos = tail_++;
-        const unsigned slot = robIndex(pos);
+        const unsigned slot = tailSlot_;
+        tailSlot_ = nextSlot(tailSlot_);
+        // Field by field: a whole-struct `e = RobEntry{}` builds a
+        // temporary and copies it back, stalling store forwarding.
         RobEntry &e = rob_[slot];
-        e = RobEntry{};
         e.seq = nextSeq_++;
         e.kind = op.kind;
         e.addr = op.addr;
         e.pc = op.pc;
+        e.done = false;
+        e.doneCycle = 0;
+        e.issued = false;
+        e.waiter = -1;
 
         switch (op.kind) {
           case OpKind::Int:
@@ -118,7 +125,7 @@ OooCore::step(Cycle now)
             bool issue_now = true;
             if (op.depPrevLoad && lastLoadPos_ != kNoPos &&
                 lastLoadPos_ >= head_) {
-                RobEntry &prod = rob_[robIndex(lastLoadPos_)];
+                RobEntry &prod = rob_[lastLoadSlot_];
                 if (!prod.done) {
                     prod.waiter = static_cast<int>(slot);
                     issue_now = false;
@@ -127,6 +134,7 @@ OooCore::step(Cycle now)
             if (issue_now)
                 issueLoad(slot, now);
             lastLoadPos_ = pos;
+            lastLoadSlot_ = slot;
             break;
           }
         }
@@ -142,7 +150,7 @@ OooCore::wakeCycle() const
 {
     if (head_ == tail_)
         return kNoCycle;
-    const RobEntry &h = rob_[robIndex(head_)];
+    const RobEntry &h = rob_[headSlot_];
     return h.done ? h.doneCycle : kNoCycle;
 }
 
@@ -251,6 +259,9 @@ OooCore::loadState(SnapReader &r)
     r.closeSection();
     if (head_ != tail_)
         fatal("snapshot: core section holds a non-empty ROB");
+    headSlot_ = slotOf(head_);
+    tailSlot_ = slotOf(tail_);
+    lastLoadSlot_ = lastLoadPos_ == kNoPos ? 0 : slotOf(lastLoadPos_);
 }
 
 double

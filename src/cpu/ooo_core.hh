@@ -121,9 +121,16 @@ class OooCore : public Snapshottable
     void issueLoad(unsigned slot, Cycle now);
     void loadComplete(unsigned slot, std::uint64_t seq, Cycle when);
 
-    unsigned robIndex(std::uint64_t pos) const
+    /** ROB slot of position @p pos; the step loop keeps wrapping slot
+     *  cursors instead, so only a restore divides. */
+    unsigned slotOf(std::uint64_t pos) const
     {
         return static_cast<unsigned>(pos % rob_.size());
+    }
+
+    unsigned nextSlot(unsigned slot) const
+    {
+        return slot + 1 == rob_.size() ? 0 : slot + 1;
     }
 
     CoreParams params_;
@@ -137,6 +144,11 @@ class OooCore : public Snapshottable
     std::uint64_t nextSeq_ = 1;
     /** ROB position of the most recently dispatched load (or none). */
     std::uint64_t lastLoadPos_ = ~std::uint64_t{0};
+    /** Slots of head_, tail_ and lastLoadPos_ (position mod ROB size);
+     *  derived, rebuilt by loadState(). */
+    unsigned headSlot_ = 0;
+    unsigned tailSlot_ = 0;
+    unsigned lastLoadSlot_ = 0;
 
     /** Armed run budget (micro-ops to retire). */
     std::uint64_t budget_ = 0;

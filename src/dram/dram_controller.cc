@@ -44,11 +44,25 @@ DramController::DramController(const DramParams &params,
         fatal("DRAM row size (%u blocks) must be a multiple of the "
               "channel count (%u) for XOR interleaving",
               params_.rowBlocks, ctrl_.channels);
-    channels_.resize(ctrl_.channels);
+    if (params_.queueCapacity > kMaxQueueCapacity)
+        fatal("DRAM controller queue capacity %zu exceeds %zu",
+              params_.queueCapacity, kMaxQueueCapacity);
+    channels_ = std::vector<Channel>(ctrl_.channels);
     for (Channel &c : channels_) {
         c.bankReady.assign(params_.banks, 0);
         c.openRow.assign(params_.banks, kNoRow);
     }
+
+    // FR-FCFS classes, indexed [group][row hit]. Accuracy-blind mode is
+    // one class for every read. With the FDP tie-in, a prefetch demoted
+    // below every queued demand starves outright on a saturated bus, and
+    // a starved stream's accuracy collapses to zero — a demotion death
+    // spiral. So only the low-accuracy tier runs strictly behind demands
+    // (and is shed at enqueue): High is scheduled exactly like a demand,
+    // and Medium only yields its row-buffer misses.
+    static constexpr ClassTable kBlind = {{{1, 0}, {1, 0}, {1, 0}, {1, 0}}};
+    static constexpr ClassTable kTiered = {{{1, 0}, {1, 0}, {2, 0}, {4, 3}}};
+    classOf_ = ctrl_.fdpPriority ? kTiered : kBlind;
 }
 
 unsigned
@@ -79,6 +93,7 @@ DramController::enqueue(BlockAddr block, BusPriority prio, Cycle now,
 {
     const unsigned ch = channelOf(block);
     Channel &c = channels_[ch];
+    std::uint8_t group = kGroupDemand;
     switch (prio) {
       case BusPriority::Demand:
         if (c.readQ.size() >= params_.queueCapacity)
@@ -99,14 +114,36 @@ DramController::enqueue(BlockAddr block, BusPriority prio, Cycle now,
             return false;
         }
         ++corePrefQueued_[core.index()];
+        group = static_cast<std::uint8_t>(kGroupHigh +
+                                          static_cast<unsigned>(tier));
         break;
       case BusPriority::Writeback:
-        break;
+        if (done)
+            panic("%s: writeback enqueued with a completion callback",
+                  auditName());
+        c.wbQ.push_back({block, now, nextSeq_++, core});
+        schedulePump(ch, now);
+        return true;
     }
-    std::deque<Request> &q =
-        prio == BusPriority::Writeback ? c.wbQ : c.readQ;
-    q.push_back({block, prio, tier, now, nextSeq_++, core,
-                 std::move(done)});
+
+    ReadKey k;
+    k.block = block;
+    unsigned bank = 0;
+    decode(block, &bank, &k.row);
+    k.bank = bank;
+    k.core = core;
+    k.group = group;
+    if (c.slabFree.empty()) {
+        c.slabFree.push_back(static_cast<std::uint16_t>(c.slab.size()));
+        c.slab.emplace_back();
+    }
+    k.slot = c.slabFree.back();
+    c.slabFree.pop_back();
+    ReadSlot &slot = c.slab[k.slot];
+    slot.done = std::move(done);
+    slot.enqueueCycle = now;
+    slot.seq = nextSeq_++;
+    c.readQ.push_back(k);
     schedulePump(ch, now);
     return true;
 }
@@ -115,16 +152,15 @@ void
 DramController::promoteToDemand(BlockAddr block)
 {
     Channel &c = channels_[channelOf(block)];
-    auto it = std::find_if(c.readQ.begin(), c.readQ.end(),
-                           [block](const Request &r) {
-                               return r.block == block &&
-                                      r.prio == BusPriority::Prefetch;
-                           });
-    if (it == c.readQ.end())
-        return;  // already granted the bus; nothing to expedite
-    it->prio = BusPriority::Demand;
-    --corePrefQueued_[it->core.index()];
-    ++promotions_;
+    for (ReadKey &k : c.readQ) {
+        if (k.block != block || k.group == kGroupDemand)
+            continue;
+        k.group = kGroupDemand;
+        --corePrefQueued_[k.core.index()];
+        ++promotions_;
+        return;
+    }
+    // Not queued: already granted the bus; nothing to expedite.
 }
 
 std::size_t
@@ -174,54 +210,42 @@ DramController::resetAttribution()
         c.busyCycles = 0;
 }
 
-unsigned
-DramController::pickClass(const Channel &c, const Request &r) const
-{
-    unsigned bank;
-    std::uint64_t row;
-    decode(r.block, &bank, &row);
-    const bool row_hit = c.openRow[bank] == row;
-    if (!ctrl_.fdpPriority)
-        return row_hit ? 0 : 1;  // accuracy-blind FR-FCFS: one class
-    if (r.prio == BusPriority::Demand)
-        return row_hit ? 0 : 1;
-    // A prefetch demoted below every queued demand starves outright on
-    // a saturated bus, and a starved stream's accuracy collapses to
-    // zero — a demotion death spiral. So only the low-accuracy tier
-    // runs strictly behind demands (and is shed at enqueue): High is
-    // scheduled exactly like a demand, and Medium only yields its
-    // row-buffer misses.
-    switch (r.tier) {
-      case PrefetchTier::High:
-        return row_hit ? 0 : 1;  // demand-equivalent
-      case PrefetchTier::Medium:
-        return row_hit ? 0 : 2;
-      case PrefetchTier::Low:
-        break;
-    }
-    return row_hit ? 3 : 4;
-}
-
 std::size_t
-DramController::pickRead(const Channel &c) const
+DramController::pickRead(const Channel &c, unsigned *cls) const
 {
     std::size_t best = kNoPick;
     unsigned best_class = 0;
+    if (!ctrl_.qosWeighted) {
+        // The lowest class wins and age (queue order) breaks ties, so
+        // the oldest head-class read beats everything queued after it.
+        for (std::size_t i = 0; i < c.readQ.size(); ++i) {
+            const unsigned rank = pickClass(c, c.readQ[i]);
+            if (best == kNoPick || rank < best_class) {
+                best = i;
+                best_class = rank;
+                if (rank == 0)
+                    break;
+            }
+        }
+        *cls = best_class;
+        return best;
+    }
+
     std::uint64_t best_served = 0;
     for (std::size_t i = 0; i < c.readQ.size(); ++i) {
-        const Request &r = c.readQ[i];
-        const unsigned cls = pickClass(c, r);
+        const ReadKey &r = c.readQ[i];
+        const unsigned rank = pickClass(c, r);
         // Weighted service: among equal-class candidates the core with
         // the least read grants wins; age (queue order) breaks ties.
-        const std::uint64_t served =
-            ctrl_.qosWeighted ? coreServed_[r.core.index()] : 0;
-        if (best == kNoPick || cls < best_class ||
-            (cls == best_class && served < best_served)) {
+        const std::uint64_t served = coreServed_[r.core.index()];
+        if (best == kNoPick || rank < best_class ||
+            (rank == best_class && served < best_served)) {
             best = i;
-            best_class = cls;
+            best_class = rank;
             best_served = served;
         }
     }
+    *cls = best_class;
     return best;
 }
 
@@ -241,36 +265,46 @@ DramController::pump(unsigned ch)
     Channel &c = channels_[ch];
     c.pumpScheduled = false;
 
-    const std::size_t read = pickRead(c);
-    Request req;
-    if (read != kNoPick &&
-        (c.readQ[read].prio == BusPriority::Demand ||
-         pickClass(c, c.readQ[read]) == 0 ||
-         c.wbQ.size() <= params_.writebackHighWater)) {
-        req = std::move(c.readQ[read]);
-        c.readQ.erase(c.readQ.begin() +
-                      static_cast<std::ptrdiff_t>(read));
-    } else if (!c.wbQ.empty() &&
-               (read == kNoPick ||
-                c.wbQ.size() > params_.writebackHighWater)) {
-        // Writebacks run behind reads, except past the high-water
-        // backlog, where they pre-empt prefetches (never a demand or a
-        // head-class row hit; see above).
-        req = std::move(c.wbQ.front());
-        c.wbQ.pop_front();
-    } else if (read != kNoPick) {
-        req = std::move(c.readQ[read]);
-        c.readQ.erase(c.readQ.begin() +
-                      static_cast<std::ptrdiff_t>(read));
+    unsigned read_class = 0;
+    const std::size_t read = pickRead(c, &read_class);
+    // Writebacks run behind reads, except past the high-water backlog,
+    // where they pre-empt prefetches (never a demand or a head-class
+    // row hit).
+    const bool take_read =
+        read != kNoPick &&
+        (c.readQ[read].group == kGroupDemand || read_class == 0 ||
+         c.wbQ.size() <= params_.writebackHighWater);
+    if (!take_read && c.wbQ.empty())
+        return;  // nothing queued
+
+    Cycle enqueue_cycle = 0;
+    unsigned bank = 0;
+    std::uint64_t row = 0;
+    CoreId core;
+    std::uint8_t group = kGroupDemand;
+    bool writeback = false;
+    DoneFn done;
+    if (take_read) {
+        const ReadKey k = c.readQ[read];
+        c.readQ.erase(c.readQ.begin() + static_cast<std::ptrdiff_t>(read));
+        ReadSlot &slot = c.slab[k.slot];
+        done = std::move(slot.done);
+        enqueue_cycle = slot.enqueueCycle;
+        c.slabFree.push_back(k.slot);
+        bank = k.bank;
+        row = k.row;
+        core = k.core;
+        group = k.group;
     } else {
-        return;
+        const WbRequest &w = c.wbQ.front();
+        decode(w.block, &bank, &row);
+        enqueue_cycle = w.enqueueCycle;
+        core = w.core;
+        c.wbQ.pop_front();
+        writeback = true;
     }
 
     const Cycle now = events_.horizon();
-    unsigned bank;
-    std::uint64_t row;
-    decode(req.block, &bank, &row);
-
     const bool row_hit = c.openRow[bank] == row;
     const bool row_empty = !row_hit && c.openRow[bank] == kNoRow;
     const Cycle access = row_hit    ? params_.accessRowHit
@@ -281,8 +315,7 @@ DramController::pump(unsigned ch)
     // hits pipeline at the CAS cadence, activates (empty or conflict)
     // occupy the bank until their transfer ends, and the data transfer
     // serializes on the channel's bus.
-    const Cycle access_start =
-        std::max(req.enqueueCycle, c.bankReady[bank]);
+    const Cycle access_start = std::max(enqueue_cycle, c.bankReady[bank]);
     const Cycle data_start =
         std::max({access_start + access, c.busFree, now});
     const Cycle data_end = data_start + transferCycles_;
@@ -305,7 +338,7 @@ DramController::pump(unsigned ch)
     }
 
     ++busAccesses_;
-    ++coreBusAccesses_[req.core.index()];
+    ++coreBusAccesses_[core.index()];
     c.busyCycles += transferCycles_;
     busBusyCycles_ += transferCycles_;
     if (row_hit)
@@ -314,24 +347,20 @@ DramController::pump(unsigned ch)
         ++rowEmpties_;
     else
         ++rowConflicts_;
-    switch (req.prio) {
-      case BusPriority::Demand:
-        ++demandGrants_;
-        ++coreServed_[req.core.index()];
-        break;
-      case BusPriority::Prefetch:
-        ++prefetchGrants_;
-        ++coreServed_[req.core.index()];
-        --corePrefQueued_[req.core.index()];
-        break;
-      case BusPriority::Writeback:
+    if (writeback) {
         ++writebackGrants_;
-        break;
+    } else if (group == kGroupDemand) {
+        ++demandGrants_;
+        ++coreServed_[core.index()];
+    } else {
+        ++prefetchGrants_;
+        ++coreServed_[core.index()];
+        --corePrefQueued_[core.index()];
     }
 
-    if (req.done) {
+    if (done) {
         const Cycle fill = data_end + params_.returnCycles;
-        events_.schedule(fill, [fn = std::move(req.done),
+        events_.schedule(fill, [fn = std::move(done),
                                 fill]() mutable { fn(fill); });
     }
 
@@ -408,6 +437,10 @@ DramController::loadState(SnapReader &r)
     nextSeq_ = 0;
     for (unsigned &n : corePrefQueued_)
         n = 0;
+    for (Channel &c : channels_) {
+        c.slab.clear();
+        c.slabFree.clear();
+    }
 }
 
 void
@@ -441,51 +474,81 @@ DramController::audit() const
 
         std::uint64_t last_seq = 0;
         bool have_seq = false;
-        const auto auditRequest = [&](const Request &r, bool writeback) {
-            FDP_ASSERT(channelOf(r.block) == ch,
+        const auto auditOrder = [&](BlockAddr block, CoreId core,
+                                    std::uint64_t seq) {
+            FDP_ASSERT(channelOf(block) == ch,
                        "%s: block %llu queued on channel %zu but routes "
                        "to channel %u",
-                       auditName(),
-                       static_cast<unsigned long long>(r.block), ch,
-                       channelOf(r.block));
-            FDP_ASSERT((r.prio == BusPriority::Writeback) == writeback,
-                       "%s: channel %zu %s queue holds a request with "
-                       "priority %u",
-                       auditName(), ch, writeback ? "writeback" : "read",
-                       static_cast<unsigned>(r.prio));
-            FDP_ASSERT(r.core.index() < coreBusAccesses_.size(),
+                       auditName(), static_cast<unsigned long long>(block),
+                       ch, channelOf(block));
+            FDP_ASSERT(core.index() < coreBusAccesses_.size(),
                        "%s: queued request for block %llu tagged with "
                        "core %u of %zu",
-                       auditName(),
-                       static_cast<unsigned long long>(r.block),
-                       r.core.index(), coreBusAccesses_.size());
-            FDP_ASSERT(static_cast<bool>(r.done) == !writeback,
-                       "%s: queued request for block %llu %s a "
-                       "completion callback",
-                       auditName(),
-                       static_cast<unsigned long long>(r.block),
-                       writeback ? "has" : "is missing");
-            FDP_ASSERT(!have_seq || r.seq > last_seq,
+                       auditName(), static_cast<unsigned long long>(block),
+                       core.index(), coreBusAccesses_.size());
+            FDP_ASSERT(!have_seq || seq > last_seq,
                        "%s: channel %zu queue order disagrees with "
                        "arrival order (seq %llu after %llu)",
-                       auditName(), ch,
-                       static_cast<unsigned long long>(r.seq),
+                       auditName(), ch, static_cast<unsigned long long>(seq),
                        static_cast<unsigned long long>(last_seq));
-            FDP_ASSERT(r.seq < nextSeq_,
+            FDP_ASSERT(seq < nextSeq_,
                        "%s: queued request carries unissued sequence "
                        "number %llu",
-                       auditName(),
-                       static_cast<unsigned long long>(r.seq));
-            last_seq = r.seq;
+                       auditName(), static_cast<unsigned long long>(seq));
+            last_seq = seq;
             have_seq = true;
-            if (r.prio == BusPriority::Prefetch)
-                ++pref_queued[r.core.index()];
         };
-        for (const Request &r : c.readQ)
-            auditRequest(r, false);
+
+        // Every read key owns a distinct slab slot; the free list names
+        // exactly the rest.
+        std::vector<bool> slot_used(c.slab.size(), false);
+        for (const ReadKey &k : c.readQ) {
+            FDP_ASSERT(k.slot < c.slab.size() && !slot_used[k.slot],
+                       "%s: channel %zu read for block %llu names slab "
+                       "slot %u of %zu (or a slot already in use)",
+                       auditName(), ch,
+                       static_cast<unsigned long long>(k.block), k.slot,
+                       c.slab.size());
+            slot_used[k.slot] = true;
+            const ReadSlot &slot = c.slab[k.slot];
+            auditOrder(k.block, k.core, slot.seq);
+            unsigned bank = 0;
+            std::uint64_t row = 0;
+            decode(k.block, &bank, &row);
+            FDP_ASSERT(k.bank == bank && k.row == row,
+                       "%s: read key for block %llu caches bank %u row "
+                       "%llu, but the block decodes to bank %u row %llu",
+                       auditName(), static_cast<unsigned long long>(k.block),
+                       k.bank, static_cast<unsigned long long>(k.row), bank,
+                       static_cast<unsigned long long>(row));
+            FDP_ASSERT(k.group < kNumGroups,
+                       "%s: read key for block %llu in scheduling group %u",
+                       auditName(), static_cast<unsigned long long>(k.block),
+                       k.group);
+            FDP_ASSERT(static_cast<bool>(slot.done),
+                       "%s: queued read for block %llu is missing a "
+                       "completion callback",
+                       auditName(),
+                       static_cast<unsigned long long>(k.block));
+            if (k.group != kGroupDemand)
+                ++pref_queued[k.core.index()];
+        }
+        FDP_ASSERT(c.readQ.size() + c.slabFree.size() == c.slab.size(),
+                   "%s: channel %zu slab holds %zu slots for %zu queued "
+                   "reads and %zu free slots",
+                   auditName(), ch, c.slab.size(), c.readQ.size(),
+                   c.slabFree.size());
+        for (const std::uint16_t free_slot : c.slabFree) {
+            FDP_ASSERT(free_slot < c.slab.size() && !slot_used[free_slot],
+                       "%s: channel %zu free list names slab slot %u, "
+                       "which is out of range or in use",
+                       auditName(), ch, free_slot);
+            slot_used[free_slot] = true;
+        }
+
         have_seq = false;
-        for (const Request &r : c.wbQ)
-            auditRequest(r, true);
+        for (const WbRequest &w : c.wbQ)
+            auditOrder(w.block, w.core, w.seq);
     }
     FDP_ASSERT(busy_sum == busBusyCycles_.value(),
                "%s: per-channel occupancies sum to %llu but the "

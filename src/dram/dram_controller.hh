@@ -28,6 +28,7 @@
 #ifndef FDP_DRAM_DRAM_CONTROLLER_HH
 #define FDP_DRAM_DRAM_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -92,14 +93,16 @@ class DramController : public DramBackend
     /**
      * Invariants: channel/bank state arrays match the configured
      * geometry; every read queue stays within capacity; each queued
-     * request sits on the channel its block routes to, in the queue
-     * matching its priority, with a completion callback iff it is not
-     * a writeback, a valid core id, and arrival sequence numbers
-     * strictly increasing in queue order; a pump event is scheduled on
-     * every channel with queued work; the per-core bus accesses sum to
-     * the shared total; the per-channel measured bus occupancies sum to
-     * the registered statistic; and the per-core queued-prefetch
-     * counters match a recount of the queues.
+     * request sits on the channel its block routes to, with a valid
+     * core id and arrival sequence numbers strictly increasing in queue
+     * order; each read key's cached bank/row match a fresh decode of
+     * its block and its scheduling group is in range; each read key
+     * owns a distinct slab slot holding a completion callback, and the
+     * slab's free list names exactly the other slots; a pump event is
+     * scheduled on every channel with queued work; the per-core bus
+     * accesses sum to the shared total; the per-channel measured bus
+     * occupancies sum to the registered statistic; and the per-core
+     * queued-prefetch counters match a recount of the queues.
      */
     void audit() const override;
     const char *auditName() const override { return "dram_controller"; }
@@ -110,7 +113,8 @@ class DramController : public DramBackend
      * and serializes the per-channel bank timing, open-row registers,
      * bus horizons and measured occupancies, plus the per-core
      * attribution and service counters. Derived state (arrival
-     * sequencing, queued-prefetch counts) is rebuilt on restore.
+     * sequencing, queued-prefetch counts, the callback slab) is rebuilt
+     * on restore.
      */
     void saveState(SnapWriter &w) const override;
     void loadState(SnapReader &r) override;
@@ -122,23 +126,71 @@ class DramController : public DramBackend
     /** An open-row register holding no row (precharged bank). */
     static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
     static constexpr std::size_t kNoPick = ~std::size_t{0};
+    /** Read-queue depth the 16-bit slab slot numbers can address. */
+    static constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 16;
 
-    struct Request
+    /**
+     * Scheduling group of a queued read: its priority and, for a
+     * prefetch, its accuracy tier. classOf_ maps (group, row hit) to the
+     * FR-FCFS class, so the fdpPriority switch is folded in once at
+     * construction instead of being re-tested on every scan step.
+     */
+    enum Group : std::uint8_t
+    {
+        kGroupDemand,
+        kGroupHigh,
+        kGroupMedium,
+        kGroupLow,
+        kNumGroups,
+    };
+    /** FR-FCFS class per [Group][row hit]; lower is scheduled first. */
+    using ClassTable = std::array<std::array<std::uint8_t, 2>, kNumGroups>;
+
+    /**
+     * A queued read's scheduling key, decoded once at enqueue. The pick
+     * scan reads only these 24 bytes; the completion callback and the
+     * grant-time fields sit in the channel's slab at `slot`, so a grant
+     * erases a small key instead of moving a closure-carrying request.
+     */
+    struct ReadKey
+    {
+        BlockAddr block = 0;   ///< matched by promoteToDemand
+        std::uint64_t row = 0;
+        std::uint32_t bank = 0;
+        std::uint16_t slot = 0;
+        CoreId core;
+        std::uint8_t group = kGroupDemand;
+    };
+    static_assert(sizeof(ReadKey) == 24, "keep the scanned key compact");
+
+    /** Slab entry: the parts of a queued read only its grant needs. */
+    struct ReadSlot
+    {
+        DoneFn done;
+        Cycle enqueueCycle = 0;
+        /** Global arrival order (audited against the key order). */
+        std::uint64_t seq = 0;
+    };
+
+    /** A queued writeback (FIFO, never scanned or promoted). */
+    struct WbRequest
     {
         BlockAddr block = 0;
-        BusPriority prio = BusPriority::Demand;
-        PrefetchTier tier = PrefetchTier::High;
         Cycle enqueueCycle = 0;
-        /** Global arrival order; the FCFS age within every class. */
         std::uint64_t seq = 0;
         CoreId core;
-        DoneFn done;
     };
 
     struct Channel
     {
-        std::deque<Request> readQ;  ///< demands + prefetches (FR-FCFS)
-        std::deque<Request> wbQ;
+        /** Queued reads (demands + prefetches) in arrival order, the
+         *  FCFS age within every FR-FCFS class. */
+        std::vector<ReadKey> readQ;
+        /** Callback slab; readQ keys name their slot. Grows to the
+         *  deepest read queue seen, then recycles through slabFree. */
+        std::vector<ReadSlot> slab;
+        std::vector<std::uint16_t> slabFree;
+        std::deque<WbRequest> wbQ;
         std::vector<Cycle> bankReady;
         std::vector<std::uint64_t> openRow;
         Cycle busFree = 0;
@@ -157,10 +209,17 @@ class DramController : public DramBackend
      * demands, High, and Medium prefetches), 1 is demand and High
      * misses, then Medium misses, then the Low tier.
      */
-    unsigned pickClass(const Channel &c, const Request &r) const;
+    unsigned pickClass(const Channel &c, const ReadKey &k) const
+    {
+        return classOf_[k.group][c.openRow[k.bank] == k.row];
+    }
 
-    /** Index of the best read in @p c's queue, or kNoPick. */
-    std::size_t pickRead(const Channel &c) const;
+    /**
+     * Index of the best read in @p c's queue, or kNoPick; its class in
+     * @p cls. Without weighted service the first head-class read wins
+     * outright, so the scan stops there.
+     */
+    std::size_t pickRead(const Channel &c, unsigned *cls) const;
 
     void schedulePump(unsigned ch, Cycle now);
     void pump(unsigned ch);
@@ -170,8 +229,8 @@ class DramController : public DramBackend
     EventQueue &events_;
     Cycle transferCycles_;
 
-    /** deque: Channel is non-relocatable (queued DoneFn closures). */
-    std::deque<Channel> channels_;
+    std::vector<Channel> channels_;
+    ClassTable classOf_{};
     /** Bus accesses attributed to each requesting core. */
     std::vector<std::uint64_t> coreBusAccesses_;
     /** Read grants per core, the weighted-service ledger. */

@@ -369,6 +369,48 @@ SetAssocCache::loadState(SnapReader &r)
         set.used = r.getU8();
     }
     r.closeSection();
+    // insert()'s free-way walk and unlink()/linkAtDepth() index by these
+    // links and counts unchecked: a bad one would reach past the set.
+    for (std::size_t s = 0; s < sets_.size(); ++s)
+        if (const char *defect = restoredSetDefect(s))
+            fatal("snapshot: %s set %zu %s", params_.name.c_str(), s,
+                  defect);
+}
+
+const char *
+SetAssocCache::restoredSetDefect(std::size_t s) const
+{
+    const SetLinks &set = sets_[s];
+    const std::size_t base = s * params_.assoc;
+    unsigned valid = 0;
+    for (unsigned w = 0; w < params_.assoc; ++w) {
+        const Line &l = lines_[base + w];
+        if ((l.flags & kValid) == 0)
+            continue;
+        ++valid;
+        if (l.owner.index() >= params_.numCores)
+            return "has a line owned by a core out of range";
+    }
+    if (set.used != valid)
+        return "has a used count that disagrees with its valid ways";
+    // The recency chain must visit exactly the valid ways, LRU to MRU,
+    // with consistent back links. A revisited way would need two
+    // different back links, so the walk cannot cycle undetected.
+    std::uint8_t prev = kNoWay;
+    unsigned len = 0;
+    for (std::uint8_t cur = set.lru; cur != kNoWay;
+         cur = lines_[base + cur].next) {
+        if (len == valid || cur >= params_.assoc)
+            return "has a recency chain that runs past its valid ways";
+        const Line &l = lines_[base + cur];
+        if ((l.flags & kValid) == 0 || l.prev != prev)
+            return "has a recency chain with a broken link";
+        prev = cur;
+        ++len;
+    }
+    if (len != valid || set.mru != prev)
+        return "has a recency chain that misses a valid way";
+    return nullptr;
 }
 
 void

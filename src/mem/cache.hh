@@ -119,7 +119,8 @@ class SetAssocCache : public Auditable, public Snapshottable
     /**
      * Serialize the full tag store: every line's tag/flags/recency links
      * and owner, plus each set's chain endpoints. loadState() checks the
-     * restoring cache has identical geometry.
+     * restoring cache has identical geometry and rejects, with fatal(),
+     * a set whose used count, recency links or owners no run produces.
      */
     void saveState(SnapWriter &w) const override;
     void loadState(SnapReader &r) override;
@@ -157,6 +158,10 @@ class SetAssocCache : public Auditable, public Snapshottable
     void appendMru(SetLinks &set, std::size_t base, std::uint8_t way);
     void linkAtDepth(SetLinks &set, std::size_t base, std::uint8_t way,
                      unsigned depth, unsigned chainLen);
+
+    /** Why restored set @p s is unusable (its links, count or owners),
+     *  or nullptr when it is sound. */
+    const char *restoredSetDefect(std::size_t s) const;
 
     CacheParams params_;
     std::string snapName_;        ///< "cache/" + params_.name

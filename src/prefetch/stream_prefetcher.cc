@@ -1,6 +1,7 @@
 #include "prefetch/stream_prefetcher.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -15,6 +16,14 @@ StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherParams &params)
     if (params_.numStreams == 0)
         fatal("stream prefetcher needs at least one tracking entry");
     setAggressiveness(params_.initialLevel);
+    // Buckets of 2^trainShift_ >= 2*trainWindow+1 blocks; a power-of-two
+    // chain table with at least two heads per entry.
+    trainShift_ = static_cast<unsigned>(
+        std::bit_width(2 * std::uint64_t{params_.trainWindow}));
+    trainHead_.resize(std::bit_ceil(2 * entries_.size()));
+    trainHashShift_ =
+        64 - static_cast<unsigned>(std::countr_zero(trainHead_.size()));
+    rebuildIndexes();
 }
 
 void
@@ -31,7 +40,122 @@ StreamPrefetcher::reset()
     for (auto &e : entries_)
         e = Entry{};
     tick_ = 0;
+    rebuildIndexes();
+}
+
+void
+StreamPrefetcher::rebuildIndexes()
+{
+    const auto n = static_cast<std::uint32_t>(entries_.size());
+    links_.assign(n, Links{});
     monitorIdx_.clear();
+    freeIdx_.clear();
+    std::fill(trainHead_.begin(), trainHead_.end(), kNil);
+    lruHead_ = lruTail_ = kNil;
+    std::vector<std::uint32_t> valid;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        switch (entries_[i].state) {
+          case State::Invalid:
+            freeIdx_.push_back(i);
+            continue;
+          case State::MonitorRequest:
+            monitorIdx_.push_back(i);
+            break;
+          case State::Allocated:
+          case State::Training:
+            trainInsert(i);
+            break;
+        }
+        valid.push_back(i);
+    }
+    std::reverse(freeIdx_.begin(), freeIdx_.end());
+    // Index order breaks lastUse ties, as in a first-minimum scan.
+    std::stable_sort(valid.begin(), valid.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                         return entries_[a].lastUse < entries_[b].lastUse;
+                     });
+    for (const std::uint32_t i : valid)
+        lruAppend(i);
+}
+
+void
+StreamPrefetcher::lruUnlink(std::uint32_t idx)
+{
+    Links &l = links_[idx];
+    (l.lruPrev != kNil ? links_[l.lruPrev].lruNext : lruHead_) = l.lruNext;
+    (l.lruNext != kNil ? links_[l.lruNext].lruPrev : lruTail_) = l.lruPrev;
+    l.lruPrev = l.lruNext = kNil;
+}
+
+void
+StreamPrefetcher::lruAppend(std::uint32_t idx)
+{
+    Links &l = links_[idx];
+    l.lruPrev = lruTail_;
+    l.lruNext = kNil;
+    (lruTail_ != kNil ? links_[lruTail_].lruNext : lruHead_) = idx;
+    lruTail_ = idx;
+}
+
+void
+StreamPrefetcher::touch(std::uint32_t idx)
+{
+    entries_[idx].lastUse = tick_;
+    if (idx != lruTail_) {
+        lruUnlink(idx);
+        lruAppend(idx);
+    }
+}
+
+std::size_t
+StreamPrefetcher::trainSlot(std::int64_t bucket) const
+{
+    // Fibonacci hashing: the top bits of the golden-ratio product.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(bucket) * 0x9E3779B97F4A7C15ull) >>
+        trainHashShift_);
+}
+
+void
+StreamPrefetcher::trainInsert(std::uint32_t idx)
+{
+    std::uint32_t &head =
+        trainHead_[trainSlot(entries_[idx].firstMiss >> trainShift_)];
+    Links &l = links_[idx];
+    l.trainPrev = kNil;
+    l.trainNext = head;
+    if (head != kNil)
+        links_[head].trainPrev = idx;
+    head = idx;
+}
+
+void
+StreamPrefetcher::trainRemove(std::uint32_t idx)
+{
+    Links &l = links_[idx];
+    if (l.trainPrev != kNil)
+        links_[l.trainPrev].trainNext = l.trainNext;
+    else
+        trainHead_[trainSlot(entries_[idx].firstMiss >> trainShift_)] =
+            l.trainNext;
+    if (l.trainNext != kNil)
+        links_[l.trainNext].trainPrev = l.trainPrev;
+    l.trainPrev = l.trainNext = kNil;
+}
+
+std::uint32_t
+StreamPrefetcher::findTrainEntry(std::int64_t block) const
+{
+    const auto w = static_cast<std::int64_t>(params_.trainWindow);
+    std::uint32_t best = kNil;
+    for (std::int64_t b = (block - w) >> trainShift_;
+         b <= (block + w) >> trainShift_; ++b) {
+        for (std::uint32_t i = trainHead_[trainSlot(b)]; i != kNil;
+             i = links_[i].trainNext)
+            if (i < best && inTrainWindow(entries_[i], block))
+                best = i;
+    }
+    return best;
 }
 
 void
@@ -132,13 +256,17 @@ StreamPrefetcher::startRamp(Entry &e, std::int64_t region_start,
 unsigned
 StreamPrefetcher::allocateEntry()
 {
-    unsigned victim = 0;
-    for (unsigned i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].state == State::Invalid)
-            return i;
-        if (entries_[i].lastUse < entries_[victim].lastUse)
-            victim = i;
+    if (!freeIdx_.empty()) {
+        const std::uint32_t i = freeIdx_.back();
+        freeIdx_.pop_back();
+        return i;
     }
+    const std::uint32_t victim = lruHead_;
+    lruUnlink(victim);
+    if (entries_[victim].state == State::MonitorRequest)
+        removeMonitor(victim);
+    else
+        trainRemove(victim);
     return victim;
 }
 
@@ -162,7 +290,7 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
     for (const std::uint32_t i : monitorIdx_) {
         Entry &e = entries_[i];
         if (inMonitorRegion(e, block)) {
-            e.lastUse = tick_;
+            touch(i);
             issueFromEntry(e, out, budget);
             return;
         }
@@ -171,7 +299,7 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
                                        : std::min(e.startPtr, e.endPtr);
         const std::int64_t overshoot = (block - front) * e.dir;
         if (obs.miss && overshoot > 0 && overshoot <= w) {
-            e.lastUse = tick_;
+            touch(i);
             startRamp(e, block, block, out, budget);
             return;
         }
@@ -190,20 +318,17 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
         const std::int64_t lo = std::min(e.startPtr, e.endPtr) - w;
         const std::int64_t hi = std::max(e.startPtr, e.endPtr) + w;
         if (block >= lo && block <= hi) {
-            e.lastUse = tick_;
+            touch(i);
             return;
         }
     }
 
-    // Misses train an existing Allocated/Training entry...
-    for (unsigned i = 0; i < entries_.size(); ++i) {
-        Entry &e = entries_[i];
-        if (e.state != State::Allocated && e.state != State::Training)
-            continue;
-        if (!inTrainWindow(e, block))
-            continue;
-
-        e.lastUse = tick_;
+    // Misses train an existing Allocated/Training entry (the lowest
+    // index whose window holds the miss)...
+    const std::uint32_t ti = findTrainEntry(block);
+    if (ti != kNil) {
+        Entry &e = entries_[ti];
+        touch(ti);
         if (block == e.firstMiss || block == e.lastMiss)
             return;  // repeated miss on an in-flight block: no information
 
@@ -224,7 +349,8 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
         }
 
         e.state = State::MonitorRequest;
-        addMonitor(i);
+        trainRemove(ti);
+        addMonitor(ti);
         // The region begins at the allocating miss (paper footnote 5).
         startRamp(e, e.firstMiss, block, out, budget);
         return;
@@ -233,13 +359,13 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
     // ...or allocate a fresh entry when no tracking entry matches.
     const unsigned vi = allocateEntry();
     Entry &e = entries_[vi];
-    if (e.state == State::MonitorRequest)
-        removeMonitor(vi);
     e = Entry{};
     e.state = State::Allocated;
     e.firstMiss = block;
     e.lastMiss = block;
     e.lastUse = tick_;
+    lruAppend(vi);
+    trainInsert(vi);
 }
 
 void
@@ -290,6 +416,94 @@ StreamPrefetcher::audit() const
     FDP_ASSERT(pos == monitorIdx_.size(),
                "%s: monitor list holds %zu indices for %zu monitoring "
                "entries", auditName(), monitorIdx_.size(), pos);
+
+    // Free list: exactly the Invalid entries, highest index first.
+    pos = freeIdx_.size();
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].state != State::Invalid)
+            continue;
+        FDP_ASSERT(pos > 0 && freeIdx_[pos - 1] == i,
+                   "%s: invalid entry %zu missing from the free list",
+                   auditName(), i);
+        --pos;
+    }
+    FDP_ASSERT(pos == 0,
+               "%s: free list holds %zu indices beyond the invalid "
+               "entries", auditName(), pos);
+
+    // LRU list: every valid entry once, in (lastUse, index) order.
+    std::vector<bool> seen(entries_.size(), false);
+    std::size_t listed = 0;
+    std::uint32_t prev = kNil;
+    for (std::uint32_t i = lruHead_; i != kNil; i = links_[i].lruNext) {
+        FDP_ASSERT(i < entries_.size() && !seen[i],
+                   "%s: LRU list revisits or overruns at entry %u",
+                   auditName(), i);
+        seen[i] = true;
+        const Entry &e = entries_[i];
+        FDP_ASSERT(e.state != State::Invalid,
+                   "%s: LRU list holds invalid entry %u", auditName(), i);
+        FDP_ASSERT(links_[i].lruPrev == prev,
+                   "%s: LRU entry %u back link names %u", auditName(), i,
+                   links_[i].lruPrev);
+        FDP_ASSERT(prev == kNil || entries_[prev].lastUse < e.lastUse ||
+                       (entries_[prev].lastUse == e.lastUse && prev < i),
+                   "%s: LRU list puts entry %u (tick %llu) before entry "
+                   "%u (tick %llu)",
+                   auditName(), prev,
+                   static_cast<unsigned long long>(
+                       prev == kNil ? 0 : entries_[prev].lastUse),
+                   i, static_cast<unsigned long long>(e.lastUse));
+        prev = i;
+        ++listed;
+    }
+    FDP_ASSERT(lruTail_ == prev && listed + freeIdx_.size() ==
+                                       entries_.size(),
+               "%s: LRU list holds %zu of %zu valid entries (tail %u, "
+               "expected %u)",
+               auditName(), listed, entries_.size() - freeIdx_.size(),
+               lruTail_, prev);
+
+    // Training index: every Allocated/Training entry once, chained
+    // under its first miss's bucket.
+    std::fill(seen.begin(), seen.end(), false);
+    std::size_t chained = 0;
+    for (std::size_t slot = 0; slot < trainHead_.size(); ++slot) {
+        prev = kNil;
+        for (std::uint32_t i = trainHead_[slot]; i != kNil;
+             i = links_[i].trainNext) {
+            FDP_ASSERT(i < entries_.size() && !seen[i],
+                       "%s: training chain %zu revisits or overruns at "
+                       "entry %u",
+                       auditName(), slot, i);
+            seen[i] = true;
+            const Entry &e = entries_[i];
+            FDP_ASSERT(e.state == State::Allocated ||
+                           e.state == State::Training,
+                       "%s: training chain %zu holds entry %u in state %u",
+                       auditName(), slot, i,
+                       static_cast<unsigned>(e.state));
+            FDP_ASSERT(trainSlot(e.firstMiss >> trainShift_) == slot,
+                       "%s: entry %u chained in slot %zu, but its first "
+                       "miss hashes to slot %zu",
+                       auditName(), i, slot,
+                       trainSlot(e.firstMiss >> trainShift_));
+            FDP_ASSERT(links_[i].trainPrev == prev,
+                       "%s: training entry %u back link names %u",
+                       auditName(), i, links_[i].trainPrev);
+            prev = i;
+            ++chained;
+        }
+    }
+    const auto training = static_cast<std::size_t>(std::count_if(
+        entries_.begin(), entries_.end(), [](const Entry &e) {
+            return e.state == State::Allocated ||
+                   e.state == State::Training;
+        }));
+    FDP_ASSERT(chained == training,
+               "%s: training index holds %zu entries for %zu "
+               "Allocated/Training entries",
+               auditName(), chained, training);
 }
 
 void
@@ -324,22 +538,37 @@ StreamPrefetcher::loadState(SnapReader &r)
     if (n != entries_.size())
         fatal("snapshot: stream prefetcher has %zu entries, snapshot has "
               "%u", entries_.size(), n);
-    for (Entry &e : entries_) {
-        e.state = static_cast<State>(r.getU8());
-        e.dir = static_cast<int>(r.getI64());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        Entry &e = entries_[i];
+        const std::uint8_t state = r.getU8();
+        const std::int64_t dir = r.getI64();
         e.firstMiss = r.getI64();
         e.lastMiss = r.getI64();
         e.startPtr = r.getI64();
         e.endPtr = r.getI64();
         e.lastUse = r.getU64();
+        // The derived indexes are rebuilt from these fields, so reject
+        // what no run produces: a state outside the FSM, a trained
+        // direction other than +/-1, or a stamp from a future tick (the
+        // LRU list relies on new stamps exceeding every restored one).
+        if (state > static_cast<std::uint8_t>(State::MonitorRequest))
+            fatal("snapshot: stream entry %zu in state %u, outside the "
+                  "tracking FSM", i, state);
+        e.state = static_cast<State>(state);
+        const bool trained = e.state == State::Training ||
+                             e.state == State::MonitorRequest;
+        if (trained && dir != 1 && dir != -1)
+            fatal("snapshot: trained stream entry %zu has direction %lld",
+                  i, static_cast<long long>(dir));
+        e.dir = static_cast<int>(dir);
+        if (e.state != State::Invalid && e.lastUse > tick_)
+            fatal("snapshot: stream entry %zu last used at tick %llu, "
+                  "after the prefetcher's tick %llu",
+                  i, static_cast<unsigned long long>(e.lastUse),
+                  static_cast<unsigned long long>(tick_));
     }
     r.closeSection();
-
-    // Rebuild the derived monitor-index list the snapshot omits.
-    monitorIdx_.clear();
-    for (unsigned i = 0; i < entries_.size(); ++i)
-        if (entries_[i].state == State::MonitorRequest)
-            monitorIdx_.push_back(i);
+    rebuildIndexes();
 }
 
 unsigned

@@ -88,11 +88,16 @@ class StreamPrefetcher : public Prefetcher
      * Invariants: aggressiveness level in range, every entry in a legal
      * state, trained entries with a +/-1 direction, monitored regions
      * oriented along their direction, and LRU timestamps not in the
-     * future.
+     * future; the derived indexes (monitor list, free list, LRU list,
+     * training index) name exactly the entries they must, in order.
      */
     void audit() const override;
 
-    /** Serialize the level, the tick, and every tracking entry. */
+    /**
+     * Serialize the level, the tick, and every tracking entry. The
+     * derived indexes are rebuilt on restore, which rejects an entry
+     * whose state, trained direction or LRU stamp no run can produce.
+     */
     void saveState(SnapWriter &w) const override;
     void loadState(SnapReader &r) override;
 
@@ -135,25 +140,86 @@ class StreamPrefetcher : public Prefetcher
                    std::int64_t ramp_from, std::vector<BlockAddr> &out,
                    std::size_t budget);
 
-    /** Pick a victim entry: any Invalid entry, else the LRU one. */
+    /** Pick a victim entry — the lowest Invalid entry, else the LRU
+     *  one (lowest lastUse, lowest index among equals) — and take it
+     *  off every index. */
     unsigned allocateEntry();
+
+    /** Lowest-index Allocated/Training entry whose training window
+     *  holds @p block, or kNil. */
+    std::uint32_t findTrainEntry(std::int64_t block) const;
+
+    /** Stamp entry @p idx with the current tick and move it to the MRU
+     *  end of the LRU list. */
+    void touch(std::uint32_t idx);
 
     /** Add/remove entry @p idx in the sorted monitor-index list. */
     void addMonitor(unsigned idx);
     void removeMonitor(unsigned idx);
 
+    /// @name Intrusive list maintenance (LRU list, training chains)
+    /// @{
+    void lruUnlink(std::uint32_t idx);
+    void lruAppend(std::uint32_t idx);
+    /** Chain of training-index bucket @p bucket (firstMiss >>
+     *  trainShift_). */
+    std::size_t trainSlot(std::int64_t bucket) const;
+    void trainInsert(std::uint32_t idx);
+    void trainRemove(std::uint32_t idx);
+    /// @}
+
+    /** Rebuild every derived index from the entry table. */
+    void rebuildIndexes();
+
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** An entry's links in the LRU list and its training chain. */
+    struct Links
+    {
+        std::uint32_t lruPrev = kNil;  ///< toward the LRU end
+        std::uint32_t lruNext = kNil;  ///< toward the MRU end
+        std::uint32_t trainPrev = kNil;
+        std::uint32_t trainNext = kNil;
+    };
+
     StreamPrefetcherParams params_;
     unsigned level_;
     std::vector<Entry> entries_;
     std::uint64_t tick_ = 0;
+
+    /// @name Derived indexes
+    /// Maintained at every FSM transition and lastUse stamp, rebuilt by
+    /// loadState() and reset(), never serialized; audit() recounts each
+    /// against the table. They change how the table is searched, never
+    /// which entry a search finds.
+    /// @{
+
     /**
      * Indices of the entries currently in Monitor-and-Request state,
      * kept sorted so iterating it visits entries in the same order a
-     * full table scan would. Derived state: maintained at every FSM
-     * transition, rebuilt by loadState(), never serialized; audit()
-     * recounts it against the table.
+     * full table scan would.
      */
     std::vector<std::uint32_t> monitorIdx_;
+    /** Invalid entries, highest index first: back() is the lowest. */
+    std::vector<std::uint32_t> freeIdx_;
+    /**
+     * Valid entries in (lastUse, index) order: the head is the victim a
+     * full LRU scan would pick. touch() stamps the newest tick, so
+     * appending at the tail keeps the order.
+     */
+    std::uint32_t lruHead_ = kNil;
+    std::uint32_t lruTail_ = kNil;
+    std::vector<Links> links_;
+    /**
+     * Training index: Allocated/Training entries chained by a hash of
+     * firstMiss >> trainShift_. A bucket is at least 2*trainWindow+1
+     * blocks wide, so the entries whose window can hold a miss sit in
+     * the chains of at most two adjacent buckets.
+     */
+    std::vector<std::uint32_t> trainHead_;
+    unsigned trainShift_ = 0;
+    unsigned trainHashShift_ = 0;
+    /// @}
 };
 
 } // namespace fdp

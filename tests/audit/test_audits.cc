@@ -223,6 +223,20 @@ TEST(DramCtrlAuditDeathTest, MisroutedRequestCaught)
     EXPECT_DEATH(d.dram.audit(), "routes");
 }
 
+TEST(DramCtrlAuditDeathTest, StaleDecodedRowCaught)
+{
+    DramCtrlUnderAudit d;
+    AuditCorrupter::dramCtrlStaleKeyRow(d.dram);
+    EXPECT_DEATH(d.dram.audit(), "decodes to bank");
+}
+
+TEST(DramCtrlAuditDeathTest, LiveSlabSlotOnFreeListCaught)
+{
+    DramCtrlUnderAudit d;
+    AuditCorrupter::dramCtrlFreeLiveSlot(d.dram);
+    EXPECT_DEATH(d.dram.audit(), "out of range or in use");
+}
+
 TEST(DramCtrlAuditDeathTest, CoreAttributionDesyncCaught)
 {
     DramCtrlUnderAudit d;
@@ -347,6 +361,26 @@ TEST(StreamAuditDeathTest, IllegalStateCaught)
     StreamPrefetcher pf;
     AuditCorrupter::streamIllegalState(pf);
     EXPECT_DEATH(pf.audit(), "illegal state");
+}
+
+TEST(StreamAuditDeathTest, LruListDropCaught)
+{
+    StreamPrefetcher pf;
+    std::vector<BlockAddr> out;
+    for (Addr a = 0x10000; a < 0x80000; a += 0x4000)
+        pf.observe({a, a >> 6, 0x1000, true}, out);
+    AuditCorrupter::streamUnlinkLruHead(pf);
+    EXPECT_DEATH(pf.audit(), "LRU list holds");
+}
+
+TEST(StreamAuditDeathTest, TrainingIndexDropCaught)
+{
+    StreamPrefetcher pf;
+    std::vector<BlockAddr> out;
+    for (Addr a = 0x10000; a < 0x80000; a += 0x4000)
+        pf.observe({a, a >> 6, 0x1000, true}, out);
+    AuditCorrupter::streamUnchainTrainEntry(pf);
+    EXPECT_DEATH(pf.audit(), "training index holds");
 }
 
 TEST(GhbAudit, CleanPrefetcherPasses)

@@ -13,6 +13,7 @@
 
 #include "harness/experiment.hh"
 #include "mc/mc_machine.hh"
+#include "mc/workload_mix.hh"
 
 namespace fdp
 {
@@ -118,6 +119,54 @@ TEST(McMachine, OneCoreParityStaticAggressive)
 TEST(McMachine, OneCoreParityNoPrefetching)
 {
     expectParityAcrossDram(RunConfig::noPrefetching());
+}
+
+/** Cycles, bus accesses and per-core IPC bits of one recorded co-run. */
+struct RecordedCoRun
+{
+    std::uint64_t cycles;
+    std::uint64_t busAccesses;
+    std::uint64_t ipcBits[8];
+};
+
+void
+expectRecordedCoRun(const RunConfig &base, const RecordedCoRun &want)
+{
+    const McRunResult r =
+        runMix(mixByName("mix8-bw"), mcConfig(base, 8, 50'000), "fdp");
+    EXPECT_EQ(r.cycles, want.cycles);
+    EXPECT_EQ(r.busAccesses, want.busAccesses);
+    ASSERT_EQ(r.cores.size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(bits(r.cores[i].ipc), want.ipcBits[i]) << "core " << i;
+}
+
+TEST(McMachine, ControllerCoRunMatchesRecordedOutput)
+{
+    // The saturated 8-core FR-FCFS co-run, end to end: scheduling,
+    // promotion, tier drops and timing all feed these numbers. Recorded
+    // from the controller that rescanned a deque of requests per grant.
+    RunConfig base = RunConfig::fullFdp();
+    base.machine.dramCtrl.kind = DramKind::Controller;
+    {
+        SCOPED_TRACE("fdp priority");
+        expectRecordedCoRun(
+            base, {450623, 10410,
+                   {4594263800540787742ull, 4593064562656409144ull,
+                    4592659750910170511ull, 4597369169586702623ull,
+                    4594298588134907840ull, 4592845922317224130ull,
+                    4592988215548345391ull, 4596290419138214976ull}});
+    }
+    // Weighted service with a QoS cap takes the full-scan pick path.
+    base.machine.dramCtrl.qosInFlightCap = 4;
+    base.machine.dramCtrl.qosWeighted = true;
+    SCOPED_TRACE("cap:4+weighted");
+    expectRecordedCoRun(
+        base, {514254, 10352,
+               {4593210272126649695ull, 4591725221819223832ull,
+                4591764334550722020ull, 4594378831170540163ull,
+                4593291014593691105ull, 4591670452122125669ull,
+                4591754149563770412ull, 4594391659390549628ull}});
 }
 
 TEST(McMachine, TwoCoreRunHasSaneShape)

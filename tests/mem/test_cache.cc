@@ -13,6 +13,7 @@
 
 #include "mem/cache.hh"
 #include "sim/rng.hh"
+#include "sim/snapshot.hh"
 
 namespace fdp
 {
@@ -209,6 +210,121 @@ TEST(CacheDeath, BadGeometryIsFatal)
     p.sizeBytes = 1000;  // not divisible into 16-way 64B sets
     p.assoc = 16;
     EXPECT_DEATH({ SetAssocCache c(p); }, "");
+}
+
+// ---- Restore validation ----
+
+/** One way of a hand-built cache snapshot section. */
+struct SnapLine
+{
+    std::uint8_t flags = 0;  ///< bit 0 = valid
+    std::uint8_t prev = 0xFF;
+    std::uint8_t next = 0xFF;
+    std::uint8_t owner = 0;
+};
+
+/**
+ * A "cache/test" section for a 2-set x 2-way cache whose set 0 holds
+ * @p set0 with the given endpoints and used count; set 1 is empty.
+ */
+std::vector<std::uint8_t>
+cacheSection(const SnapLine (&set0)[2], std::uint8_t lru, std::uint8_t mru,
+             std::uint8_t used)
+{
+    SnapWriter w;
+    w.beginSection("cache/test");
+    w.putU32(2);
+    w.putU32(2);
+    for (unsigned i = 0; i < 4; ++i) {
+        const SnapLine l = i < 2 ? set0[i] : SnapLine{};
+        w.putU64(i < 2 ? 2 * i : 0);  // tags 0 and 2 map to set 0
+        w.putU8(l.flags);
+        w.putU8(l.prev);
+        w.putU8(l.next);
+        w.putU8(l.owner);
+    }
+    const std::uint8_t ends[2][3] = {{lru, mru, used}, {0xFF, 0xFF, 0}};
+    for (const auto &set : ends)
+        for (const std::uint8_t b : set)
+            w.putU8(b);
+    w.endSection();
+    return w.bytes();
+}
+
+/** Ways 0 (LRU) and 1 (MRU) valid and chained. */
+constexpr SnapLine kSoundSet[2] = {{1, 0xFF, 1, 0}, {1, 0, 0xFF, 0}};
+
+TEST(CacheRestore, SoundSectionRestores)
+{
+    SetAssocCache c(smallCache(2, 2));
+    const auto bytes = cacheSection(kSoundSet, 0, 1, 2);
+    SnapReader r(bytes);
+    c.loadState(r);
+    EXPECT_EQ(c.stackDepth(0), 0);
+    EXPECT_EQ(c.stackDepth(2), 1);
+    c.audit();
+}
+
+TEST(CacheRestoreDeath, UsedBeyondAssociativityIsFatal)
+{
+    SetAssocCache c(smallCache(2, 2));
+    const auto bytes = cacheSection(kSoundSet, 0, 1, 3);
+    SnapReader r(bytes);
+    EXPECT_DEATH(c.loadState(r), "set 0 has a used count");
+}
+
+TEST(CacheRestoreDeath, UsedBelowValidWaysIsFatal)
+{
+    // used = 1 with both ways valid: insert()'s free-way walk would run
+    // past the set looking for the "free" way.
+    SetAssocCache c(smallCache(2, 2));
+    const auto bytes = cacheSection(kSoundSet, 0, 1, 1);
+    SnapReader r(bytes);
+    EXPECT_DEATH(c.loadState(r), "set 0 has a used count");
+}
+
+TEST(CacheRestoreDeath, LinkPastTheSetIsFatal)
+{
+    SetAssocCache c(smallCache(2, 2));
+    const SnapLine bad[2] = {{1, 0xFF, 7, 0}, {1, 0, 0xFF, 0}};
+    const auto bytes = cacheSection(bad, 0, 1, 2);
+    SnapReader r(bytes);
+    EXPECT_DEATH(c.loadState(r), "runs past its valid ways");
+}
+
+TEST(CacheRestoreDeath, EndpointPastTheSetIsFatal)
+{
+    SetAssocCache c(smallCache(2, 2));
+    const auto bytes = cacheSection(kSoundSet, 9, 1, 2);
+    SnapReader r(bytes);
+    EXPECT_DEATH(c.loadState(r), "runs past its valid ways");
+}
+
+TEST(CacheRestoreDeath, BrokenBackLinkIsFatal)
+{
+    SetAssocCache c(smallCache(2, 2));
+    const SnapLine bad[2] = {{1, 0xFF, 1, 0}, {1, 1, 0xFF, 0}};
+    const auto bytes = cacheSection(bad, 0, 1, 2);
+    SnapReader r(bytes);
+    EXPECT_DEATH(c.loadState(r), "broken link");
+}
+
+TEST(CacheRestoreDeath, ChainMissingAValidWayIsFatal)
+{
+    SetAssocCache c(smallCache(2, 2));
+    const SnapLine bad[2] = {{1, 0xFF, 0xFF, 0}, {1, 0xFF, 0xFF, 0}};
+    const auto bytes = cacheSection(bad, 0, 0, 2);
+    SnapReader r(bytes);
+    EXPECT_DEATH(c.loadState(r), "misses a valid way");
+}
+
+TEST(CacheRestoreDeath, OwnerOutOfRangeIsFatal)
+{
+    SetAssocCache c(smallCache(2, 2));
+    const SnapLine bad[2] = {{1, 0xFF, 1, 0}, {1, 0, 0xFF, 3}};
+    const auto bytes = cacheSection(bad, 0, 1, 2);
+    SnapReader r(bytes);
+    EXPECT_DEATH(c.loadState(r), "owned by a core out of range");
 }
 
 // ---- Property tests over geometry ----

@@ -176,6 +176,28 @@ struct AuditCorrupter
         pf.entries_.front().state = static_cast<StreamPrefetcher::State>(9);
     }
 
+    /** Drop the LRU head from the stream table's LRU list. */
+    static void
+    streamUnlinkLruHead(StreamPrefetcher &pf)
+    {
+        pf.lruUnlink(pf.lruHead_);
+    }
+
+    /** Drop an Allocated/Training entry from the training index. */
+    static void
+    streamUnchainTrainEntry(StreamPrefetcher &pf)
+    {
+        for (std::uint32_t i = 0; i < pf.entries_.size(); ++i) {
+            const auto state = pf.entries_[i].state;
+            if (state == StreamPrefetcher::State::Allocated ||
+                state == StreamPrefetcher::State::Training) {
+                pf.trainRemove(i);
+                return;
+            }
+        }
+        panic("corrupter: no stream entry is training");
+    }
+
     /** Make the newest GHB entry's link point at itself (a cycle). */
     static void
     ghbLinkCycle(GhbPrefetcher &pf)
@@ -320,6 +342,33 @@ struct AuditCorrupter
             if (c.readQ.empty())
                 continue;
             ++c.readQ.front().block;
+            return;
+        }
+        panic("corrupter: controller read queues are empty");
+    }
+
+    /** Make a queued read's cached row disagree with its block. */
+    static void
+    dramCtrlStaleKeyRow(DramController &dram)
+    {
+        for (auto &c : dram.channels_) {
+            if (c.readQ.empty())
+                continue;
+            ++c.readQ.front().row;
+            return;
+        }
+        panic("corrupter: controller read queues are empty");
+    }
+
+    /** Put a queued read's slab slot on the free list too. */
+    static void
+    dramCtrlFreeLiveSlot(DramController &dram)
+    {
+        for (auto &c : dram.channels_) {
+            if (c.readQ.empty())
+                continue;
+            c.slabFree.push_back(c.readQ.front().slot);
+            c.slab.emplace_back();
             return;
         }
         panic("corrupter: controller read queues are empty");

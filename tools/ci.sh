@@ -194,7 +194,22 @@ stage_tier1() {
         > "$ddir/jobs4.out" 2> /dev/null
     diff "$ddir/jobs1.out" "$ddir/jobs4.out"
     diff "$ddir/jobs1.json" "$ddir/jobs4.json"
-    echo "dram smoke: FR-FCFS 8-core co-run bit-identical across --jobs 1/4"
+    # Weighted service with a QoS cap: the pick scans every queued read
+    # with no early exit, so it gets its own --jobs 1/4 diff.
+    "$ROOT/build-ci/bench/fdp_sim" --mix mix8-bw --dram controller \
+        --channels 4 --qos cap:4+weighted --insts 50000 --jobs 1 \
+        --out "$ddir/qos1.json" > "$ddir/qos1.out" 2> /dev/null
+    "$ROOT/build-ci/bench/fdp_sim" --mix mix8-bw --dram controller \
+        --channels 4 --qos cap:4+weighted --insts 50000 --jobs 4 \
+        --out "$ddir/qos4.json" > "$ddir/qos4.out" 2> /dev/null
+    diff "$ddir/qos1.out" "$ddir/qos4.out"
+    diff "$ddir/qos1.json" "$ddir/qos4.json"
+    # And audited at every interval boundary: the controller's key/slab
+    # recount and the stream table's index recounts run each time.
+    FDP_AUDIT=1 "$ROOT/build-ci/bench/fdp_sim" --mix mix8-mixed \
+        --dram controller --insts 50000 --jobs 4 > /dev/null
+    echo "dram smoke: FR-FCFS 8-core co-runs bit-identical across" \
+        "--jobs 1/4 (default and cap:4+weighted QoS); audited run clean"
 }
 
 stage_asan() {
