@@ -10,6 +10,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 #include "workload/spec_suite.hh"
 
 using namespace fdp;
@@ -17,7 +18,7 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 8'000'000);
+    const SweepArgs args = parseSweepArgs(argc, argv, 8'000'000);
     const auto &benches = memoryIntensiveBenchmarks();
 
     Table cfg("Table 1: stream prefetcher configurations");
@@ -28,21 +29,16 @@ main(int argc, char **argv)
                     std::to_string(kStreamAggrTable[level].degree)});
     cfg.print();
 
-    const std::vector<std::pair<std::string, RunConfig>> configs = {
+    const std::vector<LabeledConfig> configs = {
         {"No Prefetching", RunConfig::noPrefetching()},
         {"Very Conservative", RunConfig::staticLevelConfig(1)},
         {"Middle-of-the-Road", RunConfig::staticLevelConfig(3)},
         {"Very Aggressive", RunConfig::staticLevelConfig(5)},
     };
 
-    std::vector<std::string> names;
-    std::vector<std::vector<RunResult>> results;
-    for (const auto &[label, base] : configs) {
-        RunConfig c = base;
-        c.numInsts = insts;
-        names.push_back(label);
-        results.push_back(runSuite(benches, c, label));
-    }
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results =
+        runSweep(args, "fig01_aggressiveness", benches, configs);
 
     Table t = buildMetricTable(
         "Figure 1: IPC vs. prefetcher aggressiveness (17 benchmarks)",

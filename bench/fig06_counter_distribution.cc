@@ -10,6 +10,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 #include "workload/spec_suite.hh"
 
 using namespace fdp;
@@ -17,19 +18,18 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 8'000'000);
-    const auto &benches = memoryIntensiveBenchmarks();
-
-    RunConfig c = RunConfig::dynamicAggressiveness();
-    c.numInsts = insts;
+    const SweepArgs args = parseSweepArgs(argc, argv, 8'000'000);
+    const auto results =
+        runSweep(args, "fig06_counter_distribution",
+                 memoryIntensiveBenchmarks(),
+                 {{"dyn", RunConfig::dynamicAggressiveness()}});
 
     Table t("Figure 6: distribution of the dynamic aggressiveness level "
             "(fraction of sampling intervals)");
     t.setHeader({"benchmark", "VeryCons(1)", "Cons(2)", "Middle(3)",
                  "Aggr(4)", "VeryAggr(5)"});
-    for (const auto &name : benches) {
-        const RunResult r = runBenchmark(name, c, "dyn");
-        std::vector<std::string> row = {name};
+    for (const RunResult &r : results[0]) {
+        std::vector<std::string> row = {r.benchmark};
         for (double f : r.levelDist)
             row.push_back(fmtPercent(f, 1));
         t.addRow(std::move(row));

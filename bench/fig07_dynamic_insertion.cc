@@ -8,6 +8,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 #include "workload/spec_suite.hh"
 
 using namespace fdp;
@@ -15,10 +16,10 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 8'000'000);
+    const SweepArgs args = parseSweepArgs(argc, argv, 8'000'000);
     const auto &benches = memoryIntensiveBenchmarks();
 
-    const std::vector<std::pair<std::string, RunConfig>> configs = {
+    const std::vector<LabeledConfig> configs = {
         {"LRU", RunConfig::staticLevelConfig(5, InsertPos::Lru)},
         {"LRU-4", RunConfig::staticLevelConfig(5, InsertPos::Lru4)},
         {"MID", RunConfig::staticLevelConfig(5, InsertPos::Mid)},
@@ -26,14 +27,9 @@ main(int argc, char **argv)
         {"Dynamic Insertion", RunConfig::dynamicInsertion()},
     };
 
-    std::vector<std::string> names;
-    std::vector<std::vector<RunResult>> results;
-    for (const auto &[label, base] : configs) {
-        RunConfig c = base;
-        c.numInsts = insts;
-        names.push_back(label);
-        results.push_back(runSuite(benches, c, label));
-    }
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results =
+        runSweep(args, "fig07_dynamic_insertion", benches, configs);
 
     buildMetricTable("Figure 7: dynamic adjustment of the prefetch "
                      "insertion policy (IPC, Very Aggressive prefetcher)",

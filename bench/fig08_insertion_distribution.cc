@@ -9,6 +9,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 #include "workload/spec_suite.hh"
 
 using namespace fdp;
@@ -16,18 +17,17 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 8'000'000);
-    const auto &benches = memoryIntensiveBenchmarks();
-
-    RunConfig c = RunConfig::dynamicInsertion();
-    c.numInsts = insts;
+    const SweepArgs args = parseSweepArgs(argc, argv, 8'000'000);
+    const auto results =
+        runSweep(args, "fig08_insertion_distribution",
+                 memoryIntensiveBenchmarks(),
+                 {{"dyn-ins", RunConfig::dynamicInsertion()}});
 
     Table t("Figure 8: distribution of the insertion position of "
             "prefetched blocks (fraction of prefetch fills)");
     t.setHeader({"benchmark", "LRU", "LRU-4", "MID", "MRU"});
-    for (const auto &name : benches) {
-        const RunResult r = runBenchmark(name, c, "dyn-ins");
-        std::vector<std::string> row = {name};
+    for (const RunResult &r : results[0]) {
+        std::vector<std::string> row = {r.benchmark};
         for (double f : r.insertDist)
             row.push_back(fmtPercent(f, 1));
         t.addRow(std::move(row));

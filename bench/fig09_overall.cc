@@ -18,27 +18,18 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 8'000'000);
-    const unsigned jobs = sweepJobs(argc, argv);
-    configureSweepStore(argc, argv);
+    const SweepArgs args = parseSweepArgs(argc, argv, 8'000'000);
     const auto &benches = memoryIntensiveBenchmarks();
 
-    std::vector<LabeledConfig> configs = {
+    const std::vector<LabeledConfig> configs = {
         {"No Prefetching", RunConfig::noPrefetching()},
         {"Very Aggressive", RunConfig::staticLevelConfig(5)},
         {"VA + Dyn. Insertion", RunConfig::dynamicInsertion()},
         {"Dynamic Aggr.", RunConfig::dynamicAggressiveness()},
         {"Dyn. Aggr. + Dyn. Ins.", RunConfig::fullFdp()},
     };
-    std::vector<std::string> names;
-    for (auto &[label, c] : configs) {
-        c.numInsts = insts;
-        names.push_back(label);
-    }
-
-    const auto results = runSweep(benches, configs, jobs);
-    writeSweepResults(resultsOutPath(argc, argv), "fig09_overall", benches,
-                      names, results);
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results = runSweep(args, "fig09_overall", benches, configs);
 
     buildMetricTable("Figure 9: overall performance of FDP (IPC)", benches,
                      names, results, metricIpc, 3, MeanKind::Geometric)

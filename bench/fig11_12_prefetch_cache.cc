@@ -10,6 +10,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 #include "workload/spec_suite.hh"
 
 using namespace fdp;
@@ -32,10 +33,10 @@ prefetchCacheConfig(std::size_t bytes, unsigned assoc)
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 6'000'000);
+    const SweepArgs args = parseSweepArgs(argc, argv, 6'000'000);
     const auto &benches = memoryIntensiveBenchmarks();
 
-    const std::vector<std::pair<std::string, RunConfig>> configs = {
+    const std::vector<LabeledConfig> configs = {
         {"VA (base)", RunConfig::staticLevelConfig(5)},
         {"2KB f.a.", prefetchCacheConfig(2 * 1024, 0)},
         {"8KB", prefetchCacheConfig(8 * 1024, 16)},
@@ -45,14 +46,9 @@ main(int argc, char **argv)
         {"FDP", RunConfig::fullFdp()},
     };
 
-    std::vector<std::string> names;
-    std::vector<std::vector<RunResult>> results;
-    for (const auto &[label, base] : configs) {
-        RunConfig c = base;
-        c.numInsts = insts;
-        names.push_back(label);
-        results.push_back(runSuite(benches, c, label));
-    }
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results =
+        runSweep(args, "fig11_12_prefetch_cache", benches, configs);
 
     buildMetricTable("Figure 11: prefetch cache vs FDP (IPC)", benches,
                      names, results, metricIpc, 3, MeanKind::Geometric)

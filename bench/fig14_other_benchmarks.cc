@@ -18,27 +18,19 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 6'000'000);
-    const unsigned jobs = sweepJobs(argc, argv);
-    configureSweepStore(argc, argv);
+    const SweepArgs args = parseSweepArgs(argc, argv, 6'000'000);
     const auto &benches = remainingBenchmarks();
 
-    std::vector<LabeledConfig> configs = {
+    const std::vector<LabeledConfig> configs = {
         {"No Prefetching", RunConfig::noPrefetching()},
         {"Very Conservative", RunConfig::staticLevelConfig(1)},
         {"Middle-of-the-Road", RunConfig::staticLevelConfig(3)},
         {"Very Aggressive", RunConfig::staticLevelConfig(5)},
         {"FDP", RunConfig::fullFdp()},
     };
-    std::vector<std::string> names;
-    for (auto &[label, c] : configs) {
-        c.numInsts = insts;
-        names.push_back(label);
-    }
-
-    const auto results = runSweep(benches, configs, jobs);
-    writeSweepResults(resultsOutPath(argc, argv), "fig14_other_benchmarks",
-                      benches, names, results);
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results =
+        runSweep(args, "fig14_other_benchmarks", benches, configs);
 
     buildMetricTable("Figure 14 (top): remaining 9 benchmarks (IPC)",
                      benches, names, results, metricIpc, 3,

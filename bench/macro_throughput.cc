@@ -36,7 +36,15 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 2'000'000);
+    std::uint64_t insts = 2'000'000;
+    // Where the trace-replay section writes its temporary recording
+    // (tools/bench.sh points this into the build tree).
+    std::string trace_file = "macro_throughput.fdptrace";
+    parseFlags(argc, argv,
+               {instsFlag(insts), quickFlag(insts),
+                {"--trace-file", "PATH",
+                 "where the trace-replay section records its trace",
+                 [&trace_file](const char *v) { trace_file = v; }}});
     const std::vector<std::string> benches = {"swim", "mcf", "art"};
 
     RunConfig config = RunConfig::fullFdp();
@@ -45,13 +53,6 @@ main(int argc, char **argv)
     // One untimed warm-up run so page faults and lazy init don't bill
     // the first timed benchmark.
     runBenchmark(benches.front(), config, "warmup");
-
-    // Where the trace-replay section writes its temporary recording
-    // (tools/bench.sh points this into the build tree).
-    std::string trace_file = "macro_throughput.fdptrace";
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::string(argv[i]) == "--trace-file")
-            trace_file = argv[i + 1];
 
     ResultsJson json("macro_throughput");
     std::uint64_t total_insts = 0;

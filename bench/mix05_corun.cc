@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "harness/reporting.hh"
 #include "harness/sweep_pool.hh"
@@ -21,14 +20,18 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 2'000'000);
-    const unsigned jobs = sweepJobs(argc, argv);
-
-    // Optional: restrict to explicitly named mixes (repeatable --mix).
+    std::uint64_t insts = 2'000'000;
+    unsigned jobs = 0;
+    std::string outPath;
     std::vector<const MixSpec *> mixes;
-    for (int i = 1; i < argc; ++i)
-        if (!std::strcmp(argv[i], "--mix") && i + 1 < argc)
-            mixes.push_back(&mixByName(argv[++i]));
+    parseFlags(argc, argv,
+               {instsFlag(insts), quickFlag(insts), jobsFlag(jobs),
+                {"--mix", "NAME",
+                 "co-run only this mix (repeatable; default: every mix)",
+                 [&mixes](const char *v) {
+                     mixes.push_back(&mixByName(v));
+                 }},
+                outFlag(outPath)});
     if (mixes.empty())
         for (const MixSpec &m : namedMixes())
             mixes.push_back(&m);
@@ -84,7 +87,6 @@ main(int argc, char **argv)
                     fmtPercent(fdpWsOnBwMixes / aggrWsOnBwMixes - 1.0)
                         .c_str());
 
-    const std::string outPath = resultsOutPath(argc, argv);
     if (!outPath.empty())
         json.writeFile(outPath);
     return 0;

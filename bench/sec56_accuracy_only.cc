@@ -17,24 +17,16 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 8'000'000);
-    const unsigned jobs = sweepJobs(argc, argv);
-    configureSweepStore(argc, argv);
+    const SweepArgs args = parseSweepArgs(argc, argv, 8'000'000);
     const auto &benches = memoryIntensiveBenchmarks();
 
-    std::vector<LabeledConfig> configs = {
+    const std::vector<LabeledConfig> configs = {
         {"Accuracy-only", RunConfig::accuracyOnlyFdp()},
         {"Full FDP", RunConfig::fullFdp()},
     };
-    std::vector<std::string> names;
-    for (auto &[label, c] : configs) {
-        c.numInsts = insts;
-        names.push_back(label);
-    }
-
-    const auto results = runSweep(benches, configs, jobs);
-    writeSweepResults(resultsOutPath(argc, argv), "sec56_accuracy_only",
-                      benches, names, results);
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results =
+        runSweep(args, "sec56_accuracy_only", benches, configs);
 
     buildMetricTable("Section 5.6: accuracy-only throttling vs full FDP "
                      "(IPC)",

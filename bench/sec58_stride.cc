@@ -17,9 +17,7 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 6'000'000);
-    const unsigned jobs = sweepJobs(argc, argv);
-    configureSweepStore(argc, argv);
+    const SweepArgs args = parseSweepArgs(argc, argv, 6'000'000);
     const auto &benches = memoryIntensiveBenchmarks();
 
     std::vector<LabeledConfig> configs = {
@@ -29,17 +27,11 @@ main(int argc, char **argv)
         {"Very Aggressive", RunConfig::staticLevelConfig(5)},
         {"FDP", RunConfig::fullFdp()},
     };
-    std::vector<std::string> names;
-    for (auto &[label, c] : configs) {
+    for (auto &[label, c] : configs)
         if (c.prefetcher != PrefetcherKind::None)
             c.prefetcher = PrefetcherKind::Stride;
-        c.numInsts = insts;
-        names.push_back(label);
-    }
-
-    const auto results = runSweep(benches, configs, jobs);
-    writeSweepResults(resultsOutPath(argc, argv), "sec58_stride", benches,
-                      names, results);
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results = runSweep(args, "sec58_stride", benches, configs);
 
     buildMetricTable("Section 5.8: PC-based stride prefetcher (IPC)",
                      benches, names, results, metricIpc, 3,

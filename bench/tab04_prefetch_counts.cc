@@ -11,6 +11,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 #include "workload/spec_suite.hh"
 
 using namespace fdp;
@@ -18,20 +19,19 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 5'000'000);
-
-    RunConfig c = RunConfig::staticLevelConfig(5);
-    c.numInsts = insts;
+    const SweepArgs args = parseSweepArgs(argc, argv, 5'000'000);
+    const auto results =
+        runSweep(args, "tab04_prefetch_counts", allBenchmarks(),
+                 {{"va", RunConfig::staticLevelConfig(5)}});
 
     Table t("Table 4: prefetches sent by a Very Aggressive stream "
             "prefetcher");
     t.setHeader({"benchmark", "prefetches", "per 1000 insts",
                  "memory-intensive?"});
-    for (const auto &name : allBenchmarks()) {
-        const RunResult r = runBenchmark(name, c, "va");
+    for (const RunResult &r : results[0]) {
         const double pki = ratio(static_cast<double>(r.prefSent),
                                  static_cast<double>(r.insts) / 1000.0);
-        t.addRow({name, std::to_string(r.prefSent), fmtDouble(pki, 2),
+        t.addRow({r.benchmark, std::to_string(r.prefSent), fmtDouble(pki, 2),
                   pki >= 0.8 ? "yes" : "no"});
     }
     t.print();

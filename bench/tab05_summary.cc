@@ -19,12 +19,10 @@ using namespace fdp;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 8'000'000);
-    const unsigned jobs = sweepJobs(argc, argv);
-    configureSweepStore(argc, argv);
+    const SweepArgs args = parseSweepArgs(argc, argv, 8'000'000);
     const auto &benches = memoryIntensiveBenchmarks();
 
-    std::vector<LabeledConfig> configs = {
+    const std::vector<LabeledConfig> configs = {
         {"No Prefetching", RunConfig::noPrefetching()},
         {"Very Conservative", RunConfig::staticLevelConfig(1)},
         {"Conservative", RunConfig::staticLevelConfig(2)},
@@ -33,15 +31,8 @@ main(int argc, char **argv)
         {"Very Aggressive", RunConfig::staticLevelConfig(5)},
         {"FDP", RunConfig::fullFdp()},
     };
-    std::vector<std::string> names;
-    for (auto &[label, c] : configs) {
-        c.numInsts = insts;
-        names.push_back(label);
-    }
-
-    const auto results = runSweep(benches, configs, jobs);
-    writeSweepResults(resultsOutPath(argc, argv), "tab05_summary", benches,
-                      names, results);
+    const std::vector<std::string> names = labelsOf(configs);
+    const auto results = runSweep(args, "tab05_summary", benches, configs);
 
     Table t("Table 5: average IPC and BPKI, conventional configurations "
             "vs FDP");

@@ -7,14 +7,16 @@
 
 #include <cstdio>
 
+#include "harness/cli.hh"
 #include "harness/experiment.hh"
 #include "sim/table.hh"
 
 using namespace fdp;
 
 int
-main(int, char **)
+main(int argc, char **argv)
 {
+    parseFlags(argc, argv, {});  // computed, not simulated: no knobs
     const MachineParams m;
     const FdpParams f;
 

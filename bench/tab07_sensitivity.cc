@@ -25,15 +25,14 @@ struct Point
 };
 
 void
-runPoint(const Point &pt, std::uint64_t insts, unsigned jobs, Table &t,
-         ResultsJson &out)
+runPoint(const Point &pt, const SweepArgs &args, Table &t, ResultsJson &out)
 {
     RunConfig va = RunConfig::staticLevelConfig(5);
     RunConfig fdp = RunConfig::fullFdp();
     va.machine = pt.machine;
     fdp.machine = pt.machine;
-    va.numInsts = insts;
-    fdp.numInsts = insts;
+    va.numInsts = args.insts;
+    fdp.numInsts = args.insts;
     // Scale the sampling interval with the cache size (T_interval is
     // half the L2 blocks, paper Section 3.2).
     fdp.fdp.intervalEvictions =
@@ -42,7 +41,7 @@ runPoint(const Point &pt, std::uint64_t insts, unsigned jobs, Table &t,
     const auto &benches = memoryIntensiveBenchmarks();
     const std::vector<LabeledConfig> configs = {{"va", va},
                                                 {"fdp", fdp}};
-    const auto results = runSweep(benches, configs, jobs);
+    const auto results = runSweep(benches, configs, args.jobs);
     const auto &rva = results[0];
     const auto &rfdp = results[1];
     for (std::size_t b = 0; b < benches.size(); ++b) {
@@ -61,10 +60,7 @@ runPoint(const Point &pt, std::uint64_t insts, unsigned jobs, Table &t,
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t insts = instructionBudget(argc, argv, 4'000'000);
-    const unsigned jobs = sweepJobs(argc, argv);
-    configureSweepStore(argc, argv);
-    const std::string outPath = resultsOutPath(argc, argv);
+    const SweepArgs args = parseSweepArgs(argc, argv, 4'000'000);
     ResultsJson out("tab07_sensitivity");
 
     Table t("Table 7: FDP vs Very Aggressive across L2 sizes and memory "
@@ -75,16 +71,16 @@ main(int argc, char **argv)
         Point pt;
         pt.label = "L2 " + std::to_string(kb) + "KB, 500-cycle memory";
         pt.machine.l2.sizeBytes = kb * 1024;
-        runPoint(pt, insts, jobs, t, out);
+        runPoint(pt, args, t, out);
     }
     for (const Cycle lat : {250u, 500u, 750u, 1000u}) {
         Point pt;
         pt.label = "1MB L2, " + std::to_string(lat) + "-cycle memory";
         pt.machine.dram = DramParams::withUnloadedLatency(lat);
-        runPoint(pt, insts, jobs, t, out);
+        runPoint(pt, args, t, out);
     }
-    if (!outPath.empty())
-        out.writeFile(outPath);
+    if (!args.out.empty())
+        out.writeFile(args.out);
     t.print();
     std::printf("\nPaper: FDP wins on IPC and saves significant bandwidth "
                 "at every cache size and memory latency, with the IPC "

@@ -14,6 +14,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 #include "sim/table.hh"
 #include "workload/spec_suite.hh"
 
@@ -38,8 +39,9 @@ main()
         va.numInsts = insts;
         fdp.numInsts = insts;
 
-        const auto rva = runSuite(benches, va, "va");
-        const auto rfdp = runSuite(benches, fdp, "fdp");
+        const auto results = runSweep(benches, {{"va", va}, {"fdp", fdp}});
+        const auto &rva = results[0];
+        const auto &rfdp = results[1];
         const double va_ipc = meanOf(rva, metricIpc, MeanKind::Geometric);
         const double fdp_ipc =
             meanOf(rfdp, metricIpc, MeanKind::Geometric);

@@ -1,0 +1,65 @@
+#include "harness/cli.hh"
+
+#include <algorithm>
+#include <sstream>
+
+#include "sim/logging.hh"
+
+namespace fdp
+{
+
+namespace
+{
+
+/** "--insts N", or just "--quick" for a switch. */
+std::string
+spelling(const Flag &flag)
+{
+    return flag.metavar.empty() ? flag.name
+                                : flag.name + " " + flag.metavar;
+}
+
+} // namespace
+
+std::string
+flagHelp(const std::string &program, const std::vector<Flag> &flags)
+{
+    std::size_t width = 0;
+    for (const Flag &f : flags)
+        width = std::max(width, spelling(f).size());
+    std::ostringstream os;
+    os << "usage: " << program << " [flags]\n";
+    for (const Flag &f : flags) {
+        const std::string s = spelling(f);
+        os << "  " << s << std::string(width - s.size() + 2, ' ');
+        for (const char c : f.help)
+            os << c << (c == '\n' ? std::string(width + 4, ' ') : "");
+        os << '\n';
+    }
+    return os.str();
+}
+
+void
+parseFlags(int argc, char **argv, const std::vector<Flag> &flags)
+{
+    const std::string path = argc > 0 ? argv[0] : "";
+    const std::string help =
+        flagHelp(path.substr(path.rfind('/') + 1), flags);
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const Flag &f) { return f.name == arg; });
+        if (flag == flags.end())
+            fatal("unknown flag `%s'\n%s", arg.c_str(), help.c_str());
+        if (flag->metavar.empty())
+            flag->set(nullptr);
+        else if (i + 1 < argc)
+            flag->set(argv[++i]);
+        else
+            fatal("%s requires a value (%s)\n%s", arg.c_str(),
+                  flag->metavar.c_str(), help.c_str());
+    }
+}
+
+} // namespace fdp

@@ -500,17 +500,6 @@ replayTrace(const std::string &tracePath, const RunConfig &config,
     return runWorkload(workload, config, configLabel);
 }
 
-std::vector<RunResult>
-runSuite(const std::vector<std::string> &benchmarks,
-         const RunConfig &config, const std::string &configLabel)
-{
-    std::vector<RunResult> results;
-    results.reserve(benchmarks.size());
-    for (const auto &b : benchmarks)
-        results.push_back(runBenchmark(b, config, configLabel));
-    return results;
-}
-
 std::uint64_t
 parseCountArg(const char *flag, const char *text, std::uint64_t maxValue)
 {
@@ -546,21 +535,6 @@ parseDecimalArg(const char *flag, const char *text)
     if (value <= 0.0)
         fatal("%s: must be above 0 (got `%s')", flag, text);
     return value;
-}
-
-std::uint64_t
-instructionBudget(int argc, char **argv, std::uint64_t fallback)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            return 1'000'000;
-        if (std::strcmp(argv[i], "--insts") == 0) {
-            if (i + 1 >= argc)
-                fatal("--insts requires a value (instruction count)");
-            return parseCountArg("--insts", argv[i + 1]);
-        }
-    }
-    return fallback;
 }
 
 } // namespace fdp

@@ -314,19 +314,6 @@ RunResult replayTrace(const std::string &tracePath,
                       const RunConfig &config,
                       const std::string &configLabel);
 
-/** Run every benchmark in @p benchmarks under @p config. */
-std::vector<RunResult> runSuite(const std::vector<std::string> &benchmarks,
-                                const RunConfig &config,
-                                const std::string &configLabel);
-
-/**
- * Instruction-count override for bench binaries: honors
- * "--insts N" and "--quick" (1M) command-line flags. Fatal with a
- * clear diagnostic when --insts is trailing or not a number.
- */
-std::uint64_t instructionBudget(int argc, char **argv,
-                                std::uint64_t fallback = 5'000'000);
-
 /**
  * Parse the value of a numeric command-line flag defensively: fatal
  * (with the offending flag and text in the message) unless @p text is

@@ -3,6 +3,9 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 
 namespace fdp
 {
@@ -270,6 +273,48 @@ parseJson(const std::string &text, JsonValue *out, std::string *error)
     }
     error->clear();
     return true;
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                static const char hex[] = "0123456789abcdef";
+                out += "\\u00";
+                out += hex[(c >> 4) & 0xF];
+                out += hex[c & 0xF];
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+std::string
+jsonNumber(double value)
+{
+    std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10)
+       << value;
+    return os.str();
 }
 
 } // namespace fdp

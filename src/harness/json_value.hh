@@ -2,7 +2,9 @@
  * @file
  * Minimal JSON document model and recursive-descent parser for the
  * harness' own artifacts: fdp-results-v1 files (ResultsJson, and the
- * tools/bench.sh merge of them) and fdp-store-v1 result-store entries.
+ * tools/bench.sh merge of them) and fdp-store-v1 result-store entries,
+ * plus the string escaper and number formatter every writer of those
+ * files shares.
  *
  * This is a reader for machine-written JSON, not a general-purpose
  * library: it accepts the full JSON grammar but keeps the model to the
@@ -64,6 +66,14 @@ class JsonValue
  * an internal nesting limit.
  */
 bool parseJson(const std::string &text, JsonValue *out, std::string *error);
+
+/** @p s escaped for the inside of a JSON string literal: quotes,
+ *  backslashes, and every control character. */
+std::string jsonEscape(const std::string &s);
+
+/** @p value printed with max_digits10, so parseJson() recovers it
+ *  exactly. */
+std::string jsonNumber(double value);
 
 } // namespace fdp
 

@@ -5,9 +5,8 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
-#include <sstream>
 
+#include "harness/json_value.hh"
 #include "sim/logging.hh"
 
 namespace fdp
@@ -98,54 +97,6 @@ printSweepThroughput(const SweepStats &stats)
     printSweepThroughput(stats, std::cerr);
 }
 
-namespace
-{
-
-/** Escape a string for a JSON string literal (ASCII metric names). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xF];
-                out += hex[c & 0xF];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double value)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << value;
-    return os.str();
-}
-
-} // namespace
-
 ResultsJson::ResultsJson(std::string source) : source_(std::move(source)) {}
 
 void
@@ -205,19 +156,6 @@ ResultsJson::writeFile(const std::string &path) const
     if (!os)
         fatal("failed writing results file %s: %s", path.c_str(),
               std::strerror(errno));
-}
-
-std::string
-resultsOutPath(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") != 0)
-            continue;
-        if (i + 1 >= argc)
-            panic("--out requires a file path argument");
-        return argv[i + 1];
-    }
-    return "";
 }
 
 void

@@ -127,17 +127,10 @@ class ResultsJson
 };
 
 /**
- * Value of a "--out PATH" flag, or "" when absent. Fatal when --out is
- * trailing. Scans argv like instructionBudget so every sweep binary can
- * adopt it without reworking its CLI parsing.
- */
-std::string resultsOutPath(int argc, char **argv);
-
-/**
  * Persist one sweep (the same results[c][b] matrix buildMetricTable
  * consumes) to @p path as fdp-results-v1, one entry per
  * (benchmark, config, metric). No-op when @p path is empty, so callers
- * can pass resultsOutPath() straight through.
+ * can pass an unset --out straight through.
  */
 void writeSweepResults(const std::string &path, const std::string &source,
                        const std::vector<std::string> &benchmarks,

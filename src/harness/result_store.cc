@@ -15,6 +15,7 @@
 #include <sys/types.h>
 
 #include "sim/logging.hh"
+#include "snap/machine_snapshot.hh"
 #include "snap/snapshot_file.hh"
 #include "workload/generators.hh"
 #include "workload/spec_suite.hh"
@@ -36,28 +37,6 @@ fnvStep(std::uint64_t h, std::uint64_t value)
         h *= kFnvPrime;
     }
     return h;
-}
-
-std::string
-fmtDoubleExact(double value)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << value;
-    return os.str();
-}
-
-std::string
-jsonEscapeMinimal(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /** Read a whole file; false (without diagnosis) when it cannot be. */
@@ -154,38 +133,9 @@ configFingerprint(const RunConfig &c)
 {
     std::ostringstream os;
     os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "l1.size=" << c.machine.l1.sizeBytes
-       << " l1.assoc=" << c.machine.l1.assoc
-       << " l1.lat=" << c.machine.l1Latency
-       << " l2.size=" << c.machine.l2.sizeBytes
-       << " l2.assoc=" << c.machine.l2.assoc
-       << " l2.lat=" << c.machine.l2Latency
-       << " l2.mshrs=" << c.machine.l2Mshrs
-       << " mshr.reserve=" << c.machine.mshrDemandReserve
-       << " pq.cap=" << c.machine.prefetchQueueCap
-       << " dram.banks=" << c.machine.dram.banks
-       << " dram.rowblocks=" << c.machine.dram.rowBlocks
-       << " dram.rowhit=" << c.machine.dram.accessRowHit
-       << " dram.rowconf=" << c.machine.dram.accessRowConflict
-       << " dram.cas=" << c.machine.dram.casToCASCycles
-       << " dram.buspc=" << c.machine.dram.busBytesPerCycle
-       << " dram.return=" << c.machine.dram.returnCycles
-       << " dram.qcap=" << c.machine.dram.queueCapacity
-       << " dram.wbhigh=" << c.machine.dram.writebackHighWater
-       << " dramctl.kind=" << static_cast<int>(c.machine.dramCtrl.kind)
-       << " dramctl.ch=" << c.machine.dramCtrl.channels
-       << " dramctl.rowpol="
-       << static_cast<int>(c.machine.dramCtrl.rowPolicy)
-       << " dramctl.fdpprio=" << c.machine.dramCtrl.fdpPriority
-       << " dramctl.lowdrop=" << c.machine.dramCtrl.lowTierDropAt
-       << " dramctl.qoscap=" << c.machine.dramCtrl.qosInFlightCap
-       << " dramctl.qosw=" << c.machine.dramCtrl.qosWeighted
-       << " pcache.on=" << c.machine.prefetchCache.enabled
-       << " pcache.size=" << c.machine.prefetchCache.sizeBytes
-       << " pcache.assoc=" << c.machine.prefetchCache.assoc
-       << " wb=" << c.machine.modelWritebacks
-       << " rob=" << c.core.robSize
-       << " width=" << c.core.width
+    // The machine and core as the warm-image key and the snapshot
+    // header print them (DESIGN.md Sec. 16); the rest is the policy.
+    os << "geom{" << machineGeometry(c.machine, c.core) << "}"
        << " pf=" << static_cast<int>(c.prefetcher)
        << " static=" << c.staticLevel
        << " fdp.da=" << c.fdp.dynamicAggressiveness
@@ -272,22 +222,22 @@ storeEntryJson(const StoreKey &key, const RunResult &r)
 {
     std::ostringstream os;
     os << "{\n  \"schema\": \"fdp-store-v1\",\n";
-    os << "  \"canonical\": \"" << jsonEscapeMinimal(key.canonical)
+    os << "  \"canonical\": \"" << jsonEscape(key.canonical)
        << "\",\n";
-    os << "  \"benchmark\": \"" << jsonEscapeMinimal(key.benchmark)
+    os << "  \"benchmark\": \"" << jsonEscape(key.benchmark)
        << "\",\n";
-    os << "  \"config\": \"" << jsonEscapeMinimal(key.configLabel)
+    os << "  \"config\": \"" << jsonEscape(key.configLabel)
        << "\",\n";
-    os << "  \"binary_rev\": \"" << jsonEscapeMinimal(binaryRevision())
+    os << "  \"binary_rev\": \"" << jsonEscape(binaryRevision())
        << "\",\n";
     os << "  \"sim_core_version\": " << kSimCoreVersion << ",\n";
     os << "  \"result\": {\n";
     auto str = [&](const char *name, const std::string &v, bool comma) {
-        os << "    \"" << name << "\": \"" << jsonEscapeMinimal(v) << "\""
+        os << "    \"" << name << "\": \"" << jsonEscape(v) << "\""
            << (comma ? ",\n" : "\n");
     };
     auto num = [&](const char *name, double v, bool comma = true) {
-        os << "    \"" << name << "\": " << fmtDoubleExact(v)
+        os << "    \"" << name << "\": " << jsonNumber(v)
            << (comma ? ",\n" : "\n");
     };
     auto cnt = [&](const char *name, std::uint64_t v, bool comma = true) {
@@ -317,7 +267,7 @@ storeEntryJson(const StoreKey &key, const RunResult &r)
                    bool comma) {
         os << "    \"" << name << "\": [";
         for (std::size_t i = 0; i < n; ++i)
-            os << (i ? ", " : "") << fmtDoubleExact(v[i]);
+            os << (i ? ", " : "") << jsonNumber(v[i]);
         os << "]" << (comma ? ",\n" : "\n");
     };
     arr("level_dist", r.levelDist.data(), r.levelDist.size(), true);

@@ -67,8 +67,10 @@ std::string hashHex(std::uint64_t hash);
 
 /**
  * Canonical fingerprint of every RunConfig field that can influence
- * simulated results, one "name=value" per knob. Doubles are printed
- * with max_digits10 so distinct configurations never collide.
+ * simulated results: the machineGeometry() of the machine and core,
+ * then one "name=value" per policy, budget, and manager knob. Doubles
+ * are printed with max_digits10 so distinct configurations never
+ * collide.
  */
 std::string configFingerprint(const RunConfig &config);
 

@@ -19,28 +19,6 @@ namespace fdp
 namespace
 {
 
-std::string
-fmtDoubleExact(double value)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << value;
-    return os.str();
-}
-
-std::string
-jsonEscapeMinimal(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /** Human rendering of a relative delta, sign included. */
 std::string
 fmtRelDelta(double rel)
@@ -293,10 +271,10 @@ buildDiffTable(const DiffReport &report, bool everything)
                       diffStatusName(d->status),
                       d->status == DiffStatus::Added
                           ? "-"
-                          : fmtDoubleExact(d->baseValue),
+                          : jsonNumber(d->baseValue),
                       d->status == DiffStatus::Missing
                           ? "-"
-                          : fmtDoubleExact(d->freshValue),
+                          : jsonNumber(d->freshValue),
                       d->status == DiffStatus::Added ||
                               d->status == DiffStatus::Missing
                           ? "-"
@@ -311,12 +289,12 @@ writeVerdictFile(const std::string &path, const DiffReport &report,
                  const DiffOptions &options)
 {
     std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
     os << "{\n  \"schema\": \"fdp-diff-v1\",\n";
-    os << "  \"base\": \"" << jsonEscapeMinimal(base.path) << "\",\n";
-    os << "  \"fresh\": \"" << jsonEscapeMinimal(fresh.path) << "\",\n";
-    os << "  \"options\": {\"timing_tol\": " << options.timingTol
-       << ", \"det_tol\": " << options.detTol << ", \"strict_timing\": "
+    os << "  \"base\": \"" << jsonEscape(base.path) << "\",\n";
+    os << "  \"fresh\": \"" << jsonEscape(fresh.path) << "\",\n";
+    os << "  \"options\": {\"timing_tol\": " << jsonNumber(options.timingTol)
+       << ", \"det_tol\": " << jsonNumber(options.detTol)
+       << ", \"strict_timing\": "
        << (options.strictTiming ? "true" : "false") << "},\n";
     os << "  \"verdict\": \"" << (report.blocking() ? "fail" : "pass")
        << "\",\n";
@@ -331,17 +309,17 @@ writeVerdictFile(const std::string &path, const DiffReport &report,
             continue;
         os << (first ? "\n" : ",\n");
         first = false;
-        os << "    {\"name\": \"" << jsonEscapeMinimal(d.name)
+        os << "    {\"name\": \"" << jsonEscape(d.name)
            << "\", \"class\": \""
            << (d.cls == MetricClass::Deterministic ? "det" : "timing")
            << "\", \"status\": \"" << diffStatusName(d.status) << "\"";
         if (d.status != DiffStatus::Added)
-            os << ", \"base\": " << fmtDoubleExact(d.baseValue);
+            os << ", \"base\": " << jsonNumber(d.baseValue);
         if (d.status != DiffStatus::Missing)
-            os << ", \"fresh\": " << fmtDoubleExact(d.freshValue);
+            os << ", \"fresh\": " << jsonNumber(d.freshValue);
         if (d.status != DiffStatus::Added &&
             d.status != DiffStatus::Missing && !std::isinf(d.relDelta))
-            os << ", \"rel_delta\": " << fmtDoubleExact(d.relDelta);
+            os << ", \"rel_delta\": " << jsonNumber(d.relDelta);
         os << "}";
     }
     os << "\n  ]\n}\n";

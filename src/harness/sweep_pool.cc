@@ -32,29 +32,11 @@ SweepStoreConfig g_sweepStore;
 
 } // namespace
 
-SweepStoreConfig
-parseSweepStoreArgs(int argc, char **argv)
-{
-    SweepStoreConfig config;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--store") == 0) {
-            if (i + 1 >= argc)
-                fatal("--store requires a directory path argument");
-            config.dir = argv[++i];
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
-            config.resume = true;
-        }
-    }
-    if (config.resume && config.dir.empty())
-        fatal("--resume needs --store DIR (nothing to resume from)");
-    return config;
-}
-
 void
 setSweepStore(const SweepStoreConfig &config)
 {
     if (config.resume && config.dir.empty())
-        fatal("sweep store: resume without a store directory");
+        fatal("--resume needs --store DIR (nothing to resume from)");
     g_sweepStore = config;
 }
 
@@ -62,14 +44,6 @@ const SweepStoreConfig &
 sweepStore()
 {
     return g_sweepStore;
-}
-
-SweepStoreConfig
-configureSweepStore(int argc, char **argv)
-{
-    const SweepStoreConfig config = parseSweepStoreArgs(argc, argv);
-    setSweepStore(config);
-    return config;
 }
 
 SweepPool::SweepPool(unsigned threads)
@@ -364,18 +338,91 @@ defaultSweepJobs()
     return hw == 0 ? 1 : hw;
 }
 
-unsigned
-sweepJobs(int argc, char **argv)
+Flag
+instsFlag(std::uint64_t &insts)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            if (i + 1 >= argc)
-                fatal("--jobs requires a value (worker thread count)");
-            return static_cast<unsigned>(
-                parseCountArg("--jobs", argv[i + 1], kMaxSweepJobs));
-        }
-    }
-    return defaultSweepJobs();
+    return {"--insts", "N", "micro-ops each run retires",
+            [&insts](const char *v) { insts = parseCountArg("--insts", v); }};
+}
+
+Flag
+quickFlag(std::uint64_t &insts)
+{
+    return {"--quick", "", "shorthand for --insts 1000000",
+            [&insts](const char *) { insts = 1'000'000; }};
+}
+
+Flag
+jobsFlag(unsigned &jobs)
+{
+    return {"--jobs", "N",
+            "worker threads (default: FDP_JOBS, else every hardware\n"
+            "thread); results are bit-identical for any N",
+            [&jobs](const char *v) {
+                jobs = static_cast<unsigned>(
+                    parseCountArg("--jobs", v, kMaxSweepJobs));
+            }};
+}
+
+Flag
+storeFlag(SweepStoreConfig &store)
+{
+    return {"--store", "DIR", "persist every run in the result store DIR",
+            [&store](const char *v) { store.dir = v; }};
+}
+
+Flag
+resumeFlag(SweepStoreConfig &store)
+{
+    return {"--resume", "",
+            "serve runs already in --store DIR from it (stdout stays\n"
+            "bit-identical to a cold run)",
+            [&store](const char *) { store.resume = true; }};
+}
+
+Flag
+outFlag(std::string &path)
+{
+    return {"--out", "PATH",
+            "write per-run metrics to PATH as fdp-results-v1 JSON",
+            [&path](const char *v) { path = v; }};
+}
+
+SweepArgs
+parseSweepArgs(int argc, char **argv, std::uint64_t insts)
+{
+    SweepArgs args;
+    args.insts = insts;
+    parseFlags(argc, argv,
+               {instsFlag(args.insts), quickFlag(args.insts),
+                jobsFlag(args.jobs), storeFlag(args.store),
+                resumeFlag(args.store), outFlag(args.out)});
+    setSweepStore(args.store);
+    if (args.jobs == 0)
+        args.jobs = defaultSweepJobs();
+    return args;
+}
+
+std::vector<std::string>
+labelsOf(const std::vector<LabeledConfig> &configs)
+{
+    std::vector<std::string> labels;
+    for (const auto &[label, config] : configs)
+        labels.push_back(label);
+    return labels;
+}
+
+std::vector<std::vector<RunResult>>
+runSweep(const SweepArgs &args, const std::string &source,
+         const std::vector<std::string> &benchmarks,
+         std::vector<LabeledConfig> configs)
+{
+    for (auto &[label, config] : configs)
+        config.numInsts = args.insts;
+    auto results = runSweep(benchmarks, configs, args.jobs);
+    writeSweepResults(args.out, source, benchmarks, labelsOf(configs),
+                      results);
+    return results;
 }
 
 } // namespace fdp

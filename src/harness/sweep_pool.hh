@@ -12,7 +12,7 @@
  * regardless of thread count or completion order.
  *
  * This is the only file in src/ or tools/ allowed to touch std::thread
- * (enforced by tools/fdp_lint.py rule pool-only-threading).
+ * (enforced by fdp_analyze rule pool-only-threading).
  */
 
 #ifndef FDP_HARNESS_SWEEP_POOL_HH
@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/experiment.hh"
 
 namespace fdp
@@ -111,23 +112,12 @@ struct SweepStoreConfig
     bool enabled() const { return !dir.empty(); }
 };
 
-/**
- * Parse "--store DIR" / "--resume" from a bench binary's command line.
- * Fatal when --store is trailing or --resume appears without --store.
- */
-SweepStoreConfig parseSweepStoreArgs(int argc, char **argv);
-
-/** Install @p config process-wide for subsequent runSweep calls. */
+/** Install @p config process-wide for subsequent runSweep calls; fatal
+ *  when it asks to resume without a store directory. */
 void setSweepStore(const SweepStoreConfig &config);
 
 /** The installed store configuration (disabled by default). */
 const SweepStoreConfig &sweepStore();
-
-/**
- * One-call adoption for bench binaries: parse --store/--resume from
- * argv and install the result. Returns the parsed configuration.
- */
-SweepStoreConfig configureSweepStore(int argc, char **argv);
 
 /**
  * Run every (benchmark, config) cell of a sweep, fanning the cells out
@@ -144,7 +134,7 @@ std::vector<std::vector<RunResult>>
 runSweep(const std::vector<std::string> &benchmarks,
          const std::vector<LabeledConfig> &configs, unsigned jobs = 0);
 
-/** Single-configuration sweep: the parallel form of runSuite(). */
+/** Single-configuration sweep: results[b] is benchmark b. */
 std::vector<RunResult>
 runSuiteParallel(const std::vector<std::string> &benchmarks,
                  const RunConfig &config, const std::string &configLabel,
@@ -158,11 +148,49 @@ runSuiteParallel(const std::vector<std::string> &benchmarks,
 unsigned defaultSweepJobs();
 
 /**
- * Parse "--jobs N" from a bench binary's command line; falls back to
- * defaultSweepJobs(). Fatal with a clear diagnostic on a missing,
- * non-numeric, zero, or implausibly large value.
+ * The sweep knobs every fig/tab/sec binary takes, declared once here:
+ * --insts N, --quick, --jobs N, --store DIR, --resume, and --out PATH.
  */
-unsigned sweepJobs(int argc, char **argv);
+struct SweepArgs
+{
+    std::uint64_t insts = 0;  ///< micro-ops per run
+    unsigned jobs = 0;        ///< worker threads
+    SweepStoreConfig store;
+    std::string out;          ///< results file ("" = none)
+};
+
+/// @name The sweep knobs' flag-table entries, for binaries that honour
+/// only some of them
+/// @{
+Flag instsFlag(std::uint64_t &insts);
+/** --quick: shorthand for --insts 1000000. */
+Flag quickFlag(std::uint64_t &insts);
+Flag jobsFlag(unsigned &jobs);
+Flag storeFlag(SweepStoreConfig &store);
+Flag resumeFlag(SweepStoreConfig &store);
+Flag outFlag(std::string &path);
+/// @}
+
+/**
+ * A sweep binary's whole command line: the six sweep flags and nothing
+ * else (parseFlags), @p insts being the binary's default budget. Then
+ * installs the store (setSweepStore) and, without --jobs, takes
+ * defaultSweepJobs().
+ */
+SweepArgs parseSweepArgs(int argc, char **argv, std::uint64_t insts);
+
+/** The label of every configuration, in order. */
+std::vector<std::string> labelsOf(const std::vector<LabeledConfig> &configs);
+
+/**
+ * A fig/tab/sec binary's grid: runSweep over @p configs, each run at
+ * args.insts, on args.jobs workers. With --out, the results are also
+ * written there as fdp-results-v1 from @p source.
+ */
+std::vector<std::vector<RunResult>>
+runSweep(const SweepArgs &args, const std::string &source,
+         const std::vector<std::string> &benchmarks,
+         std::vector<LabeledConfig> configs);
 
 } // namespace fdp
 

@@ -1,5 +1,7 @@
 #include "snap/machine_snapshot.hh"
 
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "sim/check.hh"
@@ -13,6 +15,9 @@ std::string
 machineGeometry(const MachineParams &machine, const CoreParams &core)
 {
     std::ostringstream s;
+    // Exact doubles: two bus rates that round alike at 6 digits can
+    // still move a block in different cycle counts.
+    s << std::setprecision(std::numeric_limits<double>::max_digits10);
     s << "l1{" << machine.l1.sizeBytes << "," << machine.l1.assoc
       << ",lat=" << machine.l1Latency << "}"
       << " l2{" << machine.l2.sizeBytes << "," << machine.l2.assoc

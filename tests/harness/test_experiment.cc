@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "harness/sweep_pool.hh"
 #include "prefetch/ghb_prefetcher.hh"
 #include "prefetch/stream_prefetcher.hh"
 #include "prefetch/stride_prefetcher.hh"
@@ -209,24 +210,25 @@ TEST(RunSeed, RunBenchmarkUsesTheCalibratedWorkloadSeed)
 TEST(InstructionBudget, ParsesExplicitInsts)
 {
     const char *argv[] = {"bench", "--insts", "123456"};
-    EXPECT_EQ(instructionBudget(3, const_cast<char **>(argv), 999),
+    EXPECT_EQ(parseSweepArgs(3, const_cast<char **>(argv), 999).insts,
               123456u);
 }
 
 TEST(InstructionBudget, QuickAndDefaultStillWork)
 {
     const char *quick[] = {"bench", "--quick"};
-    EXPECT_EQ(instructionBudget(2, const_cast<char **>(quick), 999),
+    EXPECT_EQ(parseSweepArgs(2, const_cast<char **>(quick), 999).insts,
               1'000'000u);
     const char *none[] = {"bench"};
-    EXPECT_EQ(instructionBudget(1, const_cast<char **>(none), 999), 999u);
+    EXPECT_EQ(parseSweepArgs(1, const_cast<char **>(none), 999).insts,
+              999u);
 }
 
 TEST(InstructionBudgetDeath, TrailingInstsFlagIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--insts"};
-    EXPECT_EXIT(instructionBudget(2, const_cast<char **>(argv), 999),
+    EXPECT_EXIT(parseSweepArgs(2, const_cast<char **>(argv), 999).insts,
                 testing::ExitedWithCode(1), "--insts requires a value");
 }
 
@@ -234,7 +236,7 @@ TEST(InstructionBudgetDeath, NonNumericInstsIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--insts", "lots"};
-    EXPECT_EXIT(instructionBudget(3, const_cast<char **>(argv), 999),
+    EXPECT_EXIT(parseSweepArgs(3, const_cast<char **>(argv), 999).insts,
                 testing::ExitedWithCode(1), "not a positive integer");
 }
 
@@ -242,7 +244,7 @@ TEST(InstructionBudgetDeath, ZeroInstsIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--insts", "0"};
-    EXPECT_EXIT(instructionBudget(3, const_cast<char **>(argv), 999),
+    EXPECT_EXIT(parseSweepArgs(3, const_cast<char **>(argv), 999).insts,
                 testing::ExitedWithCode(1), "at least 1");
 }
 
@@ -250,7 +252,7 @@ TEST(InstructionBudgetDeath, TrailingDigitsGarbageIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--insts", "100k"};
-    EXPECT_EXIT(instructionBudget(3, const_cast<char **>(argv), 999),
+    EXPECT_EXIT(parseSweepArgs(3, const_cast<char **>(argv), 999).insts,
                 testing::ExitedWithCode(1), "not a positive integer");
 }
 

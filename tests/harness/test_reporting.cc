@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 
 namespace fdp
 {
@@ -189,19 +190,19 @@ TEST(ResultsJsonDeath, UnwritablePathDies)
 TEST(Reporting, ResultsOutPathFindsFlag)
 {
     const char *argv[] = {"prog", "--jobs", "4", "--out", "r.json"};
-    EXPECT_EQ(resultsOutPath(5, const_cast<char **>(argv)), "r.json");
+    EXPECT_EQ(parseSweepArgs(5, const_cast<char **>(argv), 1).out, "r.json");
 }
 
 TEST(Reporting, ResultsOutPathEmptyWhenAbsent)
 {
     const char *argv[] = {"prog", "--jobs", "4"};
-    EXPECT_EQ(resultsOutPath(3, const_cast<char **>(argv)), "");
+    EXPECT_EQ(parseSweepArgs(3, const_cast<char **>(argv), 1).out, "");
 }
 
 TEST(ReportingDeath, TrailingOutFlagDies)
 {
     const char *argv[] = {"prog", "--out"};
-    EXPECT_DEATH(resultsOutPath(2, const_cast<char **>(argv)),
+    EXPECT_DEATH(parseSweepArgs(2, const_cast<char **>(argv), 1).out,
                  "--out requires");
 }
 

@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "harness/result_store.hh"
 #include "harness/reporting.hh"
 #include "harness/sweep_pool.hh"
+#include "snap/machine_snapshot.hh"
 
 namespace fdp
 {
@@ -154,7 +156,7 @@ TEST(StoreKey, SensitiveToEveryDramControllerKnob)
     ctrl.machine.dramCtrl.kind = DramKind::Controller;
     const StoreKey ctrlKey = makeStoreKey("swim", ctrl, "fdp");
     EXPECT_NE(ctrlKey.hash, flat.hash);
-    EXPECT_NE(ctrlKey.canonical.find("dramctl.kind="), std::string::npos);
+    EXPECT_NE(ctrlKey.canonical.find("dramctl{"), std::string::npos);
 
     // ...and so does every controller knob, each on its own.
     RunConfig tweaked = ctrl;
@@ -175,6 +177,25 @@ TEST(StoreKey, SensitiveToEveryDramControllerKnob)
     tweaked = ctrl;
     tweaked.machine.dramCtrl.qosWeighted = !ctrl.machine.dramCtrl.qosWeighted;
     EXPECT_NE(makeStoreKey("swim", tweaked, "fdp").hash, ctrlKey.hash);
+}
+
+TEST(StoreKey, TellsApartBusRatesThatRoundAlikeAtSixDigits)
+{
+    // 4.491232 and 4.491224 GB/s both print as 1.12281 B/cycle at the
+    // default six digits, yet move a block in 57 vs 58 cycles.
+    RunConfig a = quickConfig();
+    RunConfig b = quickConfig();
+    a.machine.dram.busBytesPerCycle = 4.491232 / 4.0;
+    b.machine.dram.busBytesPerCycle = 4.491224 / 4.0;
+    EXPECT_NE(machineGeometry(a.machine, a.core),
+              machineGeometry(b.machine, b.core));
+    EXPECT_NE(makeStoreKey("swim", a, "fdp").canonical,
+              makeStoreKey("swim", b, "fdp").canonical);
+    // The default rate prints as it always has, so saved default
+    // images keep matching.
+    EXPECT_NE(machineGeometry(MachineParams{}, CoreParams{})
+                  .find(",bus=1.125,"),
+              std::string::npos);
 }
 
 TEST(StoreKey, CanonicalStringNamesItsComponents)
@@ -231,6 +252,39 @@ TEST(ResultStore, RoundTripIsExact)
         EXPECT_EQ(out.levelDist[i], in.levelDist[i]) << i;
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(out.insertDist[i], in.insertDist[i]) << i;
+}
+
+TEST(ResultStore, ControlCharactersInLabelAndRevisionResumeAsAHit)
+{
+    // Every string in an entry goes through the full JSON escaper, so
+    // a newline or tab in the label or the revision reads back intact.
+    ASSERT_EQ(setenv("FDP_BINARY_REV", "rev\none\tb", 1), 0);
+    const std::string dir = freshDir("store_escapes");
+    const std::string label = "fdp\nlabel\twith tab";
+    const std::vector<LabeledConfig> cfgs = {{label, quickConfig(20'000)}};
+    setSweepStore({dir, false});
+    const auto cold = runSweep({"swim"}, cfgs, 1);
+    setSweepStore({dir, true});
+    testing::internal::CaptureStderr();
+    const auto warm = runSweep({"swim"}, cfgs, 1);
+    const std::string err = testing::internal::GetCapturedStderr();
+    setSweepStore({});
+
+    const ResultStore store(dir);
+    const std::vector<std::string> files = store.entryFiles();
+    StoreEntry entry;
+    std::string error;
+    const bool read =
+        files.size() == 1 && store.readEntry(files.front(), &entry, &error);
+    ASSERT_EQ(unsetenv("FDP_BINARY_REV"), 0);
+    ASSERT_TRUE(read) << files.size() << " entries; " << error;
+
+    EXPECT_NE(err.find("hits=1 misses=0"), std::string::npos) << err;
+    EXPECT_EQ(err.find("corrupt"), std::string::npos) << err;
+    EXPECT_EQ(entry.binaryRev, "rev\none\tb");
+    EXPECT_EQ(entry.configLabel, label);
+    EXPECT_EQ(warm[0][0].config, label);
+    EXPECT_EQ(warm[0][0].cycles, cold[0][0].cycles);
 }
 
 TEST(ResultStore, AbsentEntryIsAQuietMiss)
@@ -370,31 +424,35 @@ TEST(SweepStoreArgs, ParseAndValidation)
     {
         const char *argv[] = {"prog", "--store", "/tmp/s", "--resume"};
         const SweepStoreConfig c =
-            parseSweepStoreArgs(4, const_cast<char **>(argv));
+            parseSweepArgs(4, const_cast<char **>(argv), 1).store;
         EXPECT_EQ(c.dir, "/tmp/s");
         EXPECT_TRUE(c.resume);
         EXPECT_TRUE(c.enabled());
+        // Parsing installs the store for the binary's sweeps.
+        EXPECT_EQ(sweepStore().dir, "/tmp/s");
+        EXPECT_TRUE(sweepStore().resume);
     }
     {
         const char *argv[] = {"prog"};
         const SweepStoreConfig c =
-            parseSweepStoreArgs(1, const_cast<char **>(argv));
+            parseSweepArgs(1, const_cast<char **>(argv), 1).store;
         EXPECT_FALSE(c.enabled());
         EXPECT_FALSE(c.resume);
+        EXPECT_FALSE(sweepStore().enabled());
     }
 }
 
 TEST(SweepStoreArgsDeath, TrailingStoreFlagDies)
 {
     const char *argv[] = {"prog", "--store"};
-    EXPECT_EXIT(parseSweepStoreArgs(2, const_cast<char **>(argv)),
+    EXPECT_EXIT(parseSweepArgs(2, const_cast<char **>(argv), 1),
                 testing::ExitedWithCode(1), "--store requires");
 }
 
 TEST(SweepStoreArgsDeath, ResumeWithoutStoreDies)
 {
     const char *argv[] = {"prog", "--resume"};
-    EXPECT_EXIT(parseSweepStoreArgs(2, const_cast<char **>(argv)),
+    EXPECT_EXIT(parseSweepArgs(2, const_cast<char **>(argv), 1),
                 testing::ExitedWithCode(1), "--resume needs --store");
 }
 

@@ -177,8 +177,9 @@ TEST(SweepOrdering, ResultsLandInArgumentOrder)
 
 TEST(SweepOrdering, RunSuiteParallelMatchesRunSuite)
 {
+    // --jobs 1 runs every cell inline on this thread; 4 uses the pool.
     const RunConfig c = smallConfig(RunConfig::staticLevelConfig(3));
-    const auto seq = runSuite(kSweepBenches, c, "mid");
+    const auto seq = runSuiteParallel(kSweepBenches, c, "mid", 1);
     const auto par = runSuiteParallel(kSweepBenches, c, "mid", 4);
     ASSERT_EQ(seq.size(), par.size());
     for (std::size_t i = 0; i < seq.size(); ++i) {
@@ -229,7 +230,7 @@ TEST(SweepReporting, SequentialFallbackReportsOneJob)
 TEST(SweepJobs, CommandLineOverridesEverything)
 {
     const char *argv[] = {"bench", "--quick", "--jobs", "5"};
-    EXPECT_EQ(sweepJobs(4, const_cast<char **>(argv)), 5u);
+    EXPECT_EQ(parseSweepArgs(4, const_cast<char **>(argv), 999).jobs, 5u);
 }
 
 TEST(SweepJobs, FdpJobsEnvIsTheFallback)
@@ -237,7 +238,7 @@ TEST(SweepJobs, FdpJobsEnvIsTheFallback)
     ASSERT_EQ(setenv("FDP_JOBS", "3", 1), 0);
     EXPECT_EQ(defaultSweepJobs(), 3u);
     const char *argv[] = {"bench", "--quick"};
-    EXPECT_EQ(sweepJobs(2, const_cast<char **>(argv)), 3u);
+    EXPECT_EQ(parseSweepArgs(2, const_cast<char **>(argv), 999).jobs, 3u);
     ASSERT_EQ(unsetenv("FDP_JOBS"), 0);
     EXPECT_GE(defaultSweepJobs(), 1u);
 }
@@ -246,7 +247,7 @@ TEST(SweepJobsDeath, TrailingJobsFlagIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--jobs"};
-    EXPECT_EXIT(sweepJobs(2, const_cast<char **>(argv)),
+    EXPECT_EXIT(parseSweepArgs(2, const_cast<char **>(argv), 999).jobs,
                 testing::ExitedWithCode(1), "--jobs requires a value");
 }
 
@@ -254,7 +255,7 @@ TEST(SweepJobsDeath, NonNumericJobsIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--jobs", "many"};
-    EXPECT_EXIT(sweepJobs(3, const_cast<char **>(argv)),
+    EXPECT_EXIT(parseSweepArgs(3, const_cast<char **>(argv), 999).jobs,
                 testing::ExitedWithCode(1), "not a positive integer");
 }
 
@@ -262,7 +263,7 @@ TEST(SweepJobsDeath, ZeroJobsIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--jobs", "0"};
-    EXPECT_EXIT(sweepJobs(3, const_cast<char **>(argv)),
+    EXPECT_EXIT(parseSweepArgs(3, const_cast<char **>(argv), 999).jobs,
                 testing::ExitedWithCode(1), "at least 1");
 }
 
@@ -270,7 +271,7 @@ TEST(SweepJobsDeath, AbsurdJobsIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     const char *argv[] = {"bench", "--jobs", "1000000"};
-    EXPECT_EXIT(sweepJobs(3, const_cast<char **>(argv)),
+    EXPECT_EXIT(parseSweepArgs(3, const_cast<char **>(argv), 999).jobs,
                 testing::ExitedWithCode(1), "implausibly large");
 }
 

@@ -8,6 +8,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep_pool.hh"
 
 namespace fdp
 {
@@ -97,8 +98,8 @@ TEST(EndToEnd, ResultsAreReproducible)
 TEST(EndToEnd, RunSuiteShapesMatch)
 {
     const std::vector<std::string> names = {"swim", "art"};
-    const auto results =
-        runSuite(names, quick(RunConfig::noPrefetching(), 100'000), "none");
+    const auto results = runSuiteParallel(
+        names, quick(RunConfig::noPrefetching(), 100'000), "none");
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].benchmark, "swim");
     EXPECT_EQ(results[1].benchmark, "art");
@@ -107,11 +108,9 @@ TEST(EndToEnd, RunSuiteShapesMatch)
 TEST(EndToEnd, MetricTableBuilds)
 {
     const std::vector<std::string> names = {"swim"};
-    std::vector<std::vector<RunResult>> results;
-    results.push_back(
-        runSuite(names, quick(RunConfig::noPrefetching(), 100'000), "none"));
-    results.push_back(runSuite(
-        names, quick(RunConfig::staticLevelConfig(5), 100'000), "va"));
+    const auto results = runSweep(
+        names, {{"none", quick(RunConfig::noPrefetching(), 100'000)},
+                {"va", quick(RunConfig::staticLevelConfig(5), 100'000)}});
     Table t = buildMetricTable("demo", names, {"none", "va"}, results,
                                metricIpc, 2, MeanKind::Geometric);
     EXPECT_EQ(t.numRows(), 2u);  // one benchmark + gmean
@@ -130,13 +129,13 @@ TEST(EndToEnd, BpkiConsistentWithBusAccesses)
 TEST(EndToEnd, InstructionBudgetParsing)
 {
     const char *argv1[] = {"bench", "--quick"};
-    EXPECT_EQ(instructionBudget(2, const_cast<char **>(argv1), 5'000'000),
+    EXPECT_EQ(parseSweepArgs(2, const_cast<char **>(argv1), 5'000'000).insts,
               1'000'000u);
     const char *argv2[] = {"bench", "--insts", "123456"};
-    EXPECT_EQ(instructionBudget(3, const_cast<char **>(argv2), 5'000'000),
+    EXPECT_EQ(parseSweepArgs(3, const_cast<char **>(argv2), 5'000'000).insts,
               123456u);
     const char *argv3[] = {"bench"};
-    EXPECT_EQ(instructionBudget(1, const_cast<char **>(argv3), 5'000'000),
+    EXPECT_EQ(parseSweepArgs(1, const_cast<char **>(argv3), 5'000'000).insts,
               5'000'000u);
 }
 

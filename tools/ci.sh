@@ -63,6 +63,22 @@ while [ $# -gt 0 ]; do
     esac
 done
 
+# expect_cli_error MESSAGE PREFIX CMD...: run CMD (its output kept in
+# PREFIX.out/.err) and require a clean command-line rejection: exit
+# status 1, nothing on stdout, and the fixed text MESSAGE on stderr.
+expect_cli_error() {
+    local message="$1" out="$2"
+    shift 2
+    local status=0
+    "$@" > "$out.out" 2> "$out.err" || status=$?
+    if [ "$status" -ne 1 ] || [ -s "$out.out" ] ||
+        ! grep -qF -- "$message" "$out.err"; then
+        echo "cli smoke: \`$*' should exit 1 with \`$message' on" \
+            "stderr and nothing on stdout (exit $status)" >&2
+        exit 1
+    fi
+}
+
 stage_tier1() {
     echo "==== stage tier1: build + tests ===="
     cmake -B "$ROOT/build-ci" -S "$ROOT" "${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}"
@@ -78,6 +94,29 @@ stage_tier1() {
         --target fdp_perfbench perfbench_tests
     "$ROOT/build-ci/perfbench/perfbench_tests"
     python3 -m unittest discover -s "$ROOT/perfbench/tests"
+
+    echo "==== stage tier1: command-line flag tables ===="
+    # Every binary parses argv against its one flag table: an unknown
+    # flag or a flag missing its value exits 1 naming it, before any
+    # simulation. The paper binaries take the sweep flags, so a figure
+    # grid is byte-identical on 1 and 4 workers and writes --out.
+    local cdir="$ROOT/build-ci/cli-smoke"
+    rm -rf "$cdir" && mkdir -p "$cdir"
+    expect_cli_error "unknown flag \`--bogus'" "$cdir/fig06" \
+        "$ROOT/build-ci/bench/fig06_counter_distribution" --bogus
+    expect_cli_error "--out requires a value" "$cdir/fig09" \
+        "$ROOT/build-ci/bench/fig09_overall" --out
+    expect_cli_error "unknown flag \`--bogus'" "$cdir/fdp_sim" \
+        "$ROOT/build-ci/bench/fdp_sim" --bogus
+    "$ROOT/build-ci/bench/fig01_aggressiveness" --insts 100000 --jobs 1 \
+        --out "$cdir/jobs1.json" > "$cdir/jobs1.out" 2> /dev/null
+    "$ROOT/build-ci/bench/fig01_aggressiveness" --insts 100000 --jobs 4 \
+        --out "$cdir/jobs4.json" > "$cdir/jobs4.out" 2> /dev/null
+    diff "$cdir/jobs1.out" "$cdir/jobs4.out"
+    diff "$cdir/jobs1.json" "$cdir/jobs4.json"
+    grep -q '"schema": "fdp-results-v1"' "$cdir/jobs1.json"
+    echo "cli smoke: bad flags rejected cleanly; fig01 bit-identical" \
+        "across --jobs 1/4 with its --out file written"
 
     echo "==== stage tier1: trace record/verify/replay round trip ===="
     # Record swim through the live generator, prove the file passes a
