@@ -135,17 +135,12 @@ main(int argc, char **argv)
 
         for (std::size_t c = 0; c < sweepConfigs.size(); ++c)
             for (std::size_t b = 0; b < sweepBenches.size(); ++b) {
-                const RunResult &x = cold[c][b];
-                const RunResult &y = warm[c][b];
-                if (x.insts != y.insts || x.cycles != y.cycles ||
-                    x.busAccesses != y.busAccesses ||
-                    x.l2Misses != y.l2Misses || x.prefSent != y.prefSent ||
-                    x.prefUsed != y.prefUsed ||
-                    x.accuracy != y.accuracy || x.lateness != y.lateness ||
-                    x.pollution != y.pollution)
+                const std::string field =
+                    firstDifferingField(cold[c][b], warm[c][b]);
+                if (!field.empty())
                     fatal("warm-fork sweep diverged from cold warm-up "
-                          "at %s/%s", sweepBenches[b].c_str(),
-                          sweepConfigs[c].first.c_str());
+                          "at %s/%s in %s", sweepBenches[b].c_str(),
+                          sweepConfigs[c].first.c_str(), field.c_str());
             }
 
         json.add("macro/sweep_cold/wall_s", "s", cold_wall.count(),

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "prefetch/dspatch_prefetcher.hh"
 #include "prefetch/ghb_prefetcher.hh"
@@ -442,6 +443,36 @@ extractResult(SimMachine &m, const std::string &configLabel, CoreId core)
     for (std::size_t i = 0; i < r.insertDist.size(); ++i)
         r.insertDist[i] = id.fraction(i);
     return r;
+}
+
+namespace
+{
+
+/** Equality of two field values; numbers compare as bit patterns, so
+ *  0.0 and -0.0 differ and equal NaNs match. */
+template <class T>
+bool
+sameBits(const T &x, const T &y)
+{
+    if constexpr (std::is_trivially_copyable_v<T>)
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    else
+        return x == y;
+}
+
+} // namespace
+
+std::string
+firstDifferingField(const RunResult &a, const RunResult &b,
+                    std::string_view skip)
+{
+    std::string differs;
+    forEachRunResultField([&](const char *name, auto member) {
+        if (differs.empty() && name != skip &&
+            !sameBits(a.*member, b.*member))
+            differs = name;
+    });
+    return differs;
 }
 
 RunResult

@@ -13,6 +13,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fdp_controller.hh"
@@ -127,6 +128,50 @@ struct RunResult
     /** Fraction of prefetch fills per insertion position (LRU..MRU). */
     std::array<double, 4> insertDist{};
 };
+
+/**
+ * The one list of RunResult's fields: calls @p visit(name, member) for
+ * each, in result-store order, with the field's fdp-store-v1 name and a
+ * pointer to the member. The store's writer and reader and
+ * firstDifferingField() all walk it, so a new field needs only its
+ * declaration, its extraction and one line here.
+ */
+template <class Visit>
+void
+forEachRunResultField(Visit &&visit)
+{
+    visit("benchmark", &RunResult::benchmark);
+    visit("config", &RunResult::config);
+    visit("insts", &RunResult::insts);
+    visit("cycles", &RunResult::cycles);
+    visit("ipc", &RunResult::ipc);
+    visit("bpki", &RunResult::bpki);
+    visit("accuracy", &RunResult::accuracy);
+    visit("lateness", &RunResult::lateness);
+    visit("pollution", &RunResult::pollution);
+    visit("pref_sent", &RunResult::prefSent);
+    visit("pref_used", &RunResult::prefUsed);
+    visit("bus_accesses", &RunResult::busAccesses);
+    visit("l2_misses", &RunResult::l2Misses);
+    visit("demand_accesses", &RunResult::demandAccesses);
+    visit("demand_grants", &RunResult::demandGrants);
+    visit("prefetch_grants", &RunResult::prefetchGrants);
+    visit("writeback_grants", &RunResult::writebackGrants);
+    visit("mshr_stall_count", &RunResult::mshrStallCount);
+    visit("pref_drop_queue_full", &RunResult::prefDropQueueFull);
+    visit("avg_miss_latency", &RunResult::avgMissLatency);
+    visit("level_dist", &RunResult::levelDist);
+    visit("insert_dist", &RunResult::insertDist);
+}
+
+/**
+ * The name of the first field (in forEachRunResultField order) whose
+ * value differs between @p a and @p b bit for bit, doubles included;
+ * "" when every field matches. The field named @p skip is not compared
+ * (pass "config" to compare runs made under two labels).
+ */
+std::string firstDifferingField(const RunResult &a, const RunResult &b,
+                                std::string_view skip = {});
 
 /** Build the configured prefetcher (nullptr for PrefetcherKind::None). */
 std::unique_ptr<Prefetcher> makePrefetcher(PrefetcherKind kind,

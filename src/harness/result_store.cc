@@ -1,7 +1,9 @@
 #include "harness/result_store.hh"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,12 +88,117 @@ writeFileAtomic(const std::string &dir, const std::string &fileName,
     return true;
 }
 
-/** Unsigned helper: JSON numbers are doubles, counters are exact
- *  integers well under 2^53, so the round trip is lossless. */
-std::uint64_t
-numberAsU64(const JsonValue *v)
+/** @{ One RunResult field as an entry prints it. */
+void
+writeField(std::ostream &os, const std::string &v)
 {
-    return v ? static_cast<std::uint64_t>(v->asNumber()) : 0;
+    os << '"' << jsonEscape(v) << '"';
+}
+
+void
+writeField(std::ostream &os, std::uint64_t v)
+{
+    os << v;
+}
+
+void
+writeField(std::ostream &os, double v)
+{
+    os << jsonNumber(v);
+}
+
+template <std::size_t N>
+void
+writeField(std::ostream &os, const std::array<double, N> &v)
+{
+    os << "[";
+    for (std::size_t i = 0; i < N; ++i)
+        os << (i ? ", " : "") << jsonNumber(v[i]);
+    os << "]";
+}
+/** @} */
+
+/** @{ Decode one field of an entry: "" on success, else what the
+ *  value should have been. Counters are written as exact integers, and
+ *  a double holds every integer only up to 2^53. */
+std::string
+readField(const JsonValue &v, std::string *out)
+{
+    if (v.kind != JsonValue::Kind::String)
+        return "a string";
+    *out = v.string;
+    return "";
+}
+
+std::string
+readField(const JsonValue &v, std::uint64_t *out)
+{
+    if (v.kind != JsonValue::Kind::Number || !(v.number >= 0.0) ||
+        v.number > 9007199254740992.0 || v.number != std::floor(v.number))
+        return "a non-negative integer up to 2^53";
+    *out = static_cast<std::uint64_t>(v.number);
+    return "";
+}
+
+std::string
+readField(const JsonValue &v, double *out)
+{
+    if (v.kind != JsonValue::Kind::Number || !std::isfinite(v.number) ||
+        v.number < 0.0)
+        return "a finite non-negative number";
+    *out = v.number;
+    return "";
+}
+
+template <std::size_t N>
+std::string
+readField(const JsonValue &v, std::array<double, N> *out)
+{
+    const std::string want =
+        "an array of " + std::to_string(N) + " finite non-negative numbers";
+    if (v.kind != JsonValue::Kind::Array || v.items.size() != N)
+        return want;
+    for (std::size_t i = 0; i < N; ++i)
+        if (!readField(v.items[i], &(*out)[i]).empty())
+            return want;
+    return "";
+}
+/** @} */
+
+/** Decode member @p name of @p object; false with a diagnostic when it
+ *  is absent or malformed. */
+template <class T>
+bool
+readMember(const JsonValue &object, const char *name, T *out,
+           std::string *error)
+{
+    const JsonValue *v = object.find(name);
+    const std::string want = v ? readField(*v, out) : "present";
+    if (!want.empty())
+        *error = std::string("field ") + name + " is not " + want;
+    return want.empty();
+}
+
+/** Parse and validate a whole fdp-store-v1 document: the header's
+ *  strings and version, then every result field. */
+bool
+decodeEntry(const std::string &bytes, StoreEntry *out, std::string *error)
+{
+    JsonValue doc;
+    if (!parseJson(bytes, &doc, error))
+        return false;
+    const JsonValue *schema = doc.find("schema");
+    if (!schema || schema->asString() != "fdp-store-v1") {
+        *error = "not an fdp-store-v1 document";
+        return false;
+    }
+    return readMember(doc, "canonical", &out->canonical, error) &&
+           readMember(doc, "benchmark", &out->benchmark, error) &&
+           readMember(doc, "config", &out->configLabel, error) &&
+           readMember(doc, "binary_rev", &out->binaryRev, error) &&
+           readMember(doc, "sim_core_version", &out->simCoreVersion,
+                      error) &&
+           parseStoredResult(doc, &out->result, error);
 }
 
 } // namespace
@@ -231,111 +338,31 @@ storeEntryJson(const StoreKey &key, const RunResult &r)
     os << "  \"binary_rev\": \"" << jsonEscape(binaryRevision())
        << "\",\n";
     os << "  \"sim_core_version\": " << kSimCoreVersion << ",\n";
-    os << "  \"result\": {\n";
-    auto str = [&](const char *name, const std::string &v, bool comma) {
-        os << "    \"" << name << "\": \"" << jsonEscape(v) << "\""
-           << (comma ? ",\n" : "\n");
-    };
-    auto num = [&](const char *name, double v, bool comma = true) {
-        os << "    \"" << name << "\": " << jsonNumber(v)
-           << (comma ? ",\n" : "\n");
-    };
-    auto cnt = [&](const char *name, std::uint64_t v, bool comma = true) {
-        os << "    \"" << name << "\": " << v << (comma ? ",\n" : "\n");
-    };
-    str("benchmark", r.benchmark, true);
-    str("config", r.config, true);
-    cnt("insts", r.insts);
-    cnt("cycles", r.cycles);
-    num("ipc", r.ipc);
-    num("bpki", r.bpki);
-    num("accuracy", r.accuracy);
-    num("lateness", r.lateness);
-    num("pollution", r.pollution);
-    cnt("pref_sent", r.prefSent);
-    cnt("pref_used", r.prefUsed);
-    cnt("bus_accesses", r.busAccesses);
-    cnt("l2_misses", r.l2Misses);
-    cnt("demand_accesses", r.demandAccesses);
-    cnt("demand_grants", r.demandGrants);
-    cnt("prefetch_grants", r.prefetchGrants);
-    cnt("writeback_grants", r.writebackGrants);
-    cnt("mshr_stall_count", r.mshrStallCount);
-    cnt("pref_drop_queue_full", r.prefDropQueueFull);
-    num("avg_miss_latency", r.avgMissLatency);
-    auto arr = [&](const char *name, const double *v, std::size_t n,
-                   bool comma) {
-        os << "    \"" << name << "\": [";
-        for (std::size_t i = 0; i < n; ++i)
-            os << (i ? ", " : "") << jsonNumber(v[i]);
-        os << "]" << (comma ? ",\n" : "\n");
-    };
-    arr("level_dist", r.levelDist.data(), r.levelDist.size(), true);
-    arr("insert_dist", r.insertDist.data(), r.insertDist.size(), false);
-    os << "  }\n}\n";
+    os << "  \"result\": {";
+    const char *separator = "\n";
+    forEachRunResultField([&](const char *name, auto member) {
+        os << separator << "    \"" << name << "\": ";
+        writeField(os, r.*member);
+        separator = ",\n";
+    });
+    os << "\n  }\n}\n";
     return os.str();
 }
 
 bool
 parseStoredResult(const JsonValue &doc, RunResult *out, std::string *error)
 {
-    error->clear();
     const JsonValue *res = doc.find("result");
     if (!res || res->kind != JsonValue::Kind::Object) {
         *error = "missing result object";
         return false;
     }
-    auto require = [&](const char *name) -> const JsonValue * {
-        const JsonValue *v = res->find(name);
-        if (!v && error->empty())
-            *error = std::string("missing result field ") + name;
-        return v;
-    };
     *out = RunResult{};
-    const JsonValue *bench = require("benchmark");
-    const JsonValue *config = require("config");
-    out->benchmark = bench ? bench->asString() : "";
-    out->config = config ? config->asString() : "";
-    out->insts = numberAsU64(require("insts"));
-    out->cycles = numberAsU64(require("cycles"));
-    out->ipc = require("ipc") ? res->find("ipc")->asNumber() : 0.0;
-    out->bpki = require("bpki") ? res->find("bpki")->asNumber() : 0.0;
-    out->accuracy =
-        require("accuracy") ? res->find("accuracy")->asNumber() : 0.0;
-    out->lateness =
-        require("lateness") ? res->find("lateness")->asNumber() : 0.0;
-    out->pollution =
-        require("pollution") ? res->find("pollution")->asNumber() : 0.0;
-    out->prefSent = numberAsU64(require("pref_sent"));
-    out->prefUsed = numberAsU64(require("pref_used"));
-    out->busAccesses = numberAsU64(require("bus_accesses"));
-    out->l2Misses = numberAsU64(require("l2_misses"));
-    out->demandAccesses = numberAsU64(require("demand_accesses"));
-    out->demandGrants = numberAsU64(require("demand_grants"));
-    out->prefetchGrants = numberAsU64(require("prefetch_grants"));
-    out->writebackGrants = numberAsU64(require("writeback_grants"));
-    out->mshrStallCount = numberAsU64(require("mshr_stall_count"));
-    out->prefDropQueueFull = numberAsU64(require("pref_drop_queue_full"));
-    out->avgMissLatency = require("avg_miss_latency")
-                              ? res->find("avg_miss_latency")->asNumber()
-                              : 0.0;
-    auto fillArray = [&](const char *name, double *dst, std::size_t n) {
-        const JsonValue *v = require(name);
-        if (!v)
-            return;
-        if (v->kind != JsonValue::Kind::Array || v->items.size() != n) {
-            if (error->empty())
-                *error = std::string("result field ") + name +
-                         " is not an array of " + std::to_string(n);
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            dst[i] = v->items[i].asNumber();
-    };
-    fillArray("level_dist", out->levelDist.data(), out->levelDist.size());
-    fillArray("insert_dist", out->insertDist.data(),
-              out->insertDist.size());
-    return error->empty();
+    bool ok = true;
+    forEachRunResultField([&](const char *name, auto member) {
+        ok = ok && readMember(*res, name, &(out->*member), error);
+    });
+    return ok;
 }
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
@@ -371,26 +398,20 @@ ResultStore::lookup(const StoreKey &key, RunResult *out) const
     std::string bytes;
     if (!readFileBytes(path, &bytes))
         return false;  // absent (the common miss): stay quiet
-    JsonValue doc;
+    StoreEntry entry;
     std::string error;
-    if (!parseJson(bytes, &doc, &error)) {
+    if (!decodeEntry(bytes, &entry, &error)) {
         warn("result store: %s is corrupt (%s); treating as a miss",
              path.c_str(), error.c_str());
         return false;
     }
-    const JsonValue *schema = doc.find("schema");
-    const JsonValue *canonical = doc.find("canonical");
-    if (!schema || schema->asString() != "fdp-store-v1" || !canonical ||
-        canonical->asString() != key.canonical) {
+    if (entry.canonical != key.canonical ||
+        entry.simCoreVersion != kSimCoreVersion) {
         warn("result store: %s does not match its key; treating as a "
              "miss", path.c_str());
         return false;
     }
-    if (!parseStoredResult(doc, out, &error)) {
-        warn("result store: %s is corrupt (%s); treating as a miss",
-             path.c_str(), error.c_str());
-        return false;
-    }
+    *out = std::move(entry.result);
     return true;
 }
 
@@ -432,28 +453,8 @@ ResultStore::readEntry(const std::string &fileName, StoreEntry *out,
         *error = "cannot read " + path;
         return false;
     }
-    JsonValue doc;
-    if (!parseJson(bytes, &doc, error))
-        return false;
-    const JsonValue *schema = doc.find("schema");
-    if (!schema || schema->asString() != "fdp-store-v1") {
-        *error = "not an fdp-store-v1 document";
-        return false;
-    }
     out->fileName = fileName;
-    out->canonical = doc.find("canonical") ?
-        doc.find("canonical")->asString() : "";
-    out->benchmark = doc.find("benchmark") ?
-        doc.find("benchmark")->asString() : "";
-    out->configLabel = doc.find("config") ?
-        doc.find("config")->asString() : "";
-    out->binaryRev = doc.find("binary_rev") ?
-        doc.find("binary_rev")->asString() : "";
-    out->simCoreVersion = static_cast<unsigned>(
-        doc.find("sim_core_version")
-            ? doc.find("sim_core_version")->asNumber()
-            : 0.0);
-    return parseStoredResult(doc, &out->result, error);
+    return decodeEntry(bytes, out, error);
 }
 
 bool

@@ -21,9 +21,12 @@
  *
  * Entries are single JSON files named <keyhash>.json, written via
  * temp-file + rename so a crashed or killed sweep never leaves a
- * half-written entry under its final name. Reads are defensive:
- * truncated, corrupt, or hash-colliding entries read as misses (the
- * cell just reruns and the entry is rewritten), never as errors.
+ * half-written entry under its final name. Their result fields are the
+ * ones forEachRunResultField() lists. Reads are defensive: truncated,
+ * corrupt, tampered (a field of the wrong kind, a negative or inexact
+ * counter, a non-finite double), or hash-colliding entries read as
+ * misses (the cell just reruns and the entry is rewritten), never as
+ * errors or wrong results.
  * Because the determinism contract makes results independent of
  * --jobs, machine, and completion order, stores can be merged across
  * machines with `fdp_results merge` (DESIGN.md Section 15).
@@ -115,7 +118,7 @@ struct StoreEntry
     std::string benchmark;
     std::string configLabel;
     std::string binaryRev;
-    unsigned simCoreVersion = 0;
+    std::uint64_t simCoreVersion = 0;
     RunResult result;
 };
 
@@ -136,9 +139,10 @@ class ResultStore
 
     /**
      * Fetch the result cached under @p key into @p out. Returns false
-     * (a miss) when the entry is absent, unreadable, fails to parse,
-     * or stores a different canonical key (collision or corruption);
-     * a corrupt entry additionally warns with the parse error.
+     * (a miss) when the entry is absent, unreadable, fails to parse or
+     * validate, or stores a different canonical key or simcore version
+     * (collision or tampering); a present but unusable entry also
+     * warns why.
      */
     bool lookup(const StoreKey &key, RunResult *out) const;
 
@@ -155,7 +159,8 @@ class ResultStore
 
     /**
      * Decode one entry file. Returns false with a diagnostic when it
-     * cannot be read or is not a valid fdp-store-v1 document.
+     * cannot be read or is not a valid fdp-store-v1 document (every
+     * header and result field present, of its kind and in range).
      */
     bool readEntry(const std::string &fileName, StoreEntry *out,
                    std::string *error) const;
@@ -178,7 +183,8 @@ class ResultStore
 /** Serialize one result as an fdp-store-v1 JSON document. */
 std::string storeEntryJson(const StoreKey &key, const RunResult &result);
 
-/** Decode the RunResult inside a parsed fdp-store-v1 document. */
+/** Decode and validate the RunResult inside a parsed fdp-store-v1
+ *  document; false with a diagnostic naming the first bad field. */
 bool parseStoredResult(const JsonValue &doc, RunResult *out,
                        std::string *error);
 

@@ -206,6 +206,46 @@ TEST(Checks, FileIoAllowlistCoversTraceAndReporting)
         firing(tree("src/harness/reporting.cc", io), "file-io").empty());
 }
 
+TEST(Checks, LoggingOnlyFlagsPrintfCallsOutsideTheSinks)
+{
+    const std::string call =
+        "void f() { std::printf(\"x\"); fputs(s, f); putchar('c'); }\n";
+    EXPECT_EQ(firing(tree("src/mem/a.cc", call), "logging-only").size(), 3u);
+    EXPECT_TRUE(firing(tree("src/sim/logging.cc", call), "logging-only")
+                    .empty());
+    EXPECT_TRUE(
+        firing(tree("src/sim/table.cc", call), "logging-only").empty());
+    // Tools print their own reports; the rule covers src/ only.
+    EXPECT_TRUE(
+        firing(tree("tools/fdp_results.cc", call), "logging-only").empty());
+    // Prose and data are not calls, and neither is a longer name.
+    EXPECT_TRUE(firing(tree("src/mem/a.cc",
+                            "// printf(\"x\")\n"
+                            "const char *s = \"printf(\";\n"
+                            "void my_printf(int);\n"),
+                       "logging-only")
+                    .empty());
+}
+
+TEST(Checks, TestPairingWantsTheMatchingTestFile)
+{
+    SourceTree t = tree("src/mem/cache.cc", "int x;\n");
+    ASSERT_EQ(firing(t, "test-pairing").size(), 1u);
+    EXPECT_EQ(firing(t, "test-pairing")[0].message,
+              "no test file tests/mem/test_cache.cc");
+    t.testFiles.insert("tests/mem/test_cache.cc");
+    EXPECT_TRUE(firing(t, "test-pairing").empty());
+
+    // Headers and tools need no test file of their own.
+    EXPECT_TRUE(firing(tree("src/mem/cache.hh", "#ifndef FDP_MEM_CACHE_HH\n"
+                                                "#define FDP_MEM_CACHE_HH\n"
+                                                "#endif\n"),
+                       "test-pairing")
+                    .empty());
+    EXPECT_TRUE(
+        firing(tree("tools/fdp_sim.cc", "int x;\n"), "test-pairing").empty());
+}
+
 TEST(Checks, PointerOrderFlagsMapsSetsAndIntptrCasts)
 {
     EXPECT_EQ(firing(tree("src/mem/a.cc", "std::map<X *, int> byPtr;\n"),

@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "harness/experiment.hh"
 #include "harness/sweep_pool.hh"
 #include "prefetch/ghb_prefetcher.hh"
 #include "prefetch/stream_prefetcher.hh"
 #include "prefetch/stride_prefetcher.hh"
+#include "support/same_results.hh"
 #include "workload/spec_suite.hh"
 
 namespace fdp
@@ -162,16 +169,67 @@ TEST(RunWorkload, StaticLevelReachesThePrefetcher)
     EXPECT_NE(r1.cycles, r5.cycles);
 }
 
+TEST(RunResultFields, ListEveryMemberOfTheStruct)
+{
+    // Every member is 8-byte aligned, so the listed members fill
+    // sizeof(RunResult) exactly unless one is missing from the list.
+    std::size_t bytes = 0;
+    forEachRunResultField([&](const char *, auto member) {
+        bytes += sizeof(RunResult{}.*member);
+    });
+    EXPECT_EQ(bytes, sizeof(RunResult))
+        << "a RunResult member is missing from forEachRunResultField";
+}
+
+/** Change @p v to the nearest value that differs from it. */
+void
+nudge(std::string &v)
+{
+    v += "'";
+}
+
+void
+nudge(std::uint64_t &v)
+{
+    ++v;
+}
+
+void
+nudge(double &v)
+{
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+}
+
+template <std::size_t N>
+void
+nudge(std::array<double, N> &v)
+{
+    nudge(v.back());
+}
+
+TEST(RunResultFields, FirstDifferingFieldNamesEachField)
+{
+    const RunResult a;
+    EXPECT_EQ(firstDifferingField(a, a), "");
+    forEachRunResultField([&](const char *name, auto member) {
+        RunResult b = a;
+        nudge(b.*member);
+        EXPECT_EQ(firstDifferingField(a, b), name);
+        EXPECT_EQ(firstDifferingField(a, b, name), "");
+    });
+
+    // Doubles compare bit for bit: -0.0 == 0.0 by value, not by bits.
+    RunResult negativeZero = a;
+    negativeZero.pollution = -0.0;
+    EXPECT_EQ(firstDifferingField(a, negativeZero), "pollution");
+}
+
 TEST(RunSeed, RunBenchmarkIsReproducible)
 {
     RunConfig c = RunConfig::staticLevelConfig(3);
     c.numInsts = 150'000;
-    const auto a = runBenchmark("art", c, "mid");
-    const auto b = runBenchmark("art", c, "mid");
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.busAccesses, b.busAccesses);
-    EXPECT_EQ(a.prefSent, b.prefSent);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    expectBitIdentical(runBenchmark("art", c, "mid"),
+                       runBenchmark("art", c, "mid"));
 }
 
 TEST(RunSeed, ConfigLabelNeverChangesTheTrace)
@@ -185,10 +243,7 @@ TEST(RunSeed, ConfigLabelNeverChangesTheTrace)
     const auto b = runBenchmark("swim", c, "Very Aggressive");
     EXPECT_EQ(a.config, "FDP");
     EXPECT_EQ(b.config, "Very Aggressive");
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.busAccesses, b.busAccesses);
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    expectBitIdentical(a, b, "config");
 }
 
 TEST(RunSeed, RunBenchmarkUsesTheCalibratedWorkloadSeed)
@@ -199,12 +254,8 @@ TEST(RunSeed, RunBenchmarkUsesTheCalibratedWorkloadSeed)
     RunConfig c = RunConfig::staticLevelConfig(3);
     c.numInsts = 150'000;
     SyntheticWorkload direct(benchmarkParams("swim"));
-    const auto a = runWorkload(direct, c, "mid");
-    const auto b = runBenchmark("swim", c, "mid");
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.busAccesses, b.busAccesses);
-    EXPECT_EQ(a.prefSent, b.prefSent);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    expectBitIdentical(runWorkload(direct, c, "mid"),
+                       runBenchmark("swim", c, "mid"));
 }
 
 TEST(InstructionBudget, ParsesExplicitInsts)

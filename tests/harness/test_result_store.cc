@@ -17,9 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "harness/result_store.hh"
-#include "harness/reporting.hh"
 #include "harness/sweep_pool.hh"
 #include "snap/machine_snapshot.hh"
+#include "support/same_results.hh"
 
 namespace fdp
 {
@@ -227,31 +227,54 @@ TEST(ResultStore, RoundTripIsExact)
 
     RunResult out;
     ASSERT_TRUE(store.lookup(key, &out));
-    EXPECT_EQ(out.benchmark, in.benchmark);
-    EXPECT_EQ(out.config, in.config);
-    EXPECT_EQ(out.insts, in.insts);
-    EXPECT_EQ(out.cycles, in.cycles);
     // Bit-exact doubles: the store prints max_digits10.
-    EXPECT_EQ(out.ipc, in.ipc);
-    EXPECT_EQ(out.bpki, in.bpki);
-    EXPECT_EQ(out.accuracy, in.accuracy);
-    EXPECT_EQ(out.lateness, in.lateness);
-    EXPECT_EQ(out.pollution, in.pollution);
-    EXPECT_EQ(out.prefSent, in.prefSent);
-    EXPECT_EQ(out.prefUsed, in.prefUsed);
-    EXPECT_EQ(out.busAccesses, in.busAccesses);
-    EXPECT_EQ(out.l2Misses, in.l2Misses);
-    EXPECT_EQ(out.demandAccesses, in.demandAccesses);
-    EXPECT_EQ(out.demandGrants, in.demandGrants);
-    EXPECT_EQ(out.prefetchGrants, in.prefetchGrants);
-    EXPECT_EQ(out.writebackGrants, in.writebackGrants);
-    EXPECT_EQ(out.mshrStallCount, in.mshrStallCount);
-    EXPECT_EQ(out.prefDropQueueFull, in.prefDropQueueFull);
-    EXPECT_EQ(out.avgMissLatency, in.avgMissLatency);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(out.levelDist[i], in.levelDist[i]) << i;
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(out.insertDist[i], in.insertDist[i]) << i;
+    expectBitIdentical(out, in);
+}
+
+TEST(ResultStore, EntryBytesMatchTheRecordedWriterOutput)
+{
+    // Entries already on disk keep hitting only while the writer
+    // produces exactly these bytes.
+    ASSERT_EQ(setenv("FDP_BINARY_REV", "golden", 1), 0);
+    StoreKey key;
+    key.benchmark = "swim";
+    key.configLabel = "fdp";
+    key.canonical = "fdp-store-v1 bench=swim label=fdp";
+    const std::string json = storeEntryJson(key, denseResult());
+    ASSERT_EQ(unsetenv("FDP_BINARY_REV"), 0);
+    EXPECT_EQ(json, R"json({
+  "schema": "fdp-store-v1",
+  "canonical": "fdp-store-v1 bench=swim label=fdp",
+  "benchmark": "swim",
+  "config": "fdp",
+  "binary_rev": "golden",
+  "sim_core_version": 1,
+  "result": {
+    "benchmark": "swim",
+    "config": "fdp",
+    "insts": 123456789,
+    "cycles": 987654321,
+    "ipc": 0.33333333333333331,
+    "bpki": 14.07,
+    "accuracy": 0.96106399383191976,
+    "lateness": 0.70798235058162851,
+    "pollution": 0.001,
+    "pref_sent": 11,
+    "pref_used": 7,
+    "bus_accesses": 2814,
+    "l2_misses": 42,
+    "demand_accesses": 1000,
+    "demand_grants": 900,
+    "prefetch_grants": 80,
+    "writeback_grants": 20,
+    "mshr_stall_count": 5,
+    "pref_drop_queue_full": 3,
+    "avg_miss_latency": 5174.4801356589151,
+    "level_dist": [0.066666666666666666, 0.13333333333333333, 0.20000000000000004, 0.26666666666666666, 0.33333333333333331],
+    "insert_dist": [0.25, 0.25, 0.25, 0.25000000000000006]
+  }
+}
+)json");
 }
 
 TEST(ResultStore, ControlCharactersInLabelAndRevisionResumeAsAHit)
@@ -284,7 +307,7 @@ TEST(ResultStore, ControlCharactersInLabelAndRevisionResumeAsAHit)
     EXPECT_EQ(entry.binaryRev, "rev\none\tb");
     EXPECT_EQ(entry.configLabel, label);
     EXPECT_EQ(warm[0][0].config, label);
-    EXPECT_EQ(warm[0][0].cycles, cold[0][0].cycles);
+    expectBitIdentical(warm, cold);
 }
 
 TEST(ResultStore, AbsentEntryIsAQuietMiss)
@@ -318,7 +341,7 @@ TEST(ResultStore, TruncatedEntryReadsAsMissAndReinsertHeals)
     // A rerun overwrites the corpse and the store is healthy again.
     store.insert(key, denseResult());
     EXPECT_TRUE(store.lookup(key, &out));
-    EXPECT_EQ(out.busAccesses, denseResult().busAccesses);
+    expectBitIdentical(out, denseResult());
 }
 
 TEST(ResultStore, CanonicalMismatchReadsAsMiss)
@@ -335,6 +358,122 @@ TEST(ResultStore, CanonicalMismatchReadsAsMiss)
               0);
     RunResult out;
     EXPECT_FALSE(store.lookup(b, &out));
+}
+
+/** Replace the value of @p field (its last occurrence, so the result
+ *  object's copy of benchmark/config) in @p key's entry with @p value. */
+void
+tamperEntry(const ResultStore &store, const StoreKey &key,
+            const std::string &field, const std::string &value)
+{
+    const std::string path = store.dir() + "/" + key.fileName();
+    std::stringstream ss;
+    ss << std::ifstream(path).rdbuf();
+    std::string text = ss.str();
+    const std::string tag = "\"" + field + "\": ";
+    const std::size_t from = text.rfind(tag) + tag.size();
+    const std::size_t to =
+        text[from] == '[' ? text.find(']', from) + 1
+        : text[from] == '"' ? text.find('"', from + 1) + 1
+                            : text.find_first_of(",\n", from);
+    text.replace(from, to - from, value);
+    std::ofstream(path, std::ios::trunc) << text;
+}
+
+/**
+ * A fresh entry with @p field rewritten to @p value must read as a
+ * corrupt miss that names the field: lookup warns and misses (so the
+ * cell reruns), readEntry rejects it (so `fdp_results ls` counts it
+ * corrupt and `gc` drops it), and reinserting heals the entry.
+ */
+void
+expectTamperedEntryMisses(const std::string &field, const std::string &value)
+{
+    SCOPED_TRACE(field + ": " + value);
+    // One directory per test: ctest runs the tests in parallel.
+    const ResultStore store(freshDir(
+        std::string("store_tamper_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name()));
+    const StoreKey key = makeStoreKey("swim", quickConfig(), "fdp");
+    store.insert(key, denseResult());
+    tamperEntry(store, key, field, value);
+
+    RunResult out;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(store.lookup(key, &out));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("is corrupt (field " + field + " is not"),
+              std::string::npos)
+        << err;
+    StoreEntry entry;
+    std::string error;
+    EXPECT_FALSE(store.readEntry(key.fileName(), &entry, &error));
+    EXPECT_NE(error.find("field " + field + " is not"), std::string::npos)
+        << error;
+
+    store.insert(key, denseResult());
+    ASSERT_TRUE(store.lookup(key, &out));
+    expectBitIdentical(out, denseResult());
+}
+
+TEST(ResultStore, NegativeOrOversizedCounterReadsAsMiss)
+{
+    expectTamperedEntryMisses("insts", "-7");
+    expectTamperedEntryMisses("cycles", "18446744073709551609");
+    // 2^53 + 2: exact as a double, but past the exactly-held integers.
+    expectTamperedEntryMisses("bus_accesses", "9007199254740994");
+    expectTamperedEntryMisses("pref_sent", "1.5");
+    expectTamperedEntryMisses("l2_misses", "1e999");
+}
+
+TEST(ResultStore, WrongKindFieldReadsAsMiss)
+{
+    expectTamperedEntryMisses("ipc", "\"fast\"");
+    expectTamperedEntryMisses("cycles", "true");
+    expectTamperedEntryMisses("benchmark", "7");
+    expectTamperedEntryMisses("config", "null");
+    expectTamperedEntryMisses("level_dist", "0.5");
+    expectTamperedEntryMisses("binary_rev", "[]");
+    expectTamperedEntryMisses("canonical", "{}");
+}
+
+TEST(ResultStore, NegativeOrNonFiniteDoubleReadsAsMiss)
+{
+    expectTamperedEntryMisses("accuracy", "-0.5");
+    expectTamperedEntryMisses("avg_miss_latency", "1e999");
+    expectTamperedEntryMisses("bpki", "-1e999");
+    expectTamperedEntryMisses("insert_dist", "[0.25, 0.25, -0.5, 1]");
+}
+
+TEST(ResultStore, WrongLengthDistributionReadsAsMiss)
+{
+    expectTamperedEntryMisses("level_dist", "[0.2, 0.2, 0.2, 0.4]");
+    expectTamperedEntryMisses("insert_dist", "[0.25, 0.25, 0.25, 0.25, 0]");
+    expectTamperedEntryMisses("insert_dist", "[]");
+}
+
+TEST(ResultStore, BadSimCoreVersionReadsAsMiss)
+{
+    expectTamperedEntryMisses("sim_core_version", "\"1\"");
+    expectTamperedEntryMisses("sim_core_version", "-1");
+    expectTamperedEntryMisses("sim_core_version", "1.5");
+
+    // A well-formed version other than the one in the key string is a
+    // tampered entry too: lookup misses, but `ls` still lists it.
+    const ResultStore store(freshDir("store_version"));
+    const StoreKey key = makeStoreKey("swim", quickConfig(), "fdp");
+    store.insert(key, denseResult());
+    tamperEntry(store, key, "sim_core_version",
+                std::to_string(kSimCoreVersion + 1));
+    RunResult out;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(store.lookup(key, &out));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("does not match its key"), std::string::npos) << err;
+    StoreEntry entry;
+    std::string error;
+    ASSERT_TRUE(store.readEntry(key.fileName(), &entry, &error)) << error;
+    EXPECT_EQ(entry.simCoreVersion, kSimCoreVersion + 1);
 }
 
 TEST(ResultStore, EntryFilesListsAndReadEntryDecodes)
@@ -373,21 +512,6 @@ TEST(ResultStore, CopyEntryToMergesAndRemoveEntryDeletes)
     dst.removeEntry(key.fileName());  // second delete is a no-op
 }
 
-/** Render sweep results the way bench binaries do, for byte compares. */
-std::string
-sweepDigest(const std::vector<std::vector<RunResult>> &results)
-{
-    ResultsJson json("digest");
-    for (std::size_t c = 0; c < results.size(); ++c)
-        for (std::size_t b = 0; b < results[c].size(); ++b)
-            json.addRunResult(
-                "c" + std::to_string(c) + "/b" + std::to_string(b),
-                results[c][b]);
-    std::ostringstream os;
-    json.write(os);
-    return os.str();
-}
-
 TEST(ResultStoreSweep, ResumeIsBitIdenticalToColdRunAcrossJobs)
 {
     const std::vector<std::string> benches = {"swim", "art"};
@@ -401,21 +525,21 @@ TEST(ResultStoreSweep, ResumeIsBitIdenticalToColdRunAcrossJobs)
 
     // Cold reference, no store attached.
     setSweepStore({});
-    const std::string cold = sweepDigest(runSweep(benches, cfgs, 2));
+    const auto cold = runSweep(benches, cfgs, 2);
 
     // Seed the store with half the cells (one config column).
     const std::string dir = freshDir("store_resume");
     setSweepStore({dir, false});
     runSweep(benches, {cfgs[0]}, 1);
 
-    // Resume fills the other half; stdout-visible results must be
-    // byte-identical to the cold run at jobs=1 and jobs=4.
+    // Resume fills the other half; every result field must be
+    // bit-identical to the cold run at jobs=1 and jobs=4.
     setSweepStore({dir, true});
-    EXPECT_EQ(sweepDigest(runSweep(benches, cfgs, 1)), cold);
-    EXPECT_EQ(sweepDigest(runSweep(benches, cfgs, 4)), cold);
+    expectBitIdentical(runSweep(benches, cfgs, 1), cold);
+    expectBitIdentical(runSweep(benches, cfgs, 4), cold);
 
     // And a fully-warm resume (every cell cached) still matches.
-    EXPECT_EQ(sweepDigest(runSweep(benches, cfgs, 2)), cold);
+    expectBitIdentical(runSweep(benches, cfgs, 2), cold);
     setSweepStore({});
 }
 

@@ -16,6 +16,7 @@
 
 #include "harness/sweep_pool.hh"
 #include "sim/logging.hh"
+#include "support/same_results.hh"
 
 namespace fdp
 {
@@ -125,31 +126,6 @@ smallSweepConfigs()
 
 const std::vector<std::string> kSweepBenches = {"swim", "art", "gap"};
 
-/** The fields a result table is built from, compared exactly. */
-void
-expectIdenticalResults(const std::vector<std::vector<RunResult>> &a,
-                       const std::vector<std::vector<RunResult>> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t c = 0; c < a.size(); ++c) {
-        ASSERT_EQ(a[c].size(), b[c].size());
-        for (std::size_t i = 0; i < a[c].size(); ++i) {
-            const RunResult &x = a[c][i];
-            const RunResult &y = b[c][i];
-            EXPECT_EQ(x.benchmark, y.benchmark);
-            EXPECT_EQ(x.config, y.config);
-            EXPECT_EQ(x.insts, y.insts);
-            EXPECT_EQ(x.cycles, y.cycles);
-            EXPECT_EQ(x.busAccesses, y.busAccesses);
-            EXPECT_EQ(x.l2Misses, y.l2Misses);
-            EXPECT_EQ(x.prefSent, y.prefSent);
-            EXPECT_EQ(x.prefUsed, y.prefUsed);
-            EXPECT_EQ(x.demandAccesses, y.demandAccesses);
-            EXPECT_EQ(x.mshrStallCount, y.mshrStallCount);
-        }
-    }
-}
-
 TEST(SweepDeterminism, ThreadCountNeverChangesResults)
 {
     // The acceptance bar of the scheduler: --jobs 1 (the sequential
@@ -157,8 +133,8 @@ TEST(SweepDeterminism, ThreadCountNeverChangesResults)
     const auto seq = runSweep(kSweepBenches, smallSweepConfigs(), 1);
     const auto par1 = runSweep(kSweepBenches, smallSweepConfigs(), 8);
     const auto par2 = runSweep(kSweepBenches, smallSweepConfigs(), 8);
-    expectIdenticalResults(seq, par1);
-    expectIdenticalResults(seq, par2);
+    expectBitIdentical(seq, par1);
+    expectBitIdentical(seq, par2);
 }
 
 TEST(SweepOrdering, ResultsLandInArgumentOrder)
@@ -179,15 +155,8 @@ TEST(SweepOrdering, RunSuiteParallelMatchesRunSuite)
 {
     // --jobs 1 runs every cell inline on this thread; 4 uses the pool.
     const RunConfig c = smallConfig(RunConfig::staticLevelConfig(3));
-    const auto seq = runSuiteParallel(kSweepBenches, c, "mid", 1);
-    const auto par = runSuiteParallel(kSweepBenches, c, "mid", 4);
-    ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        EXPECT_EQ(seq[i].benchmark, par[i].benchmark);
-        EXPECT_EQ(seq[i].cycles, par[i].cycles);
-        EXPECT_EQ(seq[i].busAccesses, par[i].busAccesses);
-        EXPECT_EQ(seq[i].prefSent, par[i].prefSent);
-    }
+    expectBitIdentical(runSuiteParallel(kSweepBenches, c, "mid", 1),
+                       runSuiteParallel(kSweepBenches, c, "mid", 4));
 }
 
 TEST(SweepDeterminism, ConfigColumnsShareOneTracePerBenchmark)
@@ -199,11 +168,7 @@ TEST(SweepDeterminism, ConfigColumnsShareOneTracePerBenchmark)
     const auto res =
         runSweep(kSweepBenches, {{"label-a", c}, {"label-b", c}}, 4);
     ASSERT_EQ(res.size(), 2u);
-    for (std::size_t b = 0; b < kSweepBenches.size(); ++b) {
-        EXPECT_EQ(res[0][b].cycles, res[1][b].cycles);
-        EXPECT_EQ(res[0][b].busAccesses, res[1][b].busAccesses);
-        EXPECT_EQ(res[0][b].demandAccesses, res[1][b].demandAccesses);
-    }
+    expectBitIdentical(res[0], res[1], "config");
 }
 
 TEST(SweepDeath, UnknownBenchmarkIsACleanMainThreadFatal)

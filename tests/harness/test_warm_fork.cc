@@ -12,15 +12,14 @@
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/reporting.hh"
 #include "harness/result_store.hh"
 #include "harness/sweep_pool.hh"
 #include "harness/warm_fork.hh"
+#include "support/same_results.hh"
 
 namespace fdp
 {
@@ -55,21 +54,6 @@ goldenConfigs()
             {"fdp", warmed(RunConfig::fullFdp())}};
 }
 
-/** Render sweep results the way bench binaries do, for byte compares. */
-std::string
-sweepDigest(const std::vector<std::vector<RunResult>> &results)
-{
-    ResultsJson json("digest");
-    for (std::size_t c = 0; c < results.size(); ++c)
-        for (std::size_t b = 0; b < results[c].size(); ++b)
-            json.addRunResult(
-                "c" + std::to_string(c) + "/b" + std::to_string(b),
-                results[c][b]);
-    std::ostringstream os;
-    json.write(os);
-    return os.str();
-}
-
 TEST(WarmForkGolden, SweepMatchesColdWarmupAtAnyJobCount)
 {
     const std::vector<std::string> benches = {"swim", "art"};
@@ -82,11 +66,10 @@ TEST(WarmForkGolden, SweepMatchesColdWarmupAtAnyJobCount)
         for (const std::string &b : benches)
             cold[c].push_back(
                 runBenchmark(b, configs[c].second, configs[c].first));
-    const std::string want = sweepDigest(cold);
 
     setSweepStore({});
-    EXPECT_EQ(sweepDigest(runSweep(benches, configs, 1)), want);
-    EXPECT_EQ(sweepDigest(runSweep(benches, configs, 4)), want);
+    expectBitIdentical(runSweep(benches, configs, 1), cold);
+    expectBitIdentical(runSweep(benches, configs, 4), cold);
 }
 
 TEST(WarmForkGolden, StoreServesWarmSnapshotsAcrossSweeps)
@@ -96,7 +79,7 @@ TEST(WarmForkGolden, StoreServesWarmSnapshotsAcrossSweeps)
     const std::string dir = freshDir("snap_store");
 
     setSweepStore({dir, false});
-    const std::string first = sweepDigest(runSweep(benches, configs, 1));
+    const auto first = runSweep(benches, configs, 1);
 
     // One policy-independent warm image per (benchmark, geometry,
     // warm-up) group must now sit in the store.
@@ -107,7 +90,7 @@ TEST(WarmForkGolden, StoreServesWarmSnapshotsAcrossSweeps)
 
     // A second sweep reuses the stored image and stays bit-identical.
     setSweepStore({dir, false});
-    EXPECT_EQ(sweepDigest(runSweep(benches, configs, 2)), first);
+    expectBitIdentical(runSweep(benches, configs, 2), first);
     setSweepStore({});
 }
 

@@ -9,6 +9,7 @@
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "harness/sweep_pool.hh"
+#include "support/same_results.hh"
 
 namespace fdp
 {
@@ -88,11 +89,9 @@ TEST(EndToEnd, PrefetchCacheModeRuns)
 
 TEST(EndToEnd, ResultsAreReproducible)
 {
-    const auto a = runBenchmark("art", quick(RunConfig::fullFdp()), "fdp");
-    const auto b = runBenchmark("art", quick(RunConfig::fullFdp()), "fdp");
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.busAccesses, b.busAccesses);
-    EXPECT_EQ(a.prefSent, b.prefSent);
+    expectBitIdentical(
+        runBenchmark("art", quick(RunConfig::fullFdp()), "fdp"),
+        runBenchmark("art", quick(RunConfig::fullFdp()), "fdp"));
 }
 
 TEST(EndToEnd, RunSuiteShapesMatch)

@@ -18,6 +18,7 @@
 #include "manage/prefetcher_manager.hh"
 #include "sim/check.hh"
 #include "sim/snapshot.hh"
+#include "support/same_results.hh"
 #include "workload/spec_suite.hh"
 
 namespace fdp
@@ -511,20 +512,8 @@ TEST(PrefetcherManagerSweep, JobCountNeverChangesManagedResults)
     const std::vector<std::string> benches = {"deltamix", "swim"};
     const std::vector<LabeledConfig> configs = {{"Managed", c}};
 
-    const auto seq = runSweep(benches, configs, 1);
-    const auto par = runSweep(benches, configs, 4);
-    ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        ASSERT_EQ(seq[i].size(), par[i].size());
-        for (std::size_t k = 0; k < seq[i].size(); ++k) {
-            EXPECT_EQ(seq[i][k].benchmark, par[i][k].benchmark);
-            EXPECT_EQ(seq[i][k].cycles, par[i][k].cycles);
-            EXPECT_EQ(seq[i][k].busAccesses, par[i][k].busAccesses);
-            EXPECT_EQ(seq[i][k].l2Misses, par[i][k].l2Misses);
-            EXPECT_EQ(seq[i][k].prefSent, par[i][k].prefSent);
-            EXPECT_EQ(seq[i][k].prefUsed, par[i][k].prefUsed);
-        }
-    }
+    expectBitIdentical(runSweep(benches, configs, 1),
+                       runSweep(benches, configs, 4));
 }
 
 } // namespace

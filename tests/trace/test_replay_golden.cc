@@ -2,21 +2,19 @@
  * @file
  * Golden determinism: for every calibrated benchmark, a live run, a
  * recording run, and a replay of the recorded trace must agree on every
- * RunResult field bit-for-bit, and the fdp-results-v1 JSON rendering
- * must be byte-identical. The parallel case runs the live side through
- * the sweep pool at --jobs 4 to prove replay equivalence is independent
- * of scheduling.
+ * RunResult field bit-for-bit (so every rendering of them matches too).
+ * The parallel case runs the live side through the sweep pool at
+ * --jobs 4 to prove replay equivalence is independent of scheduling.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/reporting.hh"
 #include "harness/sweep_pool.hh"
+#include "support/same_results.hh"
 #include "trace_test_util.hh"
 #include "workload/spec_suite.hh"
 
@@ -35,47 +33,6 @@ goldenConfig()
     return config;
 }
 
-/** Every field of RunResult, compared exactly (doubles included: the
- *  whole point is bit-identity, not tolerance). */
-void
-expectSameResult(const RunResult &a, const RunResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark) << what;
-    EXPECT_EQ(a.config, b.config) << what;
-    EXPECT_EQ(a.insts, b.insts) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.bpki, b.bpki) << what;
-    EXPECT_EQ(a.accuracy, b.accuracy) << what;
-    EXPECT_EQ(a.lateness, b.lateness) << what;
-    EXPECT_EQ(a.pollution, b.pollution) << what;
-    EXPECT_EQ(a.prefSent, b.prefSent) << what;
-    EXPECT_EQ(a.prefUsed, b.prefUsed) << what;
-    EXPECT_EQ(a.busAccesses, b.busAccesses) << what;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << what;
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses) << what;
-    EXPECT_EQ(a.demandGrants, b.demandGrants) << what;
-    EXPECT_EQ(a.prefetchGrants, b.prefetchGrants) << what;
-    EXPECT_EQ(a.writebackGrants, b.writebackGrants) << what;
-    EXPECT_EQ(a.mshrStallCount, b.mshrStallCount) << what;
-    EXPECT_EQ(a.prefDropQueueFull, b.prefDropQueueFull) << what;
-    EXPECT_EQ(a.avgMissLatency, b.avgMissLatency) << what;
-    EXPECT_EQ(a.levelDist, b.levelDist) << what;
-    EXPECT_EQ(a.insertDist, b.insertDist) << what;
-}
-
-/** Render a result exactly the way sweep binaries persist it. */
-std::string
-resultsJsonString(const RunResult &r)
-{
-    ResultsJson json("test_replay_golden");
-    json.addRunResult(r.benchmark, r);
-    std::ostringstream os;
-    json.write(os);
-    return os.str();
-}
-
 TEST(ReplayGolden, EveryBenchmarkReplaysBitIdentically)
 {
     const RunConfig config = goldenConfig();
@@ -85,10 +42,8 @@ TEST(ReplayGolden, EveryBenchmarkReplaysBitIdentically)
         const RunResult recorded =
             recordBenchmark(bench, config, "fdp", path);
         const RunResult replayed = replayTrace(path, config, "fdp");
-        expectSameResult(live, recorded, bench + " record-run vs live");
-        expectSameResult(live, replayed, bench + " replay vs live");
-        EXPECT_EQ(resultsJsonString(live), resultsJsonString(replayed))
-            << bench;
+        expectBitIdentical(live, recorded);
+        expectBitIdentical(live, replayed);
     }
 }
 
@@ -105,7 +60,7 @@ TEST(ReplayGolden, ReplayIsConfigIndependent)
     recordBenchmark("mcf", recordCfg, "fdp", path);
     const RunResult live = runBenchmark("mcf", staticCfg, "static2");
     const RunResult replayed = replayTrace(path, staticCfg, "static2");
-    expectSameResult(live, replayed, "mcf static replay vs live");
+    expectBitIdentical(live, replayed);
 }
 
 TEST(ReplayGolden, SweepPoolJobs4MatchesSequentialReplays)
@@ -123,11 +78,7 @@ TEST(ReplayGolden, SweepPoolJobs4MatchesSequentialReplays)
         const std::string path = tempTracePath(benches[i]);
         recordBenchmark(benches[i], config, "fdp", path);
         const RunResult replayed = replayTrace(path, config, "fdp");
-        expectSameResult(parallelLive[i], replayed,
-                         benches[i] + " pooled live vs replay");
-        EXPECT_EQ(resultsJsonString(parallelLive[i]),
-                  resultsJsonString(replayed))
-            << benches[i];
+        expectBitIdentical(parallelLive[i], replayed);
     }
 }
 

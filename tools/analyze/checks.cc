@@ -823,6 +823,46 @@ checkFileIo(const SourceFile &f, std::vector<Finding> *findings)
     }
 }
 
+// ---------------------------------------------------------------------------
+// Repo conventions.
+// ---------------------------------------------------------------------------
+
+void
+checkLoggingOnly(const SourceFile &f, std::vector<Finding> *findings)
+{
+    // The logging sinks and the table printer are where diagnostics and
+    // tables reach stdio; everything else reports through
+    // panic/fatal/warn/inform or writes to a std::ostream.
+    if (!pathUnder(f.relPath, "src") || f.relPath == "src/sim/logging.hh" ||
+        f.relPath == "src/sim/logging.cc" || f.relPath == "src/sim/table.cc")
+        return;
+    static const std::set<std::string> banned = {
+        "printf",   "fprintf",   "sprintf", "snprintf", "vprintf", "vfprintf",
+        "vsprintf", "vsnprintf", "puts",    "fputs",    "putchar"};
+    const Tokens &t = f.lx.tokens;
+    for (std::size_t i = 0; i + 1 < t.size(); ++i)
+        if (isIdent(t, i) && banned.count(t[i].text) && is(t, i + 1, "("))
+            findings->push_back(
+                {f.relPath, t[i].line, "logging-only",
+                 "printf-family call `" + t[i].text + "' (use "
+                 "panic/fatal/warn/inform or a std::ostream)"});
+}
+
+void
+checkTestPairing(const SourceTree &tree, const SourceFile &f,
+                 std::vector<Finding> *findings)
+{
+    if (!pathUnder(f.relPath, "src") || f.isHeader())
+        return;
+    // src/<dir>/<stem>.cc pairs with tests/<dir>/test_<stem>.cc.
+    const std::size_t slash = f.relPath.rfind('/');
+    const std::string test = "tests" + f.relPath.substr(3, slash - 3) +
+                             "/test_" + f.relPath.substr(slash + 1);
+    if (!tree.testFiles.count(test))
+        findings->push_back(
+            {f.relPath, 1, "test-pairing", "no test file " + test});
+}
+
 } // namespace
 
 const std::vector<CheckInfo> &
@@ -846,6 +886,9 @@ checkCatalog()
         {"include-cycle", "cyclic quoted includes"},
         {"layering", "subsystem layering violations"},
         {"suppression", "malformed suppression annotations"},
+        {"logging-only",
+         "printf-family calls in src/ outside the logging sinks"},
+        {"test-pairing", "src/<dir>/<f>.cc without tests/<dir>/test_<f>.cc"},
     };
     return catalog;
 }
@@ -876,6 +919,8 @@ runChecks(const SourceTree &tree)
         checkNoRawNew(f, &raw);
         checkThreading(f, &raw);
         checkFileIo(f, &raw);
+        checkLoggingOnly(f, &raw);
+        checkTestPairing(tree, f, &raw);
     }
 
     IncludeGraph graph = buildIncludeGraph(tree);

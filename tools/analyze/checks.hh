@@ -28,6 +28,10 @@
  *   include-cycle        cyclic quoted includes
  *   layering             subsystem layering violations (include_graph.hh)
  *   suppression          malformed fdp-analyze suppression annotations
+ *   logging-only         printf-family calls in src/ outside
+ *                        sim/logging.{hh,cc} and sim/table.cc
+ *   test-pairing         src/<dir>/<f>.cc without a
+ *                        tests/<dir>/test_<f>.cc
  *
  * All checks run over the lexer's token stream, so comments, string
  * literals, line breaks, and macro bodies cannot hide a violation.

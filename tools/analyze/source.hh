@@ -3,13 +3,14 @@
  * Loading a source tree into lexed form.
  *
  * A SourceTree holds every .cc/.hh under the analyzed root's `src/`
- * and `tools/` directories (the same scope tools/fdp_lint.py covers),
- * lexed and keyed by root-relative path with forward slashes.
+ * and `tools/` directories, lexed and keyed by root-relative path with
+ * forward slashes, plus the names of the test files under `tests/`.
  */
 
 #ifndef FDP_ANALYZE_SOURCE_HH
 #define FDP_ANALYZE_SOURCE_HH
 
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,15 +38,19 @@ struct SourceTree
 {
     std::string root;
     std::vector<SourceFile> files;
+    /** Every .cc under root/tests, by relPath: listed, not lexed (the
+     *  test-pairing rule only asks whether one exists). */
+    std::set<std::string> testFiles;
 
     /** The file at `relPath`, or nullptr. */
     const SourceFile *find(std::string_view relPath) const;
 };
 
 /**
- * Load and lex every .cc/.hh under root/src and root/tools. Missing
- * directories are skipped; unreadable files are fatal (analysis over
- * a partial tree would silently under-report).
+ * Load and lex every .cc/.hh under root/src and root/tools, and list
+ * every .cc under root/tests. Missing directories are skipped;
+ * unreadable files are fatal (analysis over a partial tree would
+ * silently under-report).
  */
 SourceTree loadTree(const std::string &root);
 

@@ -6,16 +6,10 @@
 #
 #   tools/bench.sh                          # full run, BENCH_<rev>.json
 #   tools/bench.sh --quick --out /tmp/b.json   # CI smoke: one fast pass
-#   tools/bench.sh --baseline BENCH_old.json   # embed baseline + speedups
 #
-# With --baseline, every micro entry also gets a baseline_ns and speedup
-# entry computed against the same-named micro/<bench>/ns value in the
-# baseline file, plus one micro/core_geomean_speedup summary over the
-# cache/event-queue/MSHR benchmarks. This is how a hot-path change
-# documents its win in-tree: run once on the parent commit, once on the
-# change with --baseline, and check in the result.
-#
-# Perf numbers are machine-dependent; nothing here gates on them.
+# Perf numbers are machine-dependent; nothing here gates on them (the
+# benchmark of record is perfbench/, which A/B-compares two revisions
+# on one host).
 
 set -eu
 
@@ -24,12 +18,10 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 BUILD_DIR="$ROOT/build-bench"
 OUT=""
-BASELINE=""
 QUICK=0
 
 usage() {
-    echo "usage: tools/bench.sh [--build-dir DIR] [--out FILE]" >&2
-    echo "                      [--baseline FILE] [--quick]" >&2
+    echo "usage: tools/bench.sh [--build-dir DIR] [--out FILE] [--quick]" >&2
     exit 2
 }
 
@@ -37,7 +29,6 @@ while [ $# -gt 0 ]; do
     case "$1" in
       --build-dir) [ $# -ge 2 ] || usage; BUILD_DIR="$2"; shift 2 ;;
       --out)       [ $# -ge 2 ] || usage; OUT="$2"; shift 2 ;;
-      --baseline)  [ $# -ge 2 ] || usage; BASELINE="$2"; shift 2 ;;
       --quick)     QUICK=1; shift ;;
       *) usage ;;
     esac
@@ -83,12 +74,11 @@ echo "==== bench: macro_throughput ===="
     "${MACRO_ARGS[@]+"${MACRO_ARGS[@]}"}" > "$MACRO_JSON"
 
 echo "==== bench: merging into $OUT ===="
-python3 - "$MICRO_JSON" "$MACRO_JSON" "$OUT" "$BASELINE" <<'PYEOF'
+python3 - "$MICRO_JSON" "$MACRO_JSON" "$OUT" <<'PYEOF'
 import json
-import math
 import sys
 
-micro_path, macro_path, out_path, baseline_path = sys.argv[1:5]
+micro_path, macro_path, out_path = sys.argv[1:4]
 
 with open(micro_path) as f:
     micro = json.load(f)
@@ -98,49 +88,13 @@ if macro.get("schema") != "fdp-results-v1":
     sys.exit("macro_throughput did not emit fdp-results-v1")
 
 entries = []
-micro_ns = {}
 for bench in micro["benchmarks"]:
     # Skip aggregate rows (mean/median/stddev) if repetitions were used.
     if bench.get("run_type", "iteration") != "iteration":
         continue
     name = bench["name"].removeprefix("BM_")
-    ns = float(bench["real_time"])
-    micro_ns[name] = ns
     entries.append({"name": f"micro/{name}/ns", "unit": "ns/op",
-                    "better": "lower", "value": ns})
-
-baseline_ns = {}
-if baseline_path:
-    with open(baseline_path) as f:
-        base = json.load(f)
-    if base.get("schema") != "fdp-results-v1":
-        sys.exit(f"baseline {baseline_path} is not fdp-results-v1")
-    for e in base["entries"]:
-        name = e["name"]
-        if name.startswith("micro/") and name.endswith("/ns"):
-            baseline_ns[name[len("micro/"):-len("/ns")]] = float(e["value"])
-
-# The geomean summarizes only the rewritten core structures; the other
-# microbenchmarks (prefetchers, workload generator, ...) still get
-# per-benchmark speedup entries for anyone tracking them.
-CORE_PREFIXES = ("Cache", "EventQueue", "Mshr")
-core_speedups = []
-for name, ns in micro_ns.items():
-    if name not in baseline_ns:
-        continue
-    speedup = baseline_ns[name] / ns
-    if name.startswith(CORE_PREFIXES):
-        core_speedups.append(speedup)
-    entries.append({"name": f"micro/{name}/baseline_ns", "unit": "ns/op",
-                    "better": "lower", "value": baseline_ns[name]})
-    entries.append({"name": f"micro/{name}/speedup", "unit": "x",
-                    "better": "higher", "value": speedup})
-if core_speedups:
-    geomean = math.exp(sum(math.log(s) for s in core_speedups) /
-                       len(core_speedups))
-    entries.append({"name": "micro/core_geomean_speedup", "unit": "x",
-                    "better": "higher", "value": geomean})
-    print(f"micro core geomean speedup vs baseline: {geomean:.3f}x")
+                    "better": "lower", "value": float(bench["real_time"])})
 
 entries.extend(macro["entries"])
 

@@ -27,7 +27,8 @@
 #           metrics get wide tolerances and never block (CI machines are
 #           too noisy for perf gating). Also smokes the sweep result
 #           store: a warm --resume of a paper sweep must skip every
-#           cached cell and print bit-identical stdout.
+#           cached cell and print bit-identical stdout, and a resume
+#           over one tampered entry must rerun exactly that cell.
 #   bench   both bench stages.
 #
 # Fails fast: any stage failing stops the pipeline with its exit status.
@@ -381,6 +382,27 @@ stage_bench_diff() {
         exit 1
     }
     echo "store smoke: warm resume hit every cell, stdout bit-identical"
+
+    # A tampered entry reads as a miss, never as a wrong result: with
+    # one of this revision's entries holding a string for "ipc", a
+    # resume at another worker count re-simulates exactly that cell
+    # and still prints the cold run's stdout.
+    rm -f "$sdir"/tampered.*
+    local victim
+    victim="$(grep -lF "\"binary_rev\": \"$FDP_BINARY_REV\"" \
+        "$sdir"/store/*.json | head -n 1)"
+    sed -i 's/^    "ipc": .*,$/    "ipc": "fast",/' "$victim"
+    grep -q '"ipc": "fast"' "$victim"
+    "$bdir/bench/fig09_overall" --quick --jobs 4 \
+        --store "$sdir/store" --resume \
+        > "$sdir/tampered.out" 2> "$sdir/tampered.err"
+    diff "$sdir/cold.out" "$sdir/tampered.out"
+    grep -q "misses=1$" "$sdir/tampered.err" || {
+        echo "store smoke: a tampered entry must cost exactly one miss:" >&2
+        grep "sweep-store:" "$sdir/tampered.err" >&2 || true
+        exit 1
+    }
+    echo "store smoke: tampered entry missed and reran, stdout bit-identical"
 }
 
 case "$STAGE" in

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Run every static-analysis pass available on this machine.
 #
-# Always runs: fdp_analyze (built on demand, baseline-gated) and its
-# self-test, then fdp_lint.py with --require-analyze (plus its
-# self-test, so a vacuous rule is itself a failure). clang-tidy and
-# cppcheck run when installed and are skipped with a notice otherwise —
+# Always runs: fdp_analyze (built on demand) and its self-test, so a
+# vacuous rule is itself a failure, then fdp_analyze over the tree,
+# gated on the committed baseline. clang-tidy and cppcheck run when
+# installed and are skipped with a notice otherwise —
 # the container toolchain has neither, and their absence must not break
 # the pipeline. FDP_LINT_ONLY=1 skips them even when installed (used by
 # the CI static job, which must not depend on whatever analyzer
@@ -49,13 +49,10 @@ fi
 echo "== fdp_analyze: self-test =="
 "$ANALYZE_BIN" --root "$ROOT" --self-test || status=1
 
-echo "== fdp_lint + fdp_analyze: repo contracts =="
-FDP_ANALYZE="$ANALYZE_BIN" python3 "$ROOT/tools/fdp_lint.py" \
-    --root "$ROOT" --require-analyze \
-    ${FDP_FINDINGS_JSON:+--findings-json "$FDP_FINDINGS_JSON"} || status=1
-
-echo "== fdp_lint: self-test =="
-python3 "$ROOT/tools/fdp_lint.py" --self-test || status=1
+echo "== fdp_analyze: repo contracts =="
+"$ANALYZE_BIN" --root "$ROOT" \
+    --baseline "$ROOT/tools/analyze/baseline.json" \
+    ${FDP_FINDINGS_JSON:+--json "$FDP_FINDINGS_JSON"} || status=1
 
 if [ "${FDP_LINT_ONLY:-0}" = "1" ]; then
     echo "== FDP_LINT_ONLY=1: clang-tidy/cppcheck skipped =="
