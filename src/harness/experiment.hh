@@ -10,10 +10,12 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/fdp_controller.hh"
@@ -162,6 +164,18 @@ forEachRunResultField(Visit &&visit)
     visit("avg_miss_latency", &RunResult::avgMissLatency);
     visit("level_dist", &RunResult::levelDist);
     visit("insert_dist", &RunResult::insertDist);
+}
+
+/** Equality of two field values; numbers compare as bit patterns, so
+ *  0.0 and -0.0 differ and equal NaNs match. */
+template <class T>
+bool
+sameBits(const T &x, const T &y)
+{
+    if constexpr (std::is_trivially_copyable_v<T>)
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    else
+        return x == y;
 }
 
 /**

@@ -1,10 +1,9 @@
 /**
  * @file
  * Minimal JSON document model and recursive-descent parser for the
- * harness' own artifacts: fdp-results-v1 files (ResultsJson, and the
- * tools/bench.sh merge of them) and fdp-store-v1 result-store entries,
- * plus the string escaper and number formatter every writer of those
- * files shares.
+ * harness' own artifacts: fdp-results-v1 files (ResultsJson) and
+ * fdp-store-v1 result-store entries, plus the string escaper and number
+ * formatter every writer of those files shares.
  *
  * This is a reader for machine-written JSON, not a general-purpose
  * library: it accepts the full JSON grammar but keeps the model to the

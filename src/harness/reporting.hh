@@ -74,8 +74,8 @@ struct SweepStats
 
 /**
  * Emit the machine-readable sweep throughput line
- * ("sweep-throughput: runs=N jobs=N wall_s=X runs_per_s=Y") BENCH
- * tooling tracks sweep speed with. Goes to @p os — std::cerr in the
+ * ("sweep-throughput: runs=N jobs=N wall_s=X runs_per_s=Y") a script
+ * can track sweep speed with. Goes to @p os — std::cerr in the
  * one-argument form, so stdout result tables stay bit-identical across
  * thread counts.
  */
@@ -84,8 +84,9 @@ void printSweepThroughput(const SweepStats &stats);
 
 /**
  * Builder for the "fdp-results-v1" JSON document shared by the sweep
- * binaries' --out files, the macro benchmark, and tools/bench.sh's
- * BENCH_<rev>.json. One flat list of named scalar metrics:
+ * binaries' --out files and golden_metrics, whose output is the CI
+ * trajectory gate's BENCH_quick_baseline.json. One flat list of named
+ * simulated metrics:
  *
  *   {"schema": "fdp-results-v1", "source": "...",
  *    "entries": [{"name": ..., "unit": ..., "better": ..., "value": ...}]}

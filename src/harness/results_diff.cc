@@ -108,36 +108,12 @@ loadResultsFile(const std::string &path, ResultsFile *out,
     return true;
 }
 
-MetricClass
-classifyMetric(const std::string &name, const std::string &unit)
-{
-    static const std::set<std::string> timingUnits = {
-        "ns/op", "insts/s", "x", "s", "runs/s"};
-    if (timingUnits.count(unit))
-        return MetricClass::Timing;
-    auto endsWith = [&](const char *suffix) {
-        const std::size_t n = std::strlen(suffix);
-        return name.size() >= n &&
-               name.compare(name.size() - n, n, suffix) == 0;
-    };
-    // Simulated speedups (IPC ratios) carry unit "ratio" and stay
-    // deterministic; only the unit "x" wall-clock kind is timing.
-    if (endsWith("/ns") || endsWith("_per_s") ||
-        name.find("wall") != std::string::npos)
-        return MetricClass::Timing;
-    return MetricClass::Deterministic;
-}
-
 const char *
 diffStatusName(DiffStatus status)
 {
     switch (status) {
       case DiffStatus::Ok:
         return "ok";
-      case DiffStatus::Improved:
-        return "improved";
-      case DiffStatus::Noise:
-        return "noise";
       case DiffStatus::Regressed:
         return "regressed";
       case DiffStatus::Missing:
@@ -149,72 +125,32 @@ diffStatusName(DiffStatus status)
 }
 
 DiffReport
-diffResults(const ResultsFile &base, const ResultsFile &fresh,
-            const DiffOptions &options)
+diffResults(const ResultsFile &base, const ResultsFile &fresh)
 {
     DiffReport report;
     for (const ResultsFile::Entry &b : base.entries) {
         DiffEntry d;
         d.name = b.name;
-        d.unit = b.unit;
-        d.cls = classifyMetric(b.name, b.unit);
         d.baseValue = b.value;
         const ResultsFile::Entry *f = fresh.find(b.name);
         if (!f) {
             d.status = DiffStatus::Missing;
             ++report.missing;
-            report.entries.push_back(std::move(d));
-            continue;
-        }
-        d.freshValue = f->value;
-        if (b.value == f->value) {
-            d.relDelta = 0.0;
-            d.status = DiffStatus::Ok;
-        } else if (b.value == 0.0) {
-            d.relDelta = f->value > 0
-                             ? std::numeric_limits<double>::infinity()
-                             : -std::numeric_limits<double>::infinity();
-        } else {
-            d.relDelta = (f->value - b.value) / std::fabs(b.value);
-        }
-        if (b.value != f->value) {
-            const double tol = d.cls == MetricClass::Deterministic
-                                   ? options.detTol
-                                   : options.timingTol;
-            const bool within = std::fabs(d.relDelta) <= tol;
-            if (within) {
-                d.status = DiffStatus::Ok;
-            } else if (d.cls == MetricClass::Deterministic) {
-                // Direction is irrelevant: a deterministic counter
-                // moving at all is simulation-behavior drift.
-                d.status = DiffStatus::Regressed;
-            } else {
-                const bool worse = b.better == "higher"
-                                       ? f->value < b.value
-                                       : f->value > b.value;
-                if (!worse)
-                    d.status = DiffStatus::Improved;
-                else
-                    d.status = options.strictTiming
-                                   ? DiffStatus::Regressed
-                                   : DiffStatus::Noise;
-            }
-        }
-        switch (d.status) {
-          case DiffStatus::Ok:
+        } else if (f->value == b.value) {
+            d.freshValue = f->value;
             ++report.ok;
-            break;
-          case DiffStatus::Improved:
-            ++report.improved;
-            break;
-          case DiffStatus::Noise:
-            ++report.noise;
-            break;
-          case DiffStatus::Regressed:
+        } else {
+            // Direction is irrelevant: a simulated metric moving at
+            // all is simulation-behavior drift.
+            d.status = DiffStatus::Regressed;
+            d.freshValue = f->value;
+            if (b.value == 0.0)
+                d.relDelta = f->value > 0
+                                 ? std::numeric_limits<double>::infinity()
+                                 : -std::numeric_limits<double>::infinity();
+            else
+                d.relDelta = (f->value - b.value) / std::fabs(b.value);
             ++report.regressed;
-            break;
-          default:
-            break;
         }
         report.entries.push_back(std::move(d));
     }
@@ -223,8 +159,6 @@ diffResults(const ResultsFile &base, const ResultsFile &fresh,
             continue;
         DiffEntry d;
         d.name = f.name;
-        d.unit = f.unit;
-        d.cls = classifyMetric(f.name, f.unit);
         d.status = DiffStatus::Added;
         d.freshValue = f.value;
         ++report.added;
@@ -238,24 +172,19 @@ buildDiffTable(const DiffReport &report, bool everything)
 {
     Table table("results diff: " + std::to_string(report.regressed) +
                 " regressed, " + std::to_string(report.missing) +
-                " missing, " + std::to_string(report.noise) + " noise, " +
-                std::to_string(report.improved) + " improved, " +
-                std::to_string(report.added) + " added, " +
+                " missing, " + std::to_string(report.added) + " added, " +
                 std::to_string(report.ok) + " ok");
-    table.setHeader(
-        {"metric", "class", "status", "baseline", "fresh", "delta"});
+    table.setHeader({"metric", "status", "baseline", "fresh", "delta"});
 
     // Blocking rows first so a failing CI log leads with the cause.
     auto severity = [](DiffStatus s) {
         switch (s) {
           case DiffStatus::Regressed: return 0;
           case DiffStatus::Missing: return 1;
-          case DiffStatus::Noise: return 2;
-          case DiffStatus::Improved: return 3;
-          case DiffStatus::Added: return 4;
-          case DiffStatus::Ok: return 5;
+          case DiffStatus::Added: return 2;
+          case DiffStatus::Ok: return 3;
         }
-        return 6;
+        return 4;
     };
     std::vector<const DiffEntry *> rows;
     for (const DiffEntry &d : report.entries)
@@ -266,9 +195,7 @@ buildDiffTable(const DiffReport &report, bool everything)
                          return severity(a->status) < severity(b->status);
                      });
     for (const DiffEntry *d : rows) {
-        const bool det = d->cls == MetricClass::Deterministic;
-        table.addRow({d->name, det ? "det" : "timing",
-                      diffStatusName(d->status),
+        table.addRow({d->name, diffStatusName(d->status),
                       d->status == DiffStatus::Added
                           ? "-"
                           : jsonNumber(d->baseValue),
@@ -285,23 +212,17 @@ buildDiffTable(const DiffReport &report, bool everything)
 
 void
 writeVerdictFile(const std::string &path, const DiffReport &report,
-                 const ResultsFile &base, const ResultsFile &fresh,
-                 const DiffOptions &options)
+                 const ResultsFile &base, const ResultsFile &fresh)
 {
     std::ostringstream os;
     os << "{\n  \"schema\": \"fdp-diff-v1\",\n";
     os << "  \"base\": \"" << jsonEscape(base.path) << "\",\n";
     os << "  \"fresh\": \"" << jsonEscape(fresh.path) << "\",\n";
-    os << "  \"options\": {\"timing_tol\": " << jsonNumber(options.timingTol)
-       << ", \"det_tol\": " << jsonNumber(options.detTol)
-       << ", \"strict_timing\": "
-       << (options.strictTiming ? "true" : "false") << "},\n";
     os << "  \"verdict\": \"" << (report.blocking() ? "fail" : "pass")
        << "\",\n";
-    os << "  \"counts\": {\"ok\": " << report.ok << ", \"improved\": "
-       << report.improved << ", \"noise\": " << report.noise
-       << ", \"regressed\": " << report.regressed << ", \"missing\": "
-       << report.missing << ", \"added\": " << report.added << "},\n";
+    os << "  \"counts\": {\"ok\": " << report.ok << ", \"regressed\": "
+       << report.regressed << ", \"missing\": " << report.missing
+       << ", \"added\": " << report.added << "},\n";
     os << "  \"entries\": [";
     bool first = true;
     for (const DiffEntry &d : report.entries) {
@@ -310,8 +231,6 @@ writeVerdictFile(const std::string &path, const DiffReport &report,
         os << (first ? "\n" : ",\n");
         first = false;
         os << "    {\"name\": \"" << jsonEscape(d.name)
-           << "\", \"class\": \""
-           << (d.cls == MetricClass::Deterministic ? "det" : "timing")
            << "\", \"status\": \"" << diffStatusName(d.status) << "\"";
         if (d.status != DiffStatus::Added)
             os << ", \"base\": " << jsonNumber(d.baseValue);

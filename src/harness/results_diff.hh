@@ -2,17 +2,11 @@
  * @file
  * Cross-run regression differ over fdp-results-v1 files.
  *
- * Two tolerance regimes, matched to what each metric class can
- * promise (DESIGN.md Section 15):
- *
- *   - Deterministic metrics (simulated counters and ratios: insts,
- *     cycles, IPC, BPKI, accuracy/lateness/pollution, bus accesses)
- *     are bit-identical across machines, --jobs, and completion order
- *     by the determinism contract. ANY difference — in either
- *     direction — is simulation-behavior drift and blocks by default.
- *   - Timing metrics (ns/op, insts/s, speedups) vary with the host;
- *     breaches beyond the (wide) tolerance are reported as noise and
- *     only block under strictTiming.
+ * Every entry is a simulated metric (counters, IPC, BPKI,
+ * accuracy/lateness/pollution, bus accesses, speedups), bit-identical
+ * across machines, --jobs and completion order by the determinism
+ * contract (DESIGN.md Section 15). So the diff is exact: ANY difference
+ * — in either direction — is simulation-behavior drift and blocks.
  *
  * An entry present in the baseline but absent from the fresh run
  * blocks too (a silently vanished metric is drift in the harness);
@@ -57,41 +51,11 @@ struct ResultsFile
 bool loadResultsFile(const std::string &path, ResultsFile *out,
                      std::string *error);
 
-/** Which tolerance regime a metric belongs to. */
-enum class MetricClass
-{
-    Deterministic,
-    Timing,
-};
-
-/**
- * Classify by unit first (ns/op, insts/s, x, s, runs/s are timing),
- * then by name (".../ns", "..._per_s", "...wall..."): everything the
- * simulator computes is deterministic; everything the host clock
- * touches is timing. Simulated speedups use unit "ratio" and stay
- * deterministic; wall-clock speedups use unit "x".
- */
-MetricClass classifyMetric(const std::string &name,
-                           const std::string &unit);
-
-/** Tolerances for one diff. */
-struct DiffOptions
-{
-    /** Relative tolerance for timing metrics (0.75 = ±75%). */
-    double timingTol = 0.75;
-    /** Relative tolerance for deterministic metrics; 0 = exact. */
-    double detTol = 0.0;
-    /** Timing breaches block instead of reporting as noise. */
-    bool strictTiming = false;
-};
-
 /** Per-entry verdict. */
 enum class DiffStatus
 {
-    Ok,         ///< within tolerance
-    Improved,   ///< timing beyond tolerance in the good direction
-    Noise,      ///< timing beyond tolerance, non-blocking
-    Regressed,  ///< blocking: deterministic drift, or strict timing
+    Ok,         ///< unchanged
+    Regressed,  ///< blocking: the value moved
     Missing,    ///< blocking: in baseline, absent from fresh run
     Added,      ///< informational: new in fresh run
 };
@@ -101,8 +65,6 @@ const char *diffStatusName(DiffStatus status);
 struct DiffEntry
 {
     std::string name;
-    std::string unit;
-    MetricClass cls = MetricClass::Deterministic;
     DiffStatus status = DiffStatus::Ok;
     double baseValue = 0.0;
     double freshValue = 0.0;
@@ -114,8 +76,6 @@ struct DiffReport
 {
     std::vector<DiffEntry> entries;  ///< baseline order, then additions
     std::size_t ok = 0;
-    std::size_t improved = 0;
-    std::size_t noise = 0;
     std::size_t regressed = 0;
     std::size_t missing = 0;
     std::size_t added = 0;
@@ -124,9 +84,8 @@ struct DiffReport
     bool blocking() const { return regressed > 0 || missing > 0; }
 };
 
-/** Compare @p fresh against @p base under @p options. */
-DiffReport diffResults(const ResultsFile &base, const ResultsFile &fresh,
-                       const DiffOptions &options);
+/** Compare @p fresh against @p base, entry by entry, exactly. */
+DiffReport diffResults(const ResultsFile &base, const ResultsFile &fresh);
 
 /**
  * Human-readable table of every non-Ok entry (all entries when
@@ -135,13 +94,11 @@ DiffReport diffResults(const ResultsFile &base, const ResultsFile &fresh,
 Table buildDiffTable(const DiffReport &report, bool everything = false);
 
 /**
- * Write the machine-readable verdict ("fdp-diff-v1": options, counts,
- * overall pass/fail, and every non-Ok entry) to @p path. Fatal on I/O
- * failure.
+ * Write the machine-readable verdict ("fdp-diff-v1": counts, overall
+ * pass/fail, and every non-Ok entry) to @p path. Fatal on I/O failure.
  */
 void writeVerdictFile(const std::string &path, const DiffReport &report,
-                      const ResultsFile &base, const ResultsFile &fresh,
-                      const DiffOptions &options);
+                      const ResultsFile &base, const ResultsFile &fresh);
 
 } // namespace fdp
 

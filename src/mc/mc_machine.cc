@@ -72,6 +72,27 @@ runMcWorkloads(const McRunConfig &config,
     return r;
 }
 
+std::string
+firstDifferingField(const McRunResult &a, const McRunResult &b,
+                    std::string_view skip)
+{
+    std::string differs;
+    forEachMcRunResultField([&](const char *name, auto member) {
+        if (differs.empty() && name != skip &&
+            !sameBits(a.*member, b.*member))
+            differs = name;
+    });
+    if (differs.empty() && a.cores.size() != b.cores.size())
+        differs = "cores";
+    for (std::size_t i = 0; differs.empty() && i < a.cores.size(); ++i)
+        forEachMcCoreResultField([&](const char *name, auto member) {
+            if (differs.empty() &&
+                !sameBits(a.cores[i].*member, b.cores[i].*member))
+                differs = "cores[" + std::to_string(i) + "]." + name;
+        });
+    return differs;
+}
+
 McRunResult
 runMix(const MixSpec &spec, const McRunConfig &config,
        const std::string &configLabel)

@@ -100,6 +100,63 @@ struct McRunResult
 };
 
 /**
+ * The one list of McCoreResult's fields: calls @p visit(name, member)
+ * for each, like forEachRunResultField, with the field's --out name
+ * and a pointer to the member. firstDifferingField() walks it, so a
+ * new field needs only its declaration, its value and one line here.
+ */
+template <class Visit>
+void
+forEachMcCoreResultField(Visit &&visit)
+{
+    visit("program", &McCoreResult::program);
+    visit("prefetcher", &McCoreResult::prefetcher);
+    visit("insts", &McCoreResult::insts);
+    visit("cycles", &McCoreResult::cycles);
+    visit("ipc", &McCoreResult::ipc);
+    visit("bpki", &McCoreResult::bpki);
+    visit("accuracy", &McCoreResult::accuracy);
+    visit("lateness", &McCoreResult::lateness);
+    visit("pollution", &McCoreResult::pollution);
+    visit("pref_sent", &McCoreResult::prefSent);
+    visit("pref_used", &McCoreResult::prefUsed);
+    visit("l2_misses", &McCoreResult::l2Misses);
+    visit("demand_accesses", &McCoreResult::demandAccesses);
+    visit("bus_accesses", &McCoreResult::busAccesses);
+    visit("pollution_inflicted", &McCoreResult::pollutionInflicted);
+    visit("cross_pollution_suffered",
+          &McCoreResult::crossPollutionSuffered);
+    visit("alone_ipc", &McCoreResult::aloneIpc);
+    visit("speedup", &McCoreResult::speedup);
+}
+
+/** The same for McRunResult's fields, all but `cores`, which
+ *  firstDifferingField() walks core by core through the list above. */
+template <class Visit>
+void
+forEachMcRunResultField(Visit &&visit)
+{
+    visit("mix", &McRunResult::mix);
+    visit("config", &McRunResult::config);
+    visit("num_cores", &McRunResult::numCores);
+    visit("cycles", &McRunResult::cycles);
+    visit("bus_accesses", &McRunResult::busAccesses);
+    visit("throughput", &McRunResult::throughput);
+    visit("weighted_speedup", &McRunResult::weightedSpeedup);
+    visit("harmonic_speedup", &McRunResult::harmonicSpeedup);
+    visit("fairness", &McRunResult::fairness);
+}
+
+/**
+ * The first field (in list order, run fields before `cores`) whose
+ * value differs between @p a and @p b bit for bit: a run field's name,
+ * "cores" when the core counts differ, or "cores[i].<field>"; "" when
+ * every field matches. The run field named @p skip is not compared.
+ */
+std::string firstDifferingField(const McRunResult &a, const McRunResult &b,
+                                std::string_view skip = {});
+
+/**
  * Run @p workloads (one per core, typically from buildMixWorkloads)
  * under @p config: every core warms up for base.warmupInsts, the
  * machine crosses measurementBoundary, and every core then runs

@@ -6,10 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <cstdint>
-#include <limits>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -179,32 +175,6 @@ TEST(RunResultFields, ListEveryMemberOfTheStruct)
     });
     EXPECT_EQ(bytes, sizeof(RunResult))
         << "a RunResult member is missing from forEachRunResultField";
-}
-
-/** Change @p v to the nearest value that differs from it. */
-void
-nudge(std::string &v)
-{
-    v += "'";
-}
-
-void
-nudge(std::uint64_t &v)
-{
-    ++v;
-}
-
-void
-nudge(double &v)
-{
-    v = std::nextafter(v, std::numeric_limits<double>::infinity());
-}
-
-template <std::size_t N>
-void
-nudge(std::array<double, N> &v)
-{
-    nudge(v.back());
 }
 
 TEST(RunResultFields, FirstDifferingFieldNamesEachField)

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the cross-run regression differ: metric classification,
- * the two tolerance regimes (exact deterministic, noise-tolerant
- * timing), blocking semantics, the verdict file, the loader's error
+ * Tests for the cross-run regression differ: every entry compared
+ * exactly, blocking semantics, the verdict file, the loader's error
  * paths, and the underlying JSON parser's defensiveness.
  */
 
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -48,30 +49,47 @@ entryNamed(const DiffReport &report, const std::string &name)
     return nullptr;
 }
 
-TEST(ClassifyMetric, TimingByUnitAndName)
+std::string
+render(const Table &table)
 {
-    EXPECT_EQ(classifyMetric("micro/CacheAccessHit/ns", "ns/op"),
-              MetricClass::Timing);
-    EXPECT_EQ(classifyMetric("macro/insts_per_s", "insts/s"),
-              MetricClass::Timing);
-    EXPECT_EQ(classifyMetric("macro/trace_replay/speedup_vs_live", "x"),
-              MetricClass::Timing);
-    EXPECT_EQ(classifyMetric("suite/wall_seconds", "count"),
-              MetricClass::Timing);
+    char buf[16384] = {};
+    std::FILE *f = fmemopen(buf, sizeof buf, "w");
+    table.print(f);
+    std::fclose(f);
+    return buf;
 }
 
-TEST(ClassifyMetric, SimulatedMetricsAreDeterministic)
+/** Write @p report's verdict file and parse it back. */
+JsonValue
+verdictOf(const DiffReport &report, const ResultsFile &base,
+          const ResultsFile &fresh, const std::string &name)
 {
-    EXPECT_EQ(classifyMetric("sim/swim/ipc", "insts/cycle"),
-              MetricClass::Deterministic);
-    EXPECT_EQ(classifyMetric("sim/swim/bus_accesses", "count"),
-              MetricClass::Deterministic);
-    EXPECT_EQ(classifyMetric("sim/swim/accuracy", "ratio"),
-              MetricClass::Deterministic);
-    // Simulated speedups (IPC ratios, unit "ratio") are deterministic;
-    // only the wall-clock "x" kind above is timing.
-    EXPECT_EQ(classifyMetric("mix2/fdp/c0/swim/speedup", "ratio"),
-              MetricClass::Deterministic);
+    const std::string path = testing::TempDir() + name;
+    writeVerdictFile(path, report, base, fresh);
+    std::ifstream is(path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    JsonValue parsed;
+    std::string error;
+    EXPECT_TRUE(parseJson(ss.str(), &parsed, &error)) << error;
+    return parsed;
+}
+
+/** A baseline and a fresh run with one entry of every status. */
+ResultsFile
+mixedBase()
+{
+    return file({{"sim/a/ipc", "insts/cycle", "higher", 1.0},
+                 {"sim/b/l2_misses", "count", "lower", 2.0},
+                 {"sim/c/bpki", "count/kinst", "lower", 4.0}});
+}
+
+ResultsFile
+mixedFresh()
+{
+    return file({{"sim/d/ipc", "insts/cycle", "higher", 0.5},
+                 {"sim/b/l2_misses", "count", "lower", 3.0},
+                 {"sim/a/ipc", "insts/cycle", "higher", 1.0}});
 }
 
 TEST(DiffResults, IdenticalFilesAllOk)
@@ -79,7 +97,7 @@ TEST(DiffResults, IdenticalFilesAllOk)
     const ResultsFile base = file({{"sim/a/ipc", "insts/cycle", "higher",
                                     1.5},
                                    {"t/ns", "ns/op", "lower", 100.0}});
-    const DiffReport r = diffResults(base, base, {});
+    const DiffReport r = diffResults(base, base);
     EXPECT_EQ(r.ok, 2u);
     EXPECT_FALSE(r.blocking());
 }
@@ -91,11 +109,23 @@ TEST(DiffResults, DeterministicDriftBlocksInEitherDirection)
     // "Improvement" in a deterministic counter is still drift.
     const ResultsFile fresh =
         file({{"sim/a/bus_accesses", "count", "lower", 2813.0}});
-    const DiffReport r = diffResults(base, fresh, {});
+    const DiffReport r = diffResults(base, fresh);
     ASSERT_EQ(r.regressed, 1u);
     EXPECT_TRUE(r.blocking());
     EXPECT_EQ(entryNamed(r, "sim/a/bus_accesses")->status,
               DiffStatus::Regressed);
+}
+
+TEST(DiffResults, EveryEntryIsExactWhateverItsUnit)
+{
+    // A results file holds only simulated metrics, so no unit earns a
+    // tolerance: an ns/op entry that moves blocks like a counter.
+    const ResultsFile base = file({{"t/ns", "ns/op", "lower", 100.0}});
+    const ResultsFile fresh = file({{"t/ns", "ns/op", "lower", 150.0}});
+    const DiffReport r = diffResults(base, fresh);
+    EXPECT_EQ(r.regressed, 1u);
+    EXPECT_TRUE(r.blocking());
+    EXPECT_EQ(entryNamed(r, "t/ns")->status, DiffStatus::Regressed);
 }
 
 TEST(DiffResults, InjectedCounterRegressionProducesFailingVerdict)
@@ -105,16 +135,16 @@ TEST(DiffResults, InjectedCounterRegressionProducesFailingVerdict)
     // and a "fail" verdict file.
     const ResultsFile base =
         file({{"sim/swim/l2_misses", "count", "lower", 42.0},
-              {"macro/insts_per_s", "insts/s", "higher", 1e6}});
+              {"sim/swim/ipc", "insts/cycle", "higher", 0.75}});
     const ResultsFile fresh =
         file({{"sim/swim/l2_misses", "count", "lower", 49.0},
-              {"macro/insts_per_s", "insts/s", "higher", 1.4e6}});
-    const DiffReport r = diffResults(base, fresh, {});
+              {"sim/swim/ipc", "insts/cycle", "higher", 0.75}});
+    const DiffReport r = diffResults(base, fresh);
     EXPECT_TRUE(r.blocking());
     EXPECT_EQ(r.regressed, 1u);
 
     const std::string path = testing::TempDir() + "verdict_inj.json";
-    writeVerdictFile(path, r, base, fresh, {});
+    writeVerdictFile(path, r, base, fresh);
     std::ifstream is(path);
     std::stringstream ss;
     ss << is.rdbuf();
@@ -129,63 +159,13 @@ TEST(DiffResults, InjectedCounterRegressionProducesFailingVerdict)
     EXPECT_EQ(parsed.find("schema")->asString(), "fdp-diff-v1");
 }
 
-TEST(DiffResults, TimingNoiseDoesNotBlockByDefault)
-{
-    const ResultsFile base = file({{"t/ns", "ns/op", "lower", 100.0}});
-    const ResultsFile fresh = file({{"t/ns", "ns/op", "lower", 250.0}});
-    const DiffReport r = diffResults(base, fresh, {});
-    EXPECT_EQ(r.noise, 1u);
-    EXPECT_FALSE(r.blocking());
-}
-
-TEST(DiffResults, TimingWithinToleranceIsOk)
-{
-    const ResultsFile base = file({{"t/ns", "ns/op", "lower", 100.0}});
-    const ResultsFile fresh = file({{"t/ns", "ns/op", "lower", 150.0}});
-    EXPECT_EQ(diffResults(base, fresh, {}).ok, 1u);
-}
-
-TEST(DiffResults, TimingImprovementBeyondToleranceIsImproved)
-{
-    const ResultsFile base =
-        file({{"m/insts_per_s", "insts/s", "higher", 1e6}});
-    const ResultsFile fresh =
-        file({{"m/insts_per_s", "insts/s", "higher", 2e6}});
-    const DiffReport r = diffResults(base, fresh, {});
-    EXPECT_EQ(r.improved, 1u);
-    EXPECT_FALSE(r.blocking());
-}
-
-TEST(DiffResults, StrictTimingTurnsNoiseIntoRegression)
-{
-    const ResultsFile base = file({{"t/ns", "ns/op", "lower", 100.0}});
-    const ResultsFile fresh = file({{"t/ns", "ns/op", "lower", 250.0}});
-    DiffOptions strict;
-    strict.strictTiming = true;
-    const DiffReport r = diffResults(base, fresh, strict);
-    EXPECT_EQ(r.regressed, 1u);
-    EXPECT_TRUE(r.blocking());
-}
-
-TEST(DiffResults, DetToleranceAllowsBoundedDrift)
-{
-    const ResultsFile base =
-        file({{"sim/a/ipc", "insts/cycle", "higher", 1.0}});
-    const ResultsFile fresh =
-        file({{"sim/a/ipc", "insts/cycle", "higher", 1.005}});
-    DiffOptions loose;
-    loose.detTol = 0.01;
-    EXPECT_FALSE(diffResults(base, fresh, loose).blocking());
-    EXPECT_TRUE(diffResults(base, fresh, {}).blocking());
-}
-
 TEST(DiffResults, MissingEntryBlocksAddedDoesNot)
 {
     const ResultsFile base =
         file({{"sim/a/ipc", "insts/cycle", "higher", 1.0}});
     const ResultsFile fresh =
         file({{"sim/b/ipc", "insts/cycle", "higher", 1.0}});
-    const DiffReport r = diffResults(base, fresh, {});
+    const DiffReport r = diffResults(base, fresh);
     EXPECT_EQ(r.missing, 1u);
     EXPECT_EQ(r.added, 1u);
     EXPECT_TRUE(r.blocking());
@@ -196,7 +176,7 @@ TEST(DiffResults, MissingEntryBlocksAddedDoesNot)
                                     1.0},
                                    {"sim/b/ipc", "insts/cycle", "higher",
                                     1.0}});
-    EXPECT_FALSE(diffResults(base, both, {}).blocking());
+    EXPECT_FALSE(diffResults(base, both).blocking());
 }
 
 TEST(DiffResults, ZeroBaselineDriftIsStillCaught)
@@ -205,8 +185,135 @@ TEST(DiffResults, ZeroBaselineDriftIsStillCaught)
         file({{"sim/a/pollution", "ratio", "lower", 0.0}});
     const ResultsFile fresh =
         file({{"sim/a/pollution", "ratio", "lower", 0.25}});
-    const DiffReport r = diffResults(base, fresh, {});
+    const DiffReport r = diffResults(base, fresh);
     EXPECT_TRUE(r.blocking());
+}
+
+TEST(DiffResults, RelDeltaIsRelativeToTheBaselineMagnitude)
+{
+    const ResultsFile base = file({{"a", "ratio", "higher", -2.0},
+                                   {"b", "ratio", "higher", 4.0},
+                                   {"z", "ratio", "lower", 0.0},
+                                   {"y", "ratio", "lower", 0.0}});
+    const ResultsFile fresh = file({{"a", "ratio", "higher", -1.0},
+                                    {"b", "ratio", "higher", 3.0},
+                                    {"z", "ratio", "lower", 0.25},
+                                    {"y", "ratio", "lower", -0.25}});
+    const DiffReport r = diffResults(base, fresh);
+    EXPECT_EQ(entryNamed(r, "a")->relDelta, 0.5);
+    EXPECT_EQ(entryNamed(r, "b")->relDelta, -0.25);
+    EXPECT_EQ(entryNamed(r, "z")->relDelta,
+              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(entryNamed(r, "y")->relDelta,
+              -std::numeric_limits<double>::infinity());
+}
+
+TEST(DiffResults, StatusNamesAreTheVerdictVocabulary)
+{
+    EXPECT_STREQ(diffStatusName(DiffStatus::Ok), "ok");
+    EXPECT_STREQ(diffStatusName(DiffStatus::Regressed), "regressed");
+    EXPECT_STREQ(diffStatusName(DiffStatus::Missing), "missing");
+    EXPECT_STREQ(diffStatusName(DiffStatus::Added), "added");
+}
+
+TEST(DiffResults, TableLeadsWithBlockingRowsAndHasNoClassColumn)
+{
+    const DiffReport r = diffResults(mixedBase(), mixedFresh());
+    ASSERT_EQ(r.entries.size(), 4u);
+
+    const Table changed = buildDiffTable(r);
+    EXPECT_EQ(changed.numRows(), 3u);
+    EXPECT_EQ(buildDiffTable(r, true).numRows(), 4u);
+
+    const std::string out = render(changed);
+    EXPECT_NE(out.find("results diff: 1 regressed, 1 missing, 1 added, "
+                       "1 ok"),
+              std::string::npos);
+    EXPECT_NE(out.find("baseline"), std::string::npos) << out;
+    EXPECT_NE(out.find("delta"), std::string::npos) << out;
+    EXPECT_EQ(out.find("class"), std::string::npos) << out;
+    EXPECT_EQ(out.find("sim/a/ipc"), std::string::npos) << out;
+    // Regressed, then missing, then added, whatever the file order.
+    const std::size_t regressed = out.find("sim/b/l2_misses");
+    const std::size_t missing = out.find("sim/c/bpki");
+    const std::size_t added = out.find("sim/d/ipc");
+    ASSERT_NE(added, std::string::npos);
+    EXPECT_LT(regressed, missing);
+    EXPECT_LT(missing, added);
+    EXPECT_NE(out.find("+50.00%"), std::string::npos) << out;
+}
+
+TEST(DiffResults, VerdictListsEveryChangedEntryAndNoTolerances)
+{
+    const ResultsFile base = mixedBase();
+    const ResultsFile fresh = mixedFresh();
+    const JsonValue v = verdictOf(diffResults(base, fresh), base, fresh,
+                                  "verdict_mixed.json");
+    EXPECT_EQ(v.find("verdict")->asString(), "fail");
+    EXPECT_EQ(v.find("options"), nullptr);
+    const JsonValue *counts = v.find("counts");
+    ASSERT_NE(counts, nullptr);
+    EXPECT_EQ(counts->find("ok")->asNumber(-1), 1.0);
+    EXPECT_EQ(counts->find("regressed")->asNumber(-1), 1.0);
+    EXPECT_EQ(counts->find("missing")->asNumber(-1), 1.0);
+    EXPECT_EQ(counts->find("added")->asNumber(-1), 1.0);
+
+    const JsonValue *entries = v.find("entries");
+    ASSERT_NE(entries, nullptr);
+    ASSERT_EQ(entries->items.size(), 3u);
+    for (const JsonValue &e : entries->items)
+        EXPECT_EQ(e.find("class"), nullptr) << e.find("name")->asString();
+
+    const JsonValue &regressed = entries->items[0];
+    EXPECT_EQ(regressed.find("name")->asString(), "sim/b/l2_misses");
+    EXPECT_EQ(regressed.find("status")->asString(), "regressed");
+    EXPECT_EQ(regressed.find("base")->asNumber(), 2.0);
+    EXPECT_EQ(regressed.find("fresh")->asNumber(), 3.0);
+    EXPECT_EQ(regressed.find("rel_delta")->asNumber(), 0.5);
+
+    const JsonValue &missing = entries->items[1];
+    EXPECT_EQ(missing.find("status")->asString(), "missing");
+    EXPECT_EQ(missing.find("fresh"), nullptr);
+    EXPECT_EQ(missing.find("rel_delta"), nullptr);
+
+    const JsonValue &added = entries->items[2];
+    EXPECT_EQ(added.find("status")->asString(), "added");
+    EXPECT_EQ(added.find("base"), nullptr);
+    EXPECT_EQ(added.find("fresh")->asNumber(), 0.5);
+}
+
+TEST(DiffResults, AdditionsAloneGiveAPassingVerdict)
+{
+    const ResultsFile base =
+        file({{"sim/a/ipc", "insts/cycle", "higher", 1.0}});
+    const ResultsFile fresh =
+        file({{"sim/a/ipc", "insts/cycle", "higher", 1.0},
+              {"sim/a/bpki", "count/kinst", "lower", 7.0}});
+    const JsonValue v = verdictOf(diffResults(base, fresh), base, fresh,
+                                  "verdict_added.json");
+    EXPECT_EQ(v.find("verdict")->asString(), "pass");
+    const JsonValue *entries = v.find("entries");
+    ASSERT_NE(entries, nullptr);
+    ASSERT_EQ(entries->items.size(), 1u);
+    EXPECT_EQ(entries->items[0].find("name")->asString(), "sim/a/bpki");
+}
+
+TEST(DiffResults, InfiniteDeltaStaysOutOfTheVerdictJson)
+{
+    // A zero baseline that moves has an infinite relative delta, which
+    // JSON cannot hold: the verdict omits it, the table spells it out.
+    const ResultsFile base =
+        file({{"sim/a/pollution", "ratio", "lower", 0.0}});
+    const ResultsFile fresh =
+        file({{"sim/a/pollution", "ratio", "lower", 0.25}});
+    const DiffReport r = diffResults(base, fresh);
+    const JsonValue v = verdictOf(r, base, fresh, "verdict_inf.json");
+    const JsonValue *entries = v.find("entries");
+    ASSERT_NE(entries, nullptr);
+    ASSERT_EQ(entries->items.size(), 1u);
+    EXPECT_EQ(entries->items[0].find("fresh")->asNumber(), 0.25);
+    EXPECT_EQ(entries->items[0].find("rel_delta"), nullptr);
+    EXPECT_NE(render(buildDiffTable(r)).find("+inf"), std::string::npos);
 }
 
 TEST(LoadResultsFile, RoundTripsAWellFormedDocument)

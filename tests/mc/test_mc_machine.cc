@@ -14,6 +14,7 @@
 #include "harness/experiment.hh"
 #include "mc/mc_machine.hh"
 #include "mc/workload_mix.hh"
+#include "support/same_results.hh"
 
 namespace fdp
 {
@@ -200,17 +201,7 @@ TEST(McMachine, CoRunsAreDeterministic)
     const McRunConfig cfg =
         mcConfig(RunConfig::fullFdp(), 2, 30'000);
     const MixSpec spec = benchMix("det", {"swim", "mgrid"});
-    const McRunResult a = runMix(spec, cfg, "fdp");
-    const McRunResult b = runMix(spec, cfg, "fdp");
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.busAccesses, b.busAccesses);
-    for (std::size_t i = 0; i < a.cores.size(); ++i) {
-        EXPECT_EQ(a.cores[i].cycles, b.cores[i].cycles);
-        EXPECT_DOUBLE_EQ(a.cores[i].ipc, b.cores[i].ipc);
-        EXPECT_EQ(a.cores[i].busAccesses, b.cores[i].busAccesses);
-        EXPECT_EQ(a.cores[i].l2Misses, b.cores[i].l2Misses);
-    }
+    expectBitIdentical(runMix(spec, cfg, "fdp"), runMix(spec, cfg, "fdp"));
 }
 
 TEST(McMachine, SharingTheHierarchySlowsCoresDown)
@@ -287,16 +278,7 @@ TEST(McMachine, HeterogeneousRunsAreDeterministic)
     cfg.base.fdp.intervalEvictions = 1024;
     cfg.corePrefetchers = {"manager", "dspatch"};
     const MixSpec spec = benchMix("hdet", {"swim", "mgrid"});
-    const McRunResult a = runMix(spec, cfg, "fdp");
-    const McRunResult b = runMix(spec, cfg, "fdp");
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.busAccesses, b.busAccesses);
-    for (std::size_t i = 0; i < a.cores.size(); ++i) {
-        EXPECT_EQ(a.cores[i].cycles, b.cores[i].cycles);
-        EXPECT_EQ(a.cores[i].prefetcher, b.cores[i].prefetcher);
-        EXPECT_EQ(a.cores[i].busAccesses, b.cores[i].busAccesses);
-    }
+    expectBitIdentical(runMix(spec, cfg, "fdp"), runMix(spec, cfg, "fdp"));
 }
 
 TEST(McMachine, MixSpecCorePrefetchersFlowThroughRunMix)
@@ -317,6 +299,52 @@ TEST(McMachine, WrongSizedPrefetcherListIsFatal)
     EXPECT_EXIT(runMix(benchMix("bad", {"swim", "art"}), cfg, "fdp"),
                 testing::ExitedWithCode(1),
                 "per-core prefetcher selections");
+}
+
+TEST(McResultFields, ListEveryMemberOfTheStructs)
+{
+    // Every member is 8-byte aligned once numCores is padded to 8, so
+    // the listed members (plus cores) fill each struct exactly unless
+    // one is missing from its list.
+    auto padded = [](std::size_t bytes) { return (bytes + 7) / 8 * 8; };
+    std::size_t run = sizeof(McRunResult{}.cores);
+    forEachMcRunResultField([&](const char *, auto member) {
+        run += padded(sizeof(McRunResult{}.*member));
+    });
+    EXPECT_EQ(run, sizeof(McRunResult))
+        << "an McRunResult member is missing from forEachMcRunResultField";
+    std::size_t core = 0;
+    forEachMcCoreResultField([&](const char *, auto member) {
+        core += sizeof(McCoreResult{}.*member);
+    });
+    EXPECT_EQ(core, sizeof(McCoreResult))
+        << "an McCoreResult member is missing from forEachMcCoreResultField";
+}
+
+TEST(McResultFields, FirstDifferingFieldNamesEachField)
+{
+    McRunResult a;
+    a.cores.resize(2);
+    EXPECT_EQ(firstDifferingField(a, a), "");
+    forEachMcRunResultField([&](const char *name, auto member) {
+        McRunResult b = a;
+        nudge(b.*member);
+        EXPECT_EQ(firstDifferingField(a, b), name);
+        EXPECT_EQ(firstDifferingField(a, b, name), "");
+    });
+    forEachMcCoreResultField([&](const char *name, auto member) {
+        McRunResult b = a;
+        nudge(b.cores[1].*member);
+        EXPECT_EQ(firstDifferingField(a, b), std::string("cores[1].") + name);
+    });
+
+    McRunResult oneCore = a;
+    oneCore.cores.pop_back();
+    EXPECT_EQ(firstDifferingField(a, oneCore), "cores");
+    // Doubles compare bit for bit: -0.0 == 0.0 by value, not by bits.
+    McRunResult negativeZero = a;
+    negativeZero.cores[0].accuracy = -0.0;
+    EXPECT_EQ(firstDifferingField(a, negativeZero), "cores[0].accuracy");
 }
 
 } // namespace

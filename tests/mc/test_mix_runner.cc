@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "mc/mix_runner.hh"
+#include "support/same_results.hh"
 
 namespace fdp
 {
@@ -47,36 +48,13 @@ twoConfigs(unsigned cores, std::uint64_t insts)
             labeled("fdp", RunConfig::fullFdp(), cores, insts)};
 }
 
-void
-expectIdenticalResults(const std::vector<McRunResult> &a,
-                       const std::vector<McRunResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t c = 0; c < a.size(); ++c) {
-        EXPECT_EQ(a[c].cycles, b[c].cycles);
-        EXPECT_EQ(a[c].busAccesses, b[c].busAccesses);
-        EXPECT_DOUBLE_EQ(a[c].weightedSpeedup, b[c].weightedSpeedup);
-        EXPECT_DOUBLE_EQ(a[c].harmonicSpeedup, b[c].harmonicSpeedup);
-        EXPECT_DOUBLE_EQ(a[c].fairness, b[c].fairness);
-        ASSERT_EQ(a[c].cores.size(), b[c].cores.size());
-        for (std::size_t i = 0; i < a[c].cores.size(); ++i) {
-            EXPECT_EQ(a[c].cores[i].cycles, b[c].cores[i].cycles);
-            EXPECT_DOUBLE_EQ(a[c].cores[i].ipc, b[c].cores[i].ipc);
-            EXPECT_DOUBLE_EQ(a[c].cores[i].aloneIpc,
-                             b[c].cores[i].aloneIpc);
-            EXPECT_DOUBLE_EQ(a[c].cores[i].speedup,
-                             b[c].cores[i].speedup);
-        }
-    }
-}
-
 TEST(MixRunner, JobCountNeverChangesTheResults)
 {
     const MixSpec spec = benchMix("det", {"swim", "art"});
     const auto configs = twoConfigs(2, 25'000);
     const auto seq = runMixSweep(spec, configs, 1);
     const auto par = runMixSweep(spec, configs, 4);
-    expectIdenticalResults(seq, par);
+    expectBitIdentical(seq, par);
 }
 
 TEST(MixRunner, SpeedupsComeOutFinalized)

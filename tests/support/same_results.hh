@@ -2,18 +2,26 @@
  * @file
  * Whole-result equality for the equivalence tests: every RunResult
  * field, bit for bit, through the one field list in
- * harness/experiment.hh, so no test compares a hand-picked subset.
+ * harness/experiment.hh, and every McRunResult field, per core too,
+ * through the lists in mc/mc_machine.hh, so no test compares a
+ * hand-picked subset.
  */
 
 #ifndef FDP_TESTS_SUPPORT_SAME_RESULTS_HH
 #define FDP_TESTS_SUPPORT_SAME_RESULTS_HH
 
+#include <array>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "mc/mc_machine.hh"
 
 namespace fdp
 {
@@ -28,8 +36,18 @@ expectBitIdentical(const RunResult &a, const RunResult &b,
         << a.benchmark << " / " << a.config;
 }
 
-/** The same, element by element: a suite, or a sweep's config-major
- *  grid of them. */
+/** The same for two co-runs; a failure names the first field that
+ *  differs, per-core ones as "cores[i].<field>". */
+inline void
+expectBitIdentical(const McRunResult &a, const McRunResult &b,
+                   std::string_view skip = {})
+{
+    EXPECT_EQ(firstDifferingField(a, b, skip), "")
+        << a.mix << " / " << a.config;
+}
+
+/** The same, element by element: a suite, a sweep's config-major grid
+ *  of them, or a mix sweep's co-runs. */
 template <class T>
 void
 expectBitIdentical(const std::vector<T> &a, const std::vector<T> &b,
@@ -39,6 +57,37 @@ expectBitIdentical(const std::vector<T> &a, const std::vector<T> &b,
     for (std::size_t i = 0; i < a.size(); ++i)
         expectBitIdentical(a[i], b[i], skip);
 }
+
+/// @name nudge(v): change @p v to the nearest value that differs from
+/// it, so a test can check that a comparator notices every field.
+/// @{
+inline void
+nudge(std::string &v)
+{
+    v += "'";
+}
+
+template <class T>
+    requires std::is_integral_v<T>
+void
+nudge(T &v)
+{
+    ++v;
+}
+
+inline void
+nudge(double &v)
+{
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+}
+
+template <std::size_t N>
+void
+nudge(std::array<double, N> &v)
+{
+    nudge(v.back());
+}
+/// @}
 
 } // namespace fdp
 

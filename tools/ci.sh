@@ -14,22 +14,18 @@
 #           sink) plus one quick multi-threaded paper sweep
 #   static  tools/run_static_analysis.sh (repo lint always;
 #           clang-tidy/cppcheck when installed)
-#   bench-smoke
-#           tools/bench.sh --quick smoke: builds the benchmark suite,
-#           runs one fast repetition, and validates the fdp-results-v1
-#           JSON it emits (schema only).
 #   bench-diff
-#           trajectory gate: diffs the fresh quick-bench output against
-#           the committed BENCH_quick_baseline.json with fdp_results.
-#           Deterministic simulation counters must match EXACTLY — any
-#           drift is a semantics change that needs a baseline regen (and
-#           a result_store.hh kSimCoreVersion bump) to land. Timing
-#           metrics get wide tolerances and never block (CI machines are
-#           too noisy for perf gating). Also smokes the sweep result
-#           store: a warm --resume of a paper sweep must skip every
-#           cached cell and print bit-identical stdout, and a resume
-#           over one tampered entry must rerun exactly that cell.
-#   bench   both bench stages.
+#           trajectory gate: builds a Release tree, runs golden_metrics
+#           and diffs its document against the committed
+#           BENCH_quick_baseline.json with fdp_results. Every entry is a
+#           simulated metric and must match EXACTLY — any drift is a
+#           semantics change that needs a baseline regen (and a
+#           result_store.hh kSimCoreVersion bump) to land. Then runs one
+#           fast pass of the micro_structures cases, which must all run
+#           and include the ones the design notes quote. Also smokes the
+#           sweep result store: a warm --resume of a paper sweep must
+#           skip every cached cell and print bit-identical stdout, and a
+#           resume over one tampered entry must rerun exactly that cell.
 #
 # Fails fast: any stage failing stops the pipeline with its exit status.
 # ccache is used automatically when installed.
@@ -45,8 +41,8 @@ if command -v ccache >/dev/null 2>&1; then
 fi
 
 usage() {
-    echo "usage: tools/ci.sh [--stage tier1|asan|tsan|static|" >&2
-    echo "                    bench-smoke|bench-diff|bench|all]" >&2
+    echo "usage: tools/ci.sh" \
+        "[--stage tier1|asan|tsan|static|bench-diff|all]" >&2
     exit 2
 }
 
@@ -116,6 +112,20 @@ stage_tier1() {
     diff "$cdir/jobs1.out" "$cdir/jobs4.out"
     diff "$cdir/jobs1.json" "$cdir/jobs4.json"
     grep -q '"schema": "fdp-results-v1"' "$cdir/jobs1.json"
+    # fdp_results takes operands besides its flags, but an unknown "--"
+    # argument is still a rejected flag, never a store path to create.
+    (cd "$cdir" &&
+        expect_cli_error "unknown flag \`--dryrun'" "$cdir/gc" \
+            "$ROOT/build-ci/bench/fdp_results" gc --dryrun &&
+        expect_cli_error "unknown flag \`--help'" "$cdir/ls" \
+            "$ROOT/build-ci/bench/fdp_results" ls --help)
+    expect_cli_error "unknown flag \`--strict-timing'" "$cdir/diff" \
+        "$ROOT/build-ci/bench/fdp_results" diff \
+        "$ROOT/BENCH_quick_baseline.json" "$cdir/jobs1.json" --strict-timing
+    if [ -e "$cdir/--dryrun" ] || [ -e "$cdir/--help" ]; then
+        echo "cli smoke: fdp_results made a directory named after a flag" >&2
+        exit 1
+    fi
     echo "cli smoke: bad flags rejected cleanly; fig01 bit-identical" \
         "across --jobs 1/4 with its --out file written"
 
@@ -303,63 +313,52 @@ stage_static() {
         "$ROOT/tools/run_static_analysis.sh"
 }
 
-stage_bench_smoke() {
-    echo "==== stage bench-smoke: benchmark smoke (schema only) ===="
-    local out="$ROOT/build-bench-ci/bench-smoke.json"
-    "$ROOT/tools/bench.sh" --quick --build-dir "$ROOT/build-bench-ci" \
-        --out "$out"
-    python3 - "$out" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-if doc.get("schema") != "fdp-results-v1":
-    sys.exit(f"bad schema: {doc.get('schema')!r}")
-entries = doc["entries"]
-names = {e["name"] for e in entries}
-for e in entries:
-    if e["better"] not in ("higher", "lower"):
-        sys.exit(f"entry {e['name']}: bad better {e['better']!r}")
-    float(e["value"])
-for required in ("micro/CacheAccessHit/ns", "macro/insts_per_s",
-                 "macro/trace_replay/insts_per_s",
-                 "macro/mc2/insts_per_s",
-                 "micro/GhbPrefetcherObserve/ns",
-                 "micro/StreamFsmTransition/ns",
-                 "micro/WorkloadNext/ns",
-                 "micro/StatScalarIncrement/ns",
-                 "micro/StatBatchedIncrement/ns",
-                 "micro/VldpObserve/ns",
-                 "micro/DspatchObserve/ns",
-                 "micro/ManagerIntervalTick/ns",
-                 "micro/DramSchedulePick/ns",
-                 "micro/DramBankTick/ns",
-                 "macro/sweep_warmfork/speedup"):
-    if required not in names:
-        sys.exit(f"missing required entry {required}")
-print(f"bench smoke: {len(entries)} entries, schema valid")
-PYEOF
-}
-
 stage_bench_diff() {
     echo "==== stage bench-diff: trajectory gate vs committed baseline ===="
     local bdir="$ROOT/build-bench-ci"
-    local fresh="$bdir/bench-fresh.json"
     # The binary revision feeds every sweep-store key, so cells cached
     # by an earlier commit (e.g. out of an actions/cache restore) can
     # never satisfy a lookup from this one.
     FDP_BINARY_REV="$(git -C "$ROOT" rev-parse --short HEAD \
         2>/dev/null || echo local)"
     export FDP_BINARY_REV
-    "$ROOT/tools/bench.sh" --quick --build-dir "$bdir" --out "$fresh"
-    cmake --build "$bdir" -j "$JOBS" \
-        --target fdp_results_cli fig09_overall
-    # Exact for deterministic counters, wide non-blocking tolerance for
-    # timing. The verdict JSON is archived by the workflow on failure.
+    cmake -B "$bdir" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
+        "${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}"
+    cmake --build "$bdir" -j "$JOBS" --target golden_metrics \
+        micro_structures fdp_results_cli fig09_overall
+    "$bdir/bench/golden_metrics" --insts 200000 \
+        --trace-file "$bdir/golden_metrics.fdptrace" \
+        > "$bdir/golden-fresh.json"
+    # Exact on every entry. The verdict JSON is archived by the workflow
+    # on failure.
     "$bdir/bench/fdp_results" diff \
-        "$ROOT/BENCH_quick_baseline.json" "$fresh" \
+        "$ROOT/BENCH_quick_baseline.json" "$bdir/golden-fresh.json" \
         --verdict "$bdir/bench-diff-verdict.json"
+
+    echo "==== stage bench-diff: micro-benchmark smoke ===="
+    # One fast pass: every case must run, and the ones DESIGN.md quotes
+    # must exist. Their timings gate nothing; perfbench/ measures speed.
+    # The older google-benchmark in the image wants a plain double for
+    # --benchmark_min_time (no "s" suffix).
+    "$bdir/bench/micro_structures" --benchmark_min_time=0.01 \
+        --benchmark_format=json > "$bdir/micro.json"
+    python3 - "$bdir/micro.json" <<'PYEOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    names = {b["name"].removeprefix("BM_")
+             for b in json.load(f)["benchmarks"]}
+required = ("CacheAccessHit", "GhbPrefetcherObserve", "StreamFsmTransition",
+            "WorkloadNext", "StatScalarIncrement", "StatBatchedIncrement",
+            "VldpObserve", "DspatchObserve", "ManagerIntervalTick",
+            "DramSchedulePick", "DramBankTick")
+missing = [name for name in required if name not in names]
+if missing:
+    sys.exit(f"micro smoke: missing required cases {missing}")
+print(f"micro smoke: {len(names)} cases ran, all {len(required)} "
+      "required present")
+PYEOF
 
     echo "==== stage bench-diff: sweep-store resume smoke ===="
     # Cold paper sweep populating a fresh store, then a warm resume at
@@ -410,18 +409,12 @@ case "$STAGE" in
   asan)   stage_asan ;;
   tsan)   stage_tsan ;;
   static) stage_static ;;
-  bench-smoke) stage_bench_smoke ;;
-  bench-diff)  stage_bench_diff ;;
-  bench)
-    stage_bench_smoke
-    stage_bench_diff
-    ;;
+  bench-diff) stage_bench_diff ;;
   all)
     stage_tier1
     stage_asan
     stage_tsan
     stage_static
-    stage_bench_smoke
     stage_bench_diff
     ;;
   *) usage ;;

@@ -3,17 +3,16 @@
  * fdp_results - operate on fdp-results-v1 files and fdp-store-v1
  * sweep result stores.
  *
- *   fdp_results diff BASE.json FRESH.json [--timing-tol X] [--det-tol X]
- *                    [--strict-timing] [--verdict PATH] [--all]
+ *   fdp_results diff BASE.json FRESH.json [--verdict PATH] [--all]
  *   fdp_results ls DIR
  *   fdp_results gc DIR [--keep-rev REV] [--dry-run]
  *   fdp_results merge DST_DIR SRC_DIR...
  *
- * diff compares two results files metric by metric: deterministic
- * counters must match exactly (any drift is a simulation-behavior
- * change and fails the diff), timing metrics get a wide relative
- * tolerance and report as noise. Exit status: 0 pass, 1 blocking
- * regressions/missing entries (or any usage/I/O error via fatal).
+ * diff compares two results files metric by metric: every entry is a
+ * simulated metric and must match exactly (any drift is a
+ * simulation-behavior change and fails the diff). Exit status: 0 pass,
+ * 1 blocking regressions/missing entries (or any usage/I/O error via
+ * fatal, an unknown flag included).
  *
  * ls/gc/merge manage result stores: listing entries, collecting
  * corrupt or superseded-revision entries, and merging stores produced
@@ -24,10 +23,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/result_store.hh"
 #include "harness/results_diff.hh"
 #include "sim/logging.hh"
@@ -44,10 +43,8 @@ usage()
     std::fprintf(
         stderr,
         "usage: fdp_results <command> ...\n"
-        "  diff BASE FRESH [--timing-tol X] [--det-tol X]\n"
-        "                  [--strict-timing] [--verdict PATH] [--all]\n"
-        "                  compare two fdp-results-v1 files; exact for\n"
-        "                  deterministic counters, tolerant for timing.\n"
+        "  diff BASE FRESH [--verdict PATH] [--all]\n"
+        "                  compare two fdp-results-v1 files exactly;\n"
         "                  exit 1 when the diff blocks. --verdict also\n"
         "                  writes a machine-readable fdp-diff-v1 file;\n"
         "                  --all prints unchanged entries too\n"
@@ -62,63 +59,64 @@ usage()
     std::exit(1);
 }
 
-double
-parseTol(const char *flag, const char *text)
+/**
+ * Apply argv[2..) to the subcommand's @p flags (whose help is
+ * usage()'s) and return its other arguments, in order. An argument
+ * starting with "--" that no flag names, or a flag missing its value,
+ * is a fatal() naming it, raised before the subcommand reads or
+ * creates any file.
+ */
+std::vector<std::string>
+parseArgs(int argc, char **argv, const std::vector<Flag> &flags)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || v < 0.0)
-        fatal("%s: '%s' is not a non-negative number", flag, text);
-    return v;
+    std::vector<std::string> operands;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            operands.push_back(arg);
+            continue;
+        }
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const Flag &f) { return f.name == arg; });
+        if (flag == flags.end())
+            fatal("%s: unknown flag `%s'", argv[1], arg.c_str());
+        if (flag->metavar.empty())
+            flag->set(nullptr);
+        else if (i + 1 < argc)
+            flag->set(argv[++i]);
+        else
+            fatal("%s: %s requires a value (%s)", argv[1], arg.c_str(),
+                  flag->metavar.c_str());
+    }
+    return operands;
 }
 
 int
 cmdDiff(int argc, char **argv)
 {
-    std::string basePath;
-    std::string freshPath;
     std::string verdictPath;
-    DiffOptions options;
     bool everything = false;
-    for (int i = 2; i < argc; ++i) {
-        const char *a = argv[i];
-        auto need = [&](int &j) -> const char * {
-            if (j + 1 >= argc)
-                usage();
-            return argv[++j];
-        };
-        if (!std::strcmp(a, "--timing-tol"))
-            options.timingTol = parseTol("--timing-tol", need(i));
-        else if (!std::strcmp(a, "--det-tol"))
-            options.detTol = parseTol("--det-tol", need(i));
-        else if (!std::strcmp(a, "--strict-timing"))
-            options.strictTiming = true;
-        else if (!std::strcmp(a, "--verdict"))
-            verdictPath = need(i);
-        else if (!std::strcmp(a, "--all"))
-            everything = true;
-        else if (basePath.empty())
-            basePath = a;
-        else if (freshPath.empty())
-            freshPath = a;
-        else
-            usage();
-    }
-    if (basePath.empty() || freshPath.empty())
+    const std::vector<std::string> paths = parseArgs(
+        argc, argv,
+        {{"--verdict", "PATH", "",
+          [&](const char *v) { verdictPath = v; }},
+         {"--all", "", "", [&](const char *) { everything = true; }}});
+    if (paths.size() != 2)
         usage();
 
     ResultsFile base;
     ResultsFile fresh;
     std::string error;
-    if (!loadResultsFile(basePath, &base, &error))
+    if (!loadResultsFile(paths[0], &base, &error))
         fatal("diff baseline: %s", error.c_str());
-    if (!loadResultsFile(freshPath, &fresh, &error))
+    if (!loadResultsFile(paths[1], &fresh, &error))
         fatal("diff fresh: %s", error.c_str());
 
-    const DiffReport report = diffResults(base, fresh, options);
+    const DiffReport report = diffResults(base, fresh);
     buildDiffTable(report, everything).print();
     if (!verdictPath.empty())
-        writeVerdictFile(verdictPath, report, base, fresh, options);
+        writeVerdictFile(verdictPath, report, base, fresh);
 
     if (report.blocking()) {
         std::fprintf(stderr,
@@ -134,9 +132,10 @@ cmdDiff(int argc, char **argv)
 int
 cmdLs(int argc, char **argv)
 {
-    if (argc != 3)
+    const std::vector<std::string> dirs = parseArgs(argc, argv, {});
+    if (dirs.size() != 1)
         usage();
-    const ResultStore store(argv[2]);
+    const ResultStore store(dirs[0]);
     Table table("result store " + store.dir());
     table.setHeader(
         {"entry", "benchmark", "config", "rev", "simcore", "insts"});
@@ -163,29 +162,16 @@ cmdLs(int argc, char **argv)
 int
 cmdGc(int argc, char **argv)
 {
-    std::string dir;
     std::string keepRev;
     bool dryRun = false;
-    for (int i = 2; i < argc; ++i) {
-        const char *a = argv[i];
-        auto need = [&](int &j) -> const char * {
-            if (j + 1 >= argc)
-                usage();
-            return argv[++j];
-        };
-        if (!std::strcmp(a, "--keep-rev"))
-            keepRev = need(i);
-        else if (!std::strcmp(a, "--dry-run"))
-            dryRun = true;
-        else if (dir.empty())
-            dir = a;
-        else
-            usage();
-    }
-    if (dir.empty())
+    const std::vector<std::string> dirs = parseArgs(
+        argc, argv,
+        {{"--keep-rev", "REV", "", [&](const char *v) { keepRev = v; }},
+         {"--dry-run", "", "", [&](const char *) { dryRun = true; }}});
+    if (dirs.size() != 1)
         usage();
 
-    const ResultStore store(dir);
+    const ResultStore store(dirs[0]);
     std::size_t kept = 0;
     std::size_t dropped = 0;
     for (const std::string &file : store.entryFiles()) {
@@ -214,14 +200,15 @@ cmdGc(int argc, char **argv)
 int
 cmdMerge(int argc, char **argv)
 {
-    if (argc < 4)
+    const std::vector<std::string> dirs = parseArgs(argc, argv, {});
+    if (dirs.size() < 2)
         usage();
-    const ResultStore dst(argv[2]);
+    const ResultStore dst(dirs[0]);
     std::size_t copied = 0;
     std::size_t skipped = 0;
     std::size_t corrupt = 0;
-    for (int i = 3; i < argc; ++i) {
-        const ResultStore src(argv[i]);
+    for (std::size_t i = 1; i < dirs.size(); ++i) {
+        const ResultStore src(dirs[i]);
         // Existing destination entries win: same key means same
         // simulated content, so copying again is pure I/O.
         std::vector<std::string> have = dst.entryFiles();
