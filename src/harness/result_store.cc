@@ -56,38 +56,6 @@ readFileBytes(const std::string &path, std::string *out)
     return true;
 }
 
-/** Write bytes to tmp + rename into place; false + errno msg on failure. */
-bool
-writeFileAtomic(const std::string &dir, const std::string &fileName,
-                const std::string &bytes, std::string *error)
-{
-    // The temp name embeds the final name, so two concurrent writers of
-    // the *same* key (legal only when their content is identical, by
-    // the determinism contract) race harmlessly.
-    const std::string tmp = dir + "/." + fileName + ".tmp";
-    const std::string final_path = dir + "/" + fileName;
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            *error = tmp + ": " + std::strerror(errno);
-            return false;
-        }
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-        os.flush();
-        if (!os) {
-            *error = tmp + ": " + std::strerror(errno);
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-        *error = final_path + ": rename: " + std::strerror(errno);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
 /** @{ One RunResult field as an entry prints it. */
 void
 writeField(std::ostream &os, const std::string &v)
@@ -419,7 +387,7 @@ void
 ResultStore::insert(const StoreKey &key, const RunResult &result) const
 {
     std::string error;
-    if (!writeFileAtomic(dir_, key.fileName(),
+    if (!writeFileAtomic(dir_ + "/" + key.fileName(),
                          storeEntryJson(key, result), &error))
         fatal("result store: cannot write entry: %s", error.c_str());
 }
@@ -469,7 +437,7 @@ ResultStore::copyEntryTo(const std::string &fileName,
         *error = "cannot re-read " + dir_ + "/" + fileName;
         return false;
     }
-    return writeFileAtomic(dst.dir(), fileName, bytes, error);
+    return writeFileAtomic(dst.dir() + "/" + fileName, bytes, error);
 }
 
 void

@@ -100,8 +100,8 @@ struct StoreKey
     std::string fileName() const { return hashHex(hash) + ".json"; }
 };
 
-/** Build a cell key with the workload trace hash precomputed (sweeps
- *  memoize it per (benchmark, numInsts) pair). */
+/** Build a cell key with the workload trace hash precomputed (a sweep
+ *  hashes each (benchmark, numInsts) stream once, on its workers). */
 StoreKey makeStoreKey(const std::string &benchmark, const RunConfig &config,
                       const std::string &configLabel,
                       std::uint64_t traceHash);

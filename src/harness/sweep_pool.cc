@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <tuple>
 
 #include "harness/reporting.hh"
 #include "harness/result_store.hh"
@@ -130,7 +134,9 @@ SweepPool::workerLoop()
 void
 runJobs(const std::vector<std::function<void()>> &jobs, unsigned threads)
 {
-    if (threads == 1) {
+    if (threads > jobs.size())
+        threads = static_cast<unsigned>(jobs.size());
+    if (threads <= 1) {
         for (const auto &job : jobs)
             job();
         return;
@@ -162,9 +168,8 @@ runSweep(const std::vector<std::string> &benchmarks,
     if (jobs == 0)
         jobs = defaultSweepJobs();
     const std::size_t cells = benchmarks.size() * configs.size();
-    // Clamp before branching so the throughput line reports the worker
-    // count that actually ran: never more than one per cell, and the
-    // cells <= 1 fallback below is single-threaded by construction.
+    // Clamp so the throughput line reports the worker count that
+    // actually ran the cells: never more than one per cell.
     if (static_cast<std::size_t>(jobs) > cells)
         jobs = cells == 0 ? 1 : static_cast<unsigned>(cells);
     // A bad benchmark name is a user error: report it from the main
@@ -177,11 +182,16 @@ runSweep(const std::vector<std::string> &benchmarks,
     for (auto &row : results)
         row.resize(benchmarks.size());
 
-    // Result-store attachment: resolve every cell's key up front (the
-    // workload trace hash is memoized per (benchmark, numInsts) pair),
-    // and serve resumable cells straight into their slots. All store
-    // lookups happen here on the main thread; workers only insert, and
-    // each insert touches its own entry file.
+    // The sweep runs as up to three runJobs phases on the same workers,
+    // each a barrier before the next: store-key trace hashes, warm
+    // captures, then the cells. Every job writes only its own pre-sized
+    // slot, so no result depends on which worker ran which job.
+
+    // Phase 1, with a result store: hash each distinct (benchmark,
+    // numInsts) workload stream on the pool. Then, on the main thread
+    // and in cell order, build every cell's key and serve resumable
+    // cells straight into their slots. The cell jobs of phase 3 only
+    // insert, each into its own entry file.
     const SweepStoreConfig storeCfg = sweepStore();
     std::unique_ptr<ResultStore> store;
     std::vector<StoreKey> keys;
@@ -189,23 +199,30 @@ runSweep(const std::vector<std::string> &benchmarks,
     std::size_t hits = 0;
     if (storeCfg.enabled()) {
         store = std::make_unique<ResultStore>(storeCfg.dir);
-        keys.resize(cells);
-        cached.assign(cells, 0);
         std::map<std::pair<std::string, std::uint64_t>, std::uint64_t>
             traceHashes;
+        for (std::size_t cell = 0; cell < cells; ++cell)
+            traceHashes.emplace(
+                std::make_pair(benchmarks[cell % benchmarks.size()],
+                               configs[cell / benchmarks.size()]
+                                   .second.numInsts),
+                0);
+        std::vector<std::function<void()>> hashJobs;
+        for (auto &[stream, hash] : traceHashes)
+            hashJobs.push_back([&stream = stream, &hash = hash] {
+                hash = workloadTraceHash(stream.first, stream.second);
+            });
+        runJobs(hashJobs, jobs);
+
+        keys.resize(cells);
+        cached.assign(cells, 0);
         for (std::size_t cell = 0; cell < cells; ++cell) {
             const std::size_t c = cell / benchmarks.size();
             const std::size_t b = cell % benchmarks.size();
-            const auto hk = std::make_pair(benchmarks[b],
-                                           configs[c].second.numInsts);
-            auto it = traceHashes.find(hk);
-            if (it == traceHashes.end())
-                it = traceHashes
-                         .emplace(hk,
-                                  workloadTraceHash(hk.first, hk.second))
-                         .first;
-            keys[cell] = makeStoreKey(benchmarks[b], configs[c].second,
-                                      configs[c].first, it->second);
+            const auto &[label, cfg] = configs[c];
+            keys[cell] = makeStoreKey(
+                benchmarks[b], cfg, label,
+                traceHashes.at(std::make_pair(benchmarks[b], cfg.numInsts)));
             if (storeCfg.resume &&
                 store->lookup(keys[cell], &results[c][b])) {
                 cached[cell] = 1;
@@ -217,60 +234,63 @@ runSweep(const std::vector<std::string> &benchmarks,
         return !cached.empty() && cached[cell] != 0;
     };
 
-    // Warm-fork attachment: cells with a warm-up phase share one
-    // neutral warm snapshot per (benchmark, geometry, warmup) group —
-    // captured here on the main thread (or served from the store's
-    // snaps/ subdirectory), then fork-restored by each cell. Restoring
-    // is bit-identical to warming in place (DESIGN.md Section 16), so
-    // results do not depend on whether forking is active; FDP_NO_WARM_FORK=1
-    // forces every cell down the cold in-place path.
-    std::vector<std::shared_ptr<const SnapshotImage>> cellImage(cells);
-    std::size_t snapGroups = 0, snapHits = 0;
+    // Phase 2, warm captures: cells with a warm-up phase share one
+    // neutral warm image per (benchmark, geometry, warm-up) group. One
+    // job per group serves it from the store's snaps/ subdirectory or
+    // captures it; each cell then fork-restores its group's image.
+    // Restoring is bit-identical to warming in place (DESIGN.md Section
+    // 16), so results do not depend on whether forking is active, nor
+    // on which worker captured what; FDP_NO_WARM_FORK=1 forces every
+    // cell down the cold in-place path.
+    struct WarmGroup
+    {
+        std::size_t cell;  ///< first cell of the group
+        SnapshotImage image;
+        bool storeHit = false;
+    };
+    constexpr std::size_t kColdWarmup = SIZE_MAX;
+    std::vector<WarmGroup> groups;
+    std::vector<std::size_t> cellGroup(cells, kColdWarmup);
+    double captureSeconds = 0.0;
     const char *noForkEnv = std::getenv("FDP_NO_WARM_FORK");
     if (noForkEnv == nullptr || *noForkEnv == '\0' ||
         std::strcmp(noForkEnv, "0") == 0) {
-        std::map<std::string, std::shared_ptr<const SnapshotImage>> images;
-        std::map<std::pair<std::string, std::uint64_t>, std::uint64_t>
-            warmHashes;
+        std::map<std::tuple<std::string, std::string, std::uint64_t>,
+                 std::size_t>
+            groupOf;
         for (std::size_t cell = 0; cell < cells; ++cell) {
-            if (isCached(cell))
+            const RunConfig &cfg = configs[cell / benchmarks.size()].second;
+            if (isCached(cell) || cfg.warmupInsts == 0)
                 continue;
-            const std::size_t c = cell / benchmarks.size();
-            const std::size_t b = cell % benchmarks.size();
-            const RunConfig &cfg = configs[c].second;
-            if (cfg.warmupInsts == 0)
-                continue;
-            const auto hk =
-                std::make_pair(benchmarks[b], cfg.warmupInsts);
-            auto ht = warmHashes.find(hk);
-            if (ht == warmHashes.end())
-                ht = warmHashes
-                         .emplace(hk,
-                                  workloadTraceHash(hk.first, hk.second))
-                         .first;
-            const std::string key =
-                warmSnapshotKey(benchmarks[b], cfg, ht->second);
-            auto it = images.find(key);
-            if (it == images.end()) {
-                bool hit = false;
-                it = images
-                         .emplace(key, std::make_shared<SnapshotImage>(
-                                           loadOrCaptureWarmSnapshot(
-                                               storeCfg.dir, benchmarks[b],
-                                               cfg, ht->second, &hit)))
-                         .first;
-                ++snapGroups;
-                if (hit)
-                    ++snapHits;
-            }
-            cellImage[cell] = it->second;
+            const auto [it, added] = groupOf.try_emplace(
+                std::make_tuple(benchmarks[cell % benchmarks.size()],
+                                machineGeometry(cfg.machine, cfg.core),
+                                cfg.warmupInsts),
+                groups.size());
+            if (added)
+                groups.push_back({cell, {}});
+            cellGroup[cell] = it->second;
         }
+        std::vector<std::function<void()>> captures;
+        for (WarmGroup &g : groups)
+            captures.push_back([&, &g = g] {
+                g.image = loadOrCaptureWarmSnapshot(
+                    storeCfg.dir, benchmarks[g.cell % benchmarks.size()],
+                    configs[g.cell / benchmarks.size()].second,
+                    &g.storeHit);
+            });
+        const auto captureStart = std::chrono::steady_clock::now();
+        runJobs(captures, jobs);
+        captureSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - captureStart)
+                             .count();
     }
-    // LPT scheduling: run the longest cells (most simulated
-    // instructions) first so the pool tail does not idle behind one long
-    // run picked up last. Ties keep the c-major order, and every result
-    // still lands in its pre-sized slot, so the output tables are
-    // unaffected by the ordering.
+
+    // Phase 3, the cells, longest first (LPT): the cells with the most
+    // simulated instructions go first so the pool tail does not idle
+    // behind one long run picked up last. Ties keep the c-major order,
+    // and every result still lands in its pre-sized slot, so the output
+    // tables are unaffected by the ordering.
     std::vector<std::size_t> order;
     for (std::size_t i = 0; i < cells; ++i)
         if (!isCached(i))
@@ -288,10 +308,11 @@ runSweep(const std::vector<std::string> &benchmarks,
             const std::size_t c = cell / benchmarks.size();
             const std::size_t b = cell % benchmarks.size();
             const auto &[label, cfg] = configs[c];
+            const std::size_t g = cellGroup[cell];
             results[c][b] =
-                cellImage[cell]
-                    ? runBenchmarkFromSnapshot(*cellImage[cell], cfg, label)
-                    : runBenchmark(benchmarks[b], cfg, label);
+                g == kColdWarmup
+                    ? runBenchmark(benchmarks[b], cfg, label)
+                    : runBenchmarkFromSnapshot(groups[g].image, cfg, label);
             if (store)
                 store->insert(keys[cell], results[c][b]);
         });
@@ -312,10 +333,18 @@ runSweep(const std::vector<std::string> &benchmarks,
                   << " resume=" << (storeCfg.resume ? 1 : 0)
                   << " hits=" << hits << " misses=" << (cells - hits)
                   << '\n';
-    if (snapGroups > 0)
-        std::cerr << "sweep-snap: groups=" << snapGroups
-                  << " store-hits=" << snapHits
-                  << " captured=" << (snapGroups - snapHits) << '\n';
+    if (!groups.empty()) {
+        const auto snapHits = static_cast<std::size_t>(
+            std::count_if(groups.begin(), groups.end(),
+                          [](const WarmGroup &g) { return g.storeHit; }));
+        std::ostringstream line;
+        line << "sweep-snap: groups=" << groups.size()
+             << " store-hits=" << snapHits
+             << " captured=" << (groups.size() - snapHits) << std::fixed
+             << std::setprecision(3) << " capture_s=" << captureSeconds
+             << '\n';
+        std::cerr << line.str();
+    }
     return results;
 }
 

@@ -85,10 +85,12 @@ class SweepPool
 };
 
 /**
- * Run every job of @p jobs in order: inline on the calling thread when
- * @p threads is 1, else submitted in that order to a SweepPool of
- * @p threads workers. A worker's fatal() is re-raised here, on the
- * calling thread, once the pool has joined every worker.
+ * Run every job of @p jobs in order on min(@p threads, jobs.size())
+ * threads: inline on the calling thread when that is at most 1, else
+ * submitted in that order to a SweepPool of that many workers. Returns
+ * once every job has finished (a barrier). A worker's fatal() is
+ * re-raised here, on the calling thread, once the pool has joined
+ * every worker.
  */
 void runJobs(const std::vector<std::function<void()>> &jobs,
              unsigned threads);
@@ -124,11 +126,16 @@ const SweepStoreConfig &sweepStore();
  * over @p jobs worker threads (0 = defaultSweepJobs(); 1 = the plain
  * sequential path with no threads created). results[c][b] is benchmark
  * b under configs[c], in the argument order, regardless of completion
- * order. Cells are handed to the pool longest-first (LPT by the
- * config's instruction count) so a long run picked up last cannot
- * leave the tail of the sweep running on one thread; the ordering only
- * affects wall-clock, never results. Prints one sweep-throughput line
- * to stderr (stdout tables stay bit-identical across thread counts).
+ * order. Before the cells, the same workers hash each workload stream
+ * the store keys need (only with a store attached), then load or
+ * capture one warm image per (benchmark, geometry, warm-up) group of
+ * warmed cells; each phase finishes before the next starts. Cells are
+ * handed to the pool longest-first (LPT by the config's instruction
+ * count) so a long run picked up last cannot leave the tail of the
+ * sweep running on one thread; the ordering only affects wall-clock,
+ * never results. Prints one sweep-throughput line to stderr (stdout
+ * tables stay bit-identical across thread counts), plus sweep-store and
+ * sweep-snap lines when a store or warm images are involved.
  */
 std::vector<std::vector<RunResult>>
 runSweep(const std::vector<std::string> &benchmarks,

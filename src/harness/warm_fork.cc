@@ -80,25 +80,17 @@ runBenchmarkFromSnapshot(const SnapshotImage &image, const RunConfig &config,
 }
 
 std::string
-warmSnapshotKey(const std::string &benchmark, const RunConfig &config,
-                std::uint64_t traceHash)
+warmSnapshotKey(const std::string &benchmark, const RunConfig &config)
 {
     return "fdpsnap-store-v1 bench=" + benchmark +
            " seed=" + std::to_string(benchmarkParams(benchmark).seed) +
-           " warmtrace=" + hashHex(traceHash) +
+           " warmtrace=" +
+           hashHex(workloadTraceHash(benchmark, config.warmupInsts)) +
            " geom{" + machineGeometry(config.machine, config.core) + "}" +
            " warmup=" + std::to_string(config.warmupInsts) +
            " rev=" + binaryRevision() +
            " simcore=" + std::to_string(kSimCoreVersion) +
            " snapver=" + std::to_string(kSnapVersion);
-}
-
-std::string
-warmSnapshotKey(const std::string &benchmark, const RunConfig &config)
-{
-    return warmSnapshotKey(
-        benchmark, config,
-        workloadTraceHash(benchmark, config.warmupInsts));
 }
 
 std::string
@@ -114,25 +106,32 @@ warmSnapshotPath(const std::string &storeDir, const std::string &key)
 SnapshotImage
 loadOrCaptureWarmSnapshot(const std::string &storeDir,
                           const std::string &benchmark,
-                          const RunConfig &config, std::uint64_t traceHash,
-                          bool *wasHit)
+                          const RunConfig &config, bool *wasHit)
 {
     if (wasHit)
         *wasHit = false;
     if (storeDir.empty())
         return captureWarmSnapshot(benchmark, config);
 
-    const std::string key = warmSnapshotKey(benchmark, config, traceHash);
-    const std::string path = warmSnapshotPath(storeDir, key);
+    const std::string path =
+        warmSnapshotPath(storeDir, warmSnapshotKey(benchmark, config));
     struct stat st;
     if (stat(path.c_str(), &st) == 0) {
-        // Content-addressed: the identity header can only disagree on a
-        // key collision, which we treat as a miss and overwrite.
-        SnapshotImage image = readSnapshotFile(path);
-        if (image.benchmark == benchmark &&
-            image.warmupInsts == config.warmupInsts &&
-            image.geometry ==
-                machineGeometry(config.machine, config.core)) {
+        // A torn or corrupt image, or (content-addressed) a key
+        // collision, is a miss like a bad store entry: warn, then
+        // recapture and overwrite it.
+        SnapshotImage image;
+        std::string error;
+        if (!readSnapshotFile(path, &image, &error)) {
+            warn("result store: %s is corrupt (%s); treating as a miss",
+                 path.c_str(), error.c_str());
+        } else if (image.benchmark != benchmark ||
+                   image.warmupInsts != config.warmupInsts ||
+                   image.geometry !=
+                       machineGeometry(config.machine, config.core)) {
+            warn("result store: %s does not match its key; treating as "
+                 "a miss", path.c_str());
+        } else {
             if (wasHit)
                 *wasHit = true;
             return image;

@@ -60,11 +60,6 @@ RunResult runBenchmarkFromSnapshot(const SnapshotImage &image,
 std::string warmSnapshotKey(const std::string &benchmark,
                             const RunConfig &config);
 
-/** Same, with the workload trace hash precomputed (sweeps memoize it). */
-std::string warmSnapshotKey(const std::string &benchmark,
-                            const RunConfig &config,
-                            std::uint64_t traceHash);
-
 /** Entry path of the snapshot keyed @p key inside @p storeDir
  *  (creating the snaps/ subdirectory on first use). */
 std::string warmSnapshotPath(const std::string &storeDir,
@@ -73,13 +68,17 @@ std::string warmSnapshotPath(const std::string &storeDir,
 /**
  * Fetch the warm image for (benchmark, config) from the store at
  * @p storeDir, or capture it (and persist it) on a miss. An empty
- * @p storeDir skips persistence entirely. @p wasHit reports which
- * happened (may be nullptr).
+ * @p storeDir skips persistence entirely, and with it the warm-trace
+ * hash the key needs. An image that fails any container check, or
+ * whose header disagrees with its key, warns and counts as a miss: it
+ * is recaptured and overwritten. @p wasHit reports which happened (may
+ * be nullptr). Safe to run concurrently on sweep pool workers for
+ * distinct keys: runSweep runs one call per (benchmark, geometry,
+ * warm-up) group.
  */
 SnapshotImage loadOrCaptureWarmSnapshot(const std::string &storeDir,
                                         const std::string &benchmark,
                                         const RunConfig &config,
-                                        std::uint64_t traceHash,
                                         bool *wasHit);
 
 } // namespace fdp

@@ -18,7 +18,10 @@
  *
  * Every way a file can be wrong — unreadable, truncated, foreign magic,
  * version skew, a flipped bit anywhere under the CRC — is a clean
- * one-line fatal() naming the file, mirroring the fdptrace-v1 reader.
+ * one-line fatal() naming the file, mirroring the fdptrace-v1 reader;
+ * the result store's warm-image path reads the same checks as a miss
+ * instead. Files are written through a temp file plus rename(), so no
+ * reader ever sees a partial image under its final name.
  */
 
 #ifndef FDP_SNAP_SNAPSHOT_FILE_HH
@@ -26,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fdp
@@ -51,11 +55,26 @@ struct SnapshotImage
     std::vector<std::uint8_t> body;
 };
 
-/** Write @p image to @p path; fatal on any I/O failure. */
+/**
+ * Write @p bytes to @p path through a temp file beside it plus an
+ * atomic rename(), so a killed writer never leaves a partial file under
+ * @p path. False with a diagnostic on failure. Shared by snapshot
+ * images and result-store entries.
+ */
+bool writeFileAtomic(const std::string &path, std::string_view bytes,
+                     std::string *error);
+
+/** Write @p image to @p path (writeFileAtomic); fatal on any I/O
+ *  failure. */
 void writeSnapshotFile(const std::string &path, const SnapshotImage &image);
 
-/** Read and fully validate the snapshot at @p path; fatal on any
- *  corruption (see file comment). */
+/** Read and fully validate the snapshot at @p path into @p out. False
+ *  with the reason in @p error on any I/O failure or corruption (see
+ *  file comment). */
+bool readSnapshotFile(const std::string &path, SnapshotImage *out,
+                      std::string *error);
+
+/** Same, with any failure a fatal() naming the file. */
 SnapshotImage readSnapshotFile(const std::string &path);
 
 } // namespace fdp

@@ -4,14 +4,20 @@
  * Section 16. runSweep's fork-from-snapshot path must be bit-identical
  * to warming every cell in place, at any job count; warm images are
  * shared across policy configurations and served from a result store's
- * snaps/ directory; mismatched forks die cleanly.
+ * snaps/ directory, byte-identical whichever worker captured them; a
+ * torn or corrupt stored image is recaptured; mismatched forks and
+ * failed captures die cleanly.
  */
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,7 +32,43 @@ namespace fdp
 namespace
 {
 
-/** A scratch store directory under the gtest temp root. */
+/** Sorted names of the regular files in @p dir (none if it is not a
+ *  directory). */
+std::vector<std::string>
+filesIn(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = opendir(dir.c_str())) {
+        while (const dirent *e = readdir(d)) {
+            struct stat st = {};
+            if (::stat((dir + "/" + e->d_name).c_str(), &st) == 0 &&
+                S_ISREG(st.st_mode))
+                names.push_back(e->d_name);
+        }
+        closedir(d);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << is.rdbuf();
+    return bytes.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+}
+
+/** A scratch store directory under the gtest temp root, emptied of the
+ *  entries and warm images an earlier run of the suite left. */
 std::string
 freshDir(const std::string &name)
 {
@@ -34,6 +76,8 @@ freshDir(const std::string &name)
     const ResultStore sweeper(dir);  // creates it
     for (const std::string &f : sweeper.entryFiles())
         sweeper.removeEntry(f);
+    for (const std::string &f : filesIn(dir + "/snaps"))
+        std::remove((dir + "/snaps/" + f).c_str());
     return dir;
 }
 
@@ -94,6 +138,70 @@ TEST(WarmForkGolden, StoreServesWarmSnapshotsAcrossSweeps)
     setSweepStore({});
 }
 
+TEST(WarmForkGolden, StoreImagesIdenticalAtAnyJobCount)
+{
+    const std::vector<std::string> benches = {"swim", "mgrid", "art",
+                                              "mcf"};
+    const std::vector<LabeledConfig> configs = goldenConfigs();
+    std::vector<std::vector<RunResult>> cold(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        for (const std::string &b : benches)
+            cold[c].push_back(
+                runBenchmark(b, configs[c].second, configs[c].first));
+
+    const std::string one = freshDir("jobs1");
+    const std::string four = freshDir("jobs4");
+    setSweepStore({one, false});
+    expectBitIdentical(runSweep(benches, configs, 1), cold);
+    setSweepStore({four, false});
+    expectBitIdentical(runSweep(benches, configs, 4), cold);
+    setSweepStore({});
+
+    // Which worker captured an image or inserted an entry leaves no
+    // trace in the store: same file names, same bytes.
+    EXPECT_EQ(filesIn(one + "/snaps").size(), benches.size());
+    for (const std::string sub : {"", "/snaps"}) {
+        const std::vector<std::string> names = filesIn(one + sub);
+        EXPECT_EQ(names, filesIn(four + sub)) << sub;
+        for (const std::string &name : names)
+            EXPECT_EQ(fileBytes(one + sub + "/" + name),
+                      fileBytes(four + sub + "/" + name))
+                << sub << "/" << name;
+    }
+    EXPECT_EQ(filesIn(one).size(), benches.size() * configs.size());
+}
+
+TEST(WarmForkGolden, CorruptStoreImageIsRecaptured)
+{
+    const std::vector<std::string> benches = {"swim", "mgrid"};
+    const std::vector<LabeledConfig> configs = goldenConfigs();
+    const std::string dir = freshDir("heal");
+    setSweepStore({dir, false});
+    const auto first = runSweep(benches, configs, 2);
+
+    const std::string torn = warmSnapshotPath(
+        dir, warmSnapshotKey("swim", configs[0].second));
+    const std::string flipped = warmSnapshotPath(
+        dir, warmSnapshotKey("mgrid", configs[0].second));
+    const std::string tornBytes = fileBytes(torn);
+    const std::string flippedBytes = fileBytes(flipped);
+    ASSERT_FALSE(tornBytes.empty()) << torn;
+    ASSERT_FALSE(flippedBytes.empty()) << flipped;
+    // A killed writer's partial image, and one bit flipped under the
+    // CRC: both fail a container check.
+    writeBytes(torn, tornBytes.substr(0, tornBytes.size() / 2));
+    std::string bad = flippedBytes;
+    bad[bad.size() / 2] ^= 0x04;
+    writeBytes(flipped, bad);
+
+    // The rerun reads both as misses, recaptures and overwrites them,
+    // instead of dying, and its results do not move.
+    expectBitIdentical(runSweep(benches, configs, 2), first);
+    setSweepStore({});
+    EXPECT_EQ(fileBytes(torn), tornBytes);
+    EXPECT_EQ(fileBytes(flipped), flippedBytes);
+}
+
 TEST(WarmForkKey, SharedAcrossPoliciesSplitByGeometryAndWarmup)
 {
     const RunConfig fdp = warmed(RunConfig::fullFdp());
@@ -142,6 +250,23 @@ TEST_F(WarmForkDeath, CaptureWithoutWarmupIsFatal)
     c.numInsts = 50'000;
     EXPECT_EXIT(captureWarmSnapshot("swim", c),
                 testing::ExitedWithCode(1), "");
+}
+
+TEST_F(WarmForkDeath, CaptureFailureOnAWorkerIsACleanFatal)
+{
+    // A regular file where the snaps/ subdirectory belongs: every image
+    // write fails inside a capture job on a pool worker, and the fatal
+    // must reach the main thread as a clean exit, not a terminate or a
+    // hang.
+    const std::string dir = freshDir("snaps_blocked");
+    std::remove((dir + "/snaps").c_str());
+    writeBytes(dir + "/snaps", "not a directory\n");
+    setSweepStore({dir, false});
+    EXPECT_EXIT(runSweep({"swim", "mgrid", "art", "mcf"}, goldenConfigs(),
+                         4),
+                testing::ExitedWithCode(1),
+                "fatal: snapshot .*/snaps/.*: cannot write");
+    setSweepStore({});
 }
 
 TEST_F(WarmForkDeath, ForkWithMismatchedGeometryIsFatal)

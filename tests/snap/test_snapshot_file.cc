@@ -5,9 +5,13 @@
  * corruption class (truncated file, missing end marker, bad magic,
  * flipped payload byte, flipped CRC byte, future format version) is a
  * clean one-line fatal() naming the file, never UB or silent garbage.
+ * The checked reader the result store uses reports the same reasons
+ * without exiting, and writes replace a file whole.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -83,6 +87,56 @@ TEST(SnapshotFile, RoundTripIsExact)
     EXPECT_EQ(back.sectionCount, image.sectionCount);
     EXPECT_EQ(back.body, image.body);
     std::remove(path.c_str());
+}
+
+TEST(SnapshotFile, CheckedReadReportsTheFatalReasonWithoutExiting)
+{
+    const std::string path = tempSnapPath("checked");
+    writeSnapshotFile(path, sampleImage());
+    SnapshotImage back;
+    std::string error;
+    ASSERT_TRUE(readSnapshotFile(path, &back, &error)) << error;
+    EXPECT_EQ(back.body, sampleImage().body);
+
+    std::vector<std::uint8_t> bytes = readFileBytes(path);
+    bytes.resize(bytes.size() - 3);
+    writeFileBytes(path, bytes);
+    EXPECT_FALSE(readSnapshotFile(path, &back, &error));
+    EXPECT_EQ(error, "truncated (missing end marker)");
+
+    bytes = readFileBytes(path);
+    bytes.resize(10);
+    writeFileBytes(path, bytes);
+    EXPECT_FALSE(readSnapshotFile(path, &back, &error));
+    EXPECT_EQ(error, "truncated (10 bytes)");
+
+    std::remove(path.c_str());
+    EXPECT_FALSE(readSnapshotFile(path, &back, &error));
+    EXPECT_EQ(error.rfind("cannot open: ", 0), 0u) << error;
+}
+
+TEST(SnapshotFile, WriteReplacesAnExistingFileAndLeavesNoTemp)
+{
+    const std::string path = tempSnapPath("replace");
+    const std::string tmp = testing::TempDir() + ".fdpsnap_test_replace" +
+                            ".fdpsnap.tmp";
+    writeFileBytes(path, std::vector<std::uint8_t>(100000, 0xAB));
+    writeSnapshotFile(path, sampleImage());
+    const SnapshotImage back = readSnapshotFile(path);
+    EXPECT_EQ(back.body, sampleImage().body);
+    struct stat st = {};
+    EXPECT_NE(::stat(tmp.c_str(), &st), 0) << tmp;
+    std::remove(path.c_str());
+}
+
+TEST(SnapshotFile, AtomicWriteFailureIsReportedNotFatal)
+{
+    std::string error;
+    EXPECT_FALSE(writeFileAtomic(testing::TempDir() +
+                                     "no_such_dir/file.bin",
+                                 "bytes", &error));
+    EXPECT_NE(error.find("no_such_dir/.file.bin.tmp"), std::string::npos)
+        << error;
 }
 
 class SnapshotCorruptionDeath : public testing::Test

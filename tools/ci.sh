@@ -11,7 +11,8 @@
 #           interval boundary
 #   tsan    ThreadSanitizer build; runs the harness/sim tests (the ones
 #           that exercise the parallel sweep scheduler and the logging
-#           sink) plus one quick multi-threaded paper sweep
+#           sink) plus quick multi-threaded sweeps, one of them warmed
+#           into a result store
 #   static  tools/run_static_analysis.sh (repo lint always;
 #           clang-tidy/cppcheck when installed)
 #   bench-diff
@@ -179,7 +180,33 @@ stage_tier1() {
         --jobs 2 --out "$fdir/cold.json" > "$fdir/cold.out" 2> /dev/null
     diff "$fdir/cold.out" "$fdir/fork.out"
     diff "$fdir/cold.json" "$fdir/fork.json"
-    echo "fork smoke: warm-fork sweep bit-identical to cold warm-up"
+    # The same sweep backed by a store at --jobs 4: the pool captures
+    # both warm images into snaps/. Then a torn image (a killed writer)
+    # must read as a miss: the rerun recaptures exactly that one, heals
+    # it byte for byte, and prints the cold run's tables.
+    "$ROOT/build-ci/bench/fdp_sim" --bench swim --bench mgrid \
+        --warmup 100000 --insts 100000 --jobs 4 --store "$fdir/store" \
+        --out "$fdir/store.json" > "$fdir/store.out" 2> /dev/null
+    diff "$fdir/cold.out" "$fdir/store.out"
+    diff "$fdir/cold.json" "$fdir/store.json"
+    local image
+    image="$(ls "$fdir"/store/snaps/*.fdpsnap | head -n 1)"
+    cp "$image" "$fdir/image.orig"
+    truncate -s 100 "$image"
+    "$ROOT/build-ci/bench/fdp_sim" --bench swim --bench mgrid \
+        --warmup 100000 --insts 100000 --jobs 4 --store "$fdir/store" \
+        --out "$fdir/healed.json" > "$fdir/healed.out" \
+        2> "$fdir/healed.err"
+    diff "$fdir/cold.out" "$fdir/healed.out"
+    diff "$fdir/cold.json" "$fdir/healed.json"
+    grep -q "^sweep-snap: .* store-hits=1 captured=1 " "$fdir/healed.err" || {
+        echo "fork smoke: a torn image must cost exactly one capture:" >&2
+        cat "$fdir/healed.err" >&2
+        exit 1
+    }
+    cmp "$fdir/image.orig" "$image"
+    echo "fork smoke: warm-fork sweep bit-identical to cold warm-up," \
+        "with and without a store; a torn image healed byte for byte"
 
     echo "==== stage tier1: 2-core mix determinism smoke ===="
     # One bandwidth-bound co-run end to end, then the same mix again
@@ -282,8 +309,8 @@ stage_tsan() {
     # The threaded surface: pool + scheduler + logging sink tests, the
     # trace suite (its golden test drives the pool at --jobs 4), the
     # multi-core suite (its mix-runner tests sweep co-runs and alone
-    # baselines through the pool), then one real multi-threaded sweep
-    # each for the single-core and co-run paths. mix05_corun gets a
+    # baselines through the pool), then real multi-threaded sweeps for
+    # the single-core (cold, and warmed into a store) and co-run paths. mix05_corun gets a
     # small explicit budget — the full default is minutes under TSan.
     # halt_on_error so a race fails CI.
     TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/test_harness"
@@ -293,6 +320,16 @@ stage_tsan() {
     TSAN_OPTIONS="halt_on_error=1" \
         "$ROOT/build-tsan/bench/fig09_overall" --quick --jobs 4 \
         > /dev/null
+    # A warmed sweep into a fresh store, twice: the first pass hashes
+    # the store keys and captures and writes the warm images on the
+    # pool, the second reads them back there.
+    rm -rf "$ROOT/build-tsan/warm-store"
+    for _ in 1 2; do
+        TSAN_OPTIONS="halt_on_error=1" \
+            "$ROOT/build-tsan/bench/fdp_sim" --bench swim --bench mgrid \
+            --bench art --bench mcf --warmup 100000 --insts 100000 \
+            --jobs 4 --store "$ROOT/build-tsan/warm-store" > /dev/null
+    done
     TSAN_OPTIONS="halt_on_error=1" \
         "$ROOT/build-tsan/bench/mix05_corun" --mix mix2-stream \
         --mix mix4-bw --mix mix4-zoo --insts 50000 --jobs 4 > /dev/null
