@@ -208,33 +208,32 @@ FdpController::reset()
         prefetcher_->setAggressiveness(level_);
 }
 
+template <typename Self, typename Io>
+void
+FdpController::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u8(self.insertPos_, InsertPos::Lru, InsertPos::Mru,
+          "insertion position");
+    io.u64(self.evictionCount_);
+    io.end();
+    io.child(self.counters_);
+    io.child(self.filter_);
+}
+
 void
 FdpController::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU8(static_cast<std::uint8_t>(insertPos_));
-    w.putU64(evictionCount_);
-    w.endSection();
-    counters_.saveState(w);
-    filter_.saveState(w);
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 FdpController::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    level_ = r.getU8();
-    insertPos_ = static_cast<InsertPos>(r.getU8());
-    evictionCount_ = r.getU64();
-    r.closeSection();
-    if (level_ < kMinAggrLevel || level_ > kMaxAggrLevel)
-        fatal("snapshot: FDP level %u out of range", level_);
-    if (static_cast<std::uint8_t>(insertPos_) >= kNumInsertPos)
-        fatal("snapshot: FDP insertion position %u out of range",
-              static_cast<unsigned>(insertPos_));
-    counters_.loadState(r);
-    filter_.loadState(r);
+    SnapLoad io(r);
+    snapFields(*this, io);
     if (prefetcher_ && params_.dynamicAggressiveness)
         prefetcher_->setAggressiveness(level_);
 }

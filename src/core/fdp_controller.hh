@@ -234,6 +234,9 @@ class FdpController : public Auditable, public Snapshottable
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     void endInterval();
 
     std::function<void()> endOfIntervalHook_;

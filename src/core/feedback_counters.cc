@@ -68,28 +68,29 @@ FeedbackCounters::audit() const
                auditName(), pollutionTotal_.value(), demandTotal_.value());
 }
 
+template <typename Self, typename Io>
+void
+FeedbackCounters::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    for (auto *c : {&self.prefTotal_, &self.usedTotal_, &self.lateTotal_,
+                    &self.demandTotal_, &self.pollutionTotal_})
+        IntervalCounter::snapFields(*c, io);
+    io.end();
+}
+
 void
 FeedbackCounters::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    prefTotal_.save(w);
-    usedTotal_.save(w);
-    lateTotal_.save(w);
-    demandTotal_.save(w);
-    pollutionTotal_.save(w);
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 FeedbackCounters::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    prefTotal_.load(r);
-    usedTotal_.load(r);
-    lateTotal_.load(r);
-    demandTotal_.load(r);
-    pollutionTotal_.load(r);
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 void

@@ -51,19 +51,13 @@ class IntervalCounter
         smoothed_ = 0.0;
     }
 
-    /** Raw serialization helpers (FeedbackCounters owns the section). */
-    void
-    save(SnapWriter &w) const
+    /** The counter's fields (FeedbackCounters owns the section). */
+    template <typename Self, typename Io>
+    static void
+    snapFields(Self &self, Io &io)
     {
-        w.putU64(interval_);
-        w.putDouble(smoothed_);
-    }
-
-    void
-    load(SnapReader &r)
-    {
-        interval_ = r.getU64();
-        smoothed_ = r.getDouble();
+        io.u64(self.interval_);
+        io.f64(self.smoothed_);
     }
 
   private:
@@ -132,6 +126,9 @@ class FeedbackCounters : public Auditable, public Snapshottable
 
   private:
     friend struct AuditCorrupter;
+
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
 
     IntervalCounter prefTotal_;
     IntervalCounter usedTotal_;

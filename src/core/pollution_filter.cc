@@ -56,37 +56,39 @@ PollutionFilter::clear()
     std::fill(bits_.begin(), bits_.end(), false);
 }
 
+template <typename Self, typename Io>
+void
+PollutionFilter::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.fixedU32(self.bits_.size(), "bits");
+    // Eight filter bits per byte, bit i of a byte for entry base + i.
+    for (std::size_t base = 0; base < self.bits_.size(); base += 8) {
+        const std::size_t n =
+            std::min<std::size_t>(8, self.bits_.size() - base);
+        unsigned byte = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            byte |= (self.bits_[base + i] ? 1u : 0u) << i;
+        io.u8(byte);
+        if constexpr (Io::kLoading)
+            for (std::size_t i = 0; i < n; ++i)
+                self.bits_[base + i] = ((byte >> i) & 1u) != 0;
+    }
+    io.end();
+}
+
 void
 PollutionFilter::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU32(static_cast<std::uint32_t>(bits_.size()));
-    for (std::size_t base = 0; base < bits_.size(); base += 8) {
-        std::uint8_t byte = 0;
-        const std::size_t n = std::min<std::size_t>(8, bits_.size() - base);
-        for (std::size_t i = 0; i < n; ++i)
-            if (bits_[base + i])
-                byte |= static_cast<std::uint8_t>(1u << i);
-        w.putU8(byte);
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 PollutionFilter::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const std::uint32_t bits = r.getU32();
-    if (bits != bits_.size())
-        fatal("snapshot: pollution filter has %zu bits, snapshot has %u",
-              bits_.size(), bits);
-    for (std::size_t base = 0; base < bits_.size(); base += 8) {
-        const std::uint8_t byte = r.getU8();
-        const std::size_t n = std::min<std::size_t>(8, bits_.size() - base);
-        for (std::size_t i = 0; i < n; ++i)
-            bits_[base + i] = (byte & (1u << i)) != 0;
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 void

@@ -70,6 +70,9 @@ class PollutionFilter : public Auditable, public Snapshottable
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     std::vector<bool> bits_;
     std::size_t mask_;
     unsigned shift_ = 12;

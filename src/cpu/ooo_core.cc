@@ -226,39 +226,35 @@ runLockstep(EventQueue &events, std::vector<OooCore *> cores,
     }
 }
 
+template <typename Self, typename Io>
+void
+OooCore::snapFields(Self &self, Io &io)
+{
+    FDP_ASSERT(self.robEmpty(),
+               "core: %llu micro-ops in the ROB at a snapshot",
+               static_cast<unsigned long long>(self.tail_ - self.head_));
+    io.begin(self.snapName());
+    io.fixedU32(self.rob_.size(), "ROB holds");
+    io.u64(self.head_);
+    io.u64(self.tail_);
+    io.u64(self.nextSeq_);
+    io.u64(self.lastLoadPos_);
+    io.check(self.head_ == self.tail_, "holds a non-empty ROB");
+    io.end();
+}
+
 void
 OooCore::saveState(SnapWriter &w) const
 {
-    FDP_ASSERT(robEmpty(),
-               "core: snapshot with %llu micro-ops in the ROB",
-               static_cast<unsigned long long>(tail_ - head_));
-    w.beginSection(snapName());
-    w.putU32(static_cast<std::uint32_t>(rob_.size()));
-    w.putU64(head_);
-    w.putU64(tail_);
-    w.putU64(nextSeq_);
-    w.putU64(lastLoadPos_);
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 OooCore::loadState(SnapReader &r)
 {
-    FDP_ASSERT(robEmpty(),
-               "core: restore with %llu micro-ops in the ROB",
-               static_cast<unsigned long long>(tail_ - head_));
-    r.openSection(snapName());
-    const std::uint32_t rob_size = r.getU32();
-    if (rob_size != rob_.size())
-        fatal("snapshot: ROB holds %zu entries, snapshot has %u",
-              rob_.size(), rob_size);
-    head_ = r.getU64();
-    tail_ = r.getU64();
-    nextSeq_ = r.getU64();
-    lastLoadPos_ = r.getU64();
-    r.closeSection();
-    if (head_ != tail_)
-        fatal("snapshot: core section holds a non-empty ROB");
+    SnapLoad io(r);
+    snapFields(*this, io);
     headSlot_ = slotOf(head_);
     tailSlot_ = slotOf(tail_);
     lastLoadSlot_ = lastLoadPos_ == kNoPos ? 0 : slotOf(lastLoadPos_);

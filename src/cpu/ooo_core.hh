@@ -104,6 +104,9 @@ class OooCore : public Snapshottable
     const char *snapName() const override { return "core"; }
 
   private:
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     struct RobEntry
     {
         OpKind kind = OpKind::Int;

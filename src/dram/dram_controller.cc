@@ -368,69 +368,48 @@ DramController::pump(unsigned ch)
         schedulePump(ch, c.busFree);
 }
 
+template <typename Self, typename Io>
+void
+DramController::snapFields(Self &self, Io &io)
+{
+    FDP_ASSERT(self.queued() == 0,
+               "%s: %zu requests queued at a snapshot (not quiesced)",
+               self.auditName(), self.queued());
+    for (const Channel &c : self.channels_)
+        FDP_ASSERT(!c.pumpScheduled,
+                   "%s: pump event pending at a snapshot",
+                   self.auditName());
+    io.begin(self.snapName());
+    io.fixedU32(self.ctrl_.channels, "channels");
+    io.fixedU32(self.params_.banks, "banks");
+    for (auto &c : self.channels_) {
+        io.u64(c.busFree);
+        io.u64(c.busyCycles);
+        for (auto &ready : c.bankReady)
+            io.u64(ready);
+        for (auto &row : c.openRow)
+            io.u64(row);
+    }
+    io.fixedU32(self.coreBusAccesses_.size(), "cores");
+    for (auto &n : self.coreBusAccesses_)
+        io.u64(n);
+    for (auto &n : self.coreServed_)
+        io.u64(n);
+    io.end();
+}
+
 void
 DramController::saveState(SnapWriter &w) const
 {
-    FDP_ASSERT(queued() == 0,
-               "%s: snapshot with %zu requests queued (not quiesced)",
-               auditName(), queued());
-    for (const Channel &c : channels_)
-        FDP_ASSERT(!c.pumpScheduled,
-                   "%s: snapshot with a pump event pending", auditName());
-    w.beginSection(snapName());
-    w.putU32(ctrl_.channels);
-    w.putU32(params_.banks);
-    for (const Channel &c : channels_) {
-        w.putU64(c.busFree);
-        w.putU64(c.busyCycles);
-        for (const Cycle ready : c.bankReady)
-            w.putU64(ready);
-        for (const std::uint64_t row : c.openRow)
-            w.putU64(row);
-    }
-    w.putU32(static_cast<std::uint32_t>(coreBusAccesses_.size()));
-    for (const std::uint64_t n : coreBusAccesses_)
-        w.putU64(n);
-    for (const std::uint64_t n : coreServed_)
-        w.putU64(n);
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 DramController::loadState(SnapReader &r)
 {
-    FDP_ASSERT(queued() == 0,
-               "%s: restore with %zu requests queued", auditName(),
-               queued());
-    for (const Channel &c : channels_)
-        FDP_ASSERT(!c.pumpScheduled,
-                   "%s: restore with a pump event pending", auditName());
-    r.openSection(snapName());
-    const std::uint32_t chans = r.getU32();
-    if (chans != ctrl_.channels)
-        fatal("snapshot: controller has %u channels, snapshot has %u",
-              ctrl_.channels, chans);
-    const std::uint32_t banks = r.getU32();
-    if (banks != params_.banks)
-        fatal("snapshot: DRAM has %u banks, snapshot has %u",
-              params_.banks, banks);
-    for (Channel &c : channels_) {
-        c.busFree = r.getU64();
-        c.busyCycles = r.getU64();
-        for (Cycle &ready : c.bankReady)
-            ready = r.getU64();
-        for (std::uint64_t &row : c.openRow)
-            row = r.getU64();
-    }
-    const std::uint32_t cores = r.getU32();
-    if (cores != coreBusAccesses_.size())
-        fatal("snapshot: DRAM serves %zu cores, snapshot has %u",
-              coreBusAccesses_.size(), cores);
-    for (std::uint64_t &n : coreBusAccesses_)
-        n = r.getU64();
-    for (std::uint64_t &n : coreServed_)
-        n = r.getU64();
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
     // Derived state is rebuilt, not serialized: the queues are empty at
     // a quiesce point, so arrival sequencing restarts and the per-core
     // queued-prefetch recount is zero.

@@ -123,6 +123,9 @@ class DramController : public DramBackend
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     /** An open-row register holding no row (precharged bank). */
     static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
     static constexpr std::size_t kNoPick = ~std::size_t{0};

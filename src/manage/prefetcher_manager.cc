@@ -214,85 +214,49 @@ ManagedPrefetcher::audit() const
         pf->audit();
 }
 
+template <typename Self, typename Io>
 void
-ManagedPrefetcher::saveState(SnapWriter &w) const
+ManagedPrefetcher::snapFields(Self &self, Io &io)
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU64(ticks_);
-    w.putU8(static_cast<std::uint8_t>(phase_));
-    w.putU32(static_cast<std::uint32_t>(active_));
-    w.putU32(static_cast<std::uint32_t>(exploreIdx_));
-    w.putU32(static_cast<std::uint32_t>(incumbent_));
-    w.putBool(haveIncumbent_);
-    w.putDouble(exploitBase_);
-    w.putBool(primed_);
-    w.putU32(intervalInPhase_);
-    w.putU64(lastRetired_);
-    w.putU64(lastCycle_);
-    w.putU32(static_cast<std::uint32_t>(zoo_.size()));
-    for (std::size_t i = 0; i < zoo_.size(); ++i) {
-        w.putString(zoo_[i]->name());
-        w.putDouble(score_[i]);
-        w.putU64(wins_[i]);
+    const std::size_t last = self.zoo_.size() - 1;
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u64(self.ticks_);
+    io.u8(self.phase_, Phase::Explore, Phase::Exploit, "phase");
+    io.u32(self.active_, 0, last, "active candidate");
+    io.u32(self.exploreIdx_, 0, last, "explore cursor");
+    io.u32(self.incumbent_, 0, last, "incumbent");
+    io.u8(self.haveIncumbent_);
+    io.f64(self.exploitBase_);
+    io.u8(self.primed_);
+    io.u32(self.intervalInPhase_);
+    io.u64(self.lastRetired_);
+    io.u64(self.lastCycle_);
+    io.fixedU32(self.zoo_.size(), "zoo holds");
+    for (std::size_t i = 0; i < self.zoo_.size(); ++i) {
+        io.fixedStr(self.zoo_[i]->name(), "zoo candidate");
+        io.f64(self.score_[i]);
+        io.u64(self.wins_[i]);
     }
     // The zoo's own state nests as an opaque blob: each candidate
     // writes its usual single section into an inner body, so the
     // machine-level snapshot still sees exactly one "manager" section.
-    SnapWriter inner;
-    for (const auto &pf : zoo_)
-        pf->saveState(inner);
-    w.putBytes(inner.bytes());
-    w.endSection();
+    io.nested(self.zoo_);
+    io.end();
+}
+
+void
+ManagedPrefetcher::saveState(SnapWriter &w) const
+{
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 ManagedPrefetcher::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const unsigned level = r.getU8();
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        fatal("snapshot: prefetcher manager level %u out of range", level);
-    level_ = level;
-    ticks_ = r.getU64();
-    const std::uint8_t phase = r.getU8();
-    if (phase > static_cast<std::uint8_t>(Phase::Exploit))
-        fatal("snapshot: prefetcher manager phase %u unknown", phase);
-    phase_ = static_cast<Phase>(phase);
-    active_ = r.getU32();
-    exploreIdx_ = r.getU32();
-    incumbent_ = r.getU32();
-    haveIncumbent_ = r.getBool();
-    exploitBase_ = r.getDouble();
-    primed_ = r.getBool();
-    intervalInPhase_ = r.getU32();
-    lastRetired_ = r.getU64();
-    lastCycle_ = r.getU64();
-    const std::uint32_t n = r.getU32();
-    if (n != zoo_.size())
-        fatal("snapshot: manager zoo holds %zu candidates, snapshot has %u",
-              zoo_.size(), n);
-    if (active_ >= zoo_.size() || exploreIdx_ >= zoo_.size() ||
-        incumbent_ >= zoo_.size())
-        fatal("snapshot: manager candidate indices (%zu, %zu, %zu) outside "
-              "zoo of %zu",
-              active_, exploreIdx_, incumbent_, zoo_.size());
-    for (std::size_t i = 0; i < zoo_.size(); ++i) {
-        const std::string name = r.getString();
-        if (name != zoo_[i]->name())
-            fatal("snapshot: manager zoo candidate %zu is `%s', snapshot "
-                  "has `%s'",
-                  i, zoo_[i]->name(), name.c_str());
-        score_[i] = r.getDouble();
-        wins_[i] = r.getU64();
-    }
-    const std::vector<std::uint8_t> blob = r.getBytes();
-    SnapReader inner(blob);
-    for (auto &pf : zoo_)
-        pf->loadState(inner);
-    if (!inner.atEnd())
-        fatal("snapshot: manager zoo blob has trailing bytes");
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 void

@@ -324,51 +324,43 @@ SetAssocCache::audit() const
     }
 }
 
+template <typename Self, typename Io>
+void
+SetAssocCache::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.fixedU32(self.sets_.size(), "sets");
+    io.fixedU32(self.params_.assoc, "ways");
+    for (auto &l : self.lines_) {
+        io.u64(l.tag);
+        io.u8(l.flags);
+        io.u8(l.prev);
+        io.u8(l.next);
+        unsigned owner = l.owner.index();
+        io.u8(owner);
+        if constexpr (Io::kLoading)
+            l.owner = CoreId{owner};
+    }
+    for (auto &set : self.sets_) {
+        io.u8(set.lru);
+        io.u8(set.mru);
+        io.u8(set.used);
+    }
+    io.end();
+}
+
 void
 SetAssocCache::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU32(static_cast<std::uint32_t>(sets_.size()));
-    w.putU32(params_.assoc);
-    for (const Line &l : lines_) {
-        w.putU64(l.tag);
-        w.putU8(l.flags);
-        w.putU8(l.prev);
-        w.putU8(l.next);
-        w.putU8(static_cast<std::uint8_t>(l.owner.index()));
-    }
-    for (const SetLinks &set : sets_) {
-        w.putU8(set.lru);
-        w.putU8(set.mru);
-        w.putU8(set.used);
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 SetAssocCache::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const std::uint32_t num_sets = r.getU32();
-    const std::uint32_t assoc = r.getU32();
-    if (num_sets != sets_.size() || assoc != params_.assoc)
-        fatal("snapshot: %s geometry is %zu sets x %u ways, snapshot has "
-              "%u x %u",
-              params_.name.c_str(), sets_.size(), params_.assoc, num_sets,
-              assoc);
-    for (Line &l : lines_) {
-        l.tag = r.getU64();
-        l.flags = r.getU8();
-        l.prev = r.getU8();
-        l.next = r.getU8();
-        l.owner = CoreId{r.getU8()};
-    }
-    for (SetLinks &set : sets_) {
-        set.lru = r.getU8();
-        set.mru = r.getU8();
-        set.used = r.getU8();
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
     // insert()'s free-way walk and unlink()/linkAtDepth() index by these
     // links and counts unchecked: a bad one would reach past the set.
     for (std::size_t s = 0; s < sets_.size(); ++s)

@@ -129,6 +129,9 @@ class SetAssocCache : public Auditable, public Snapshottable
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     static constexpr std::uint8_t kNoWay = 0xFF;
     static constexpr std::uint8_t kValid = 1 << 0;
     static constexpr std::uint8_t kPref = 1 << 1;

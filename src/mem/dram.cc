@@ -192,52 +192,40 @@ DramModel::pump()
         schedulePump(busFree_);
 }
 
+template <typename Self, typename Io>
+void
+DramModel::snapFields(Self &self, Io &io)
+{
+    FDP_ASSERT(self.queued() == 0,
+               "%s: %zu requests queued at a snapshot (not quiesced)",
+               self.auditName(), self.queued());
+    FDP_ASSERT(!self.pumpScheduled_,
+               "%s: pump event pending at a snapshot", self.auditName());
+    io.begin(self.snapName());
+    io.fixedU32(self.params_.banks, "banks");
+    for (auto &ready : self.bankReady_)
+        io.u64(ready);
+    for (auto &row : self.openRow_)
+        io.u64(row);
+    io.fixedU32(self.coreBusAccesses_.size(), "cores");
+    for (auto &n : self.coreBusAccesses_)
+        io.u64(n);
+    io.u64(self.busFree_);
+    io.end();
+}
+
 void
 DramModel::saveState(SnapWriter &w) const
 {
-    FDP_ASSERT(queued() == 0,
-               "%s: snapshot with %zu requests queued (not quiesced)",
-               auditName(), queued());
-    FDP_ASSERT(!pumpScheduled_,
-               "%s: snapshot with a pump event pending", auditName());
-    w.beginSection(snapName());
-    w.putU32(params_.banks);
-    for (const Cycle ready : bankReady_)
-        w.putU64(ready);
-    for (const std::uint64_t row : openRow_)
-        w.putU64(row);
-    w.putU32(static_cast<std::uint32_t>(coreBusAccesses_.size()));
-    for (const std::uint64_t n : coreBusAccesses_)
-        w.putU64(n);
-    w.putU64(busFree_);
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 DramModel::loadState(SnapReader &r)
 {
-    FDP_ASSERT(queued() == 0,
-               "%s: restore with %zu requests queued", auditName(),
-               queued());
-    FDP_ASSERT(!pumpScheduled_,
-               "%s: restore with a pump event pending", auditName());
-    r.openSection(snapName());
-    const std::uint32_t banks = r.getU32();
-    if (banks != params_.banks)
-        fatal("snapshot: DRAM has %u banks, snapshot has %u",
-              params_.banks, banks);
-    for (Cycle &ready : bankReady_)
-        ready = r.getU64();
-    for (std::uint64_t &row : openRow_)
-        row = r.getU64();
-    const std::uint32_t cores = r.getU32();
-    if (cores != coreBusAccesses_.size())
-        fatal("snapshot: DRAM serves %zu cores, snapshot has %u",
-              coreBusAccesses_.size(), cores);
-    for (std::uint64_t &n : coreBusAccesses_)
-        n = r.getU64();
-    busFree_ = r.getU64();
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 void

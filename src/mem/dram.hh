@@ -124,6 +124,9 @@ class DramModel : public DramBackend
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     struct Request
     {
         BlockAddr block = 0;

@@ -532,57 +532,48 @@ MemorySystem::audit() const
                        cores_[0].fdp->intervalsCompleted()));
 }
 
+template <typename Self, typename Io>
+void
+MemorySystem::snapFields(Self &self, Io &io)
+{
+    FDP_ASSERT(self.quiesced(),
+               "%s: work in flight at a snapshot (%zu MSHRs, %zu stalled "
+               "demands, %zu bus requests)",
+               self.auditName(), self.mshrs_.size(), self.mshrWaitQ_.size(),
+               self.dram_->queued());
+    // The stat groups are serialized alongside this section; unflushed
+    // batched counts would silently vanish from the snapshot.
+    for (const Core &c : self.cores_)
+        FDP_ASSERT(c.hot == Counters{},
+                   "%s: unflushed batched statistics at a snapshot (call "
+                   "flushStats() first)", self.auditName());
+    io.begin(self.snapName());
+    io.fixedU8(self.pcache_ != nullptr, "prefetch cache");
+    io.f64(self.busUtil_);
+    io.u64(self.busWindowStart_);
+    io.u64(self.busWindowBusy_);
+    io.end();
+    for (auto &c : self.cores_)
+        io.child(c.l1);
+    io.child(self.l2_);
+    io.child(self.mshrs_);
+    io.child(*self.dram_);
+    if (self.pcache_)
+        io.child(*self.pcache_);
+}
+
 void
 MemorySystem::saveState(SnapWriter &w) const
 {
-    FDP_ASSERT(quiesced(),
-               "%s: snapshot with work in flight (%zu MSHRs, %zu stalled "
-               "demands, %zu bus requests)",
-               auditName(), mshrs_.size(), mshrWaitQ_.size(),
-               dram_->queued());
-    // The stat groups are serialized alongside this section; unflushed
-    // batched counts would silently vanish from the snapshot.
-    for (const Core &c : cores_)
-        FDP_ASSERT(c.hot == Counters{},
-                   "%s: snapshot with unflushed batched statistics (call "
-                   "flushStats() first)", auditName());
-    w.beginSection(snapName());
-    w.putBool(pcache_ != nullptr);
-    w.putDouble(busUtil_);
-    w.putU64(busWindowStart_);
-    w.putU64(busWindowBusy_);
-    w.endSection();
-    for (const Core &c : cores_)
-        c.l1.saveState(w);
-    l2_.saveState(w);
-    mshrs_.saveState(w);
-    dram_->saveState(w);
-    if (pcache_)
-        pcache_->saveState(w);
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 MemorySystem::loadState(SnapReader &r)
 {
-    FDP_ASSERT(quiesced(),
-               "%s: restore with work in flight", auditName());
-    r.openSection(snapName());
-    const bool has_pcache = r.getBool();
-    busUtil_ = r.getDouble();
-    busWindowStart_ = r.getU64();
-    busWindowBusy_ = r.getU64();
-    r.closeSection();
-    if (has_pcache != (pcache_ != nullptr))
-        fatal("snapshot: prefetch cache is %s, snapshot has it %s",
-              pcache_ ? "enabled" : "disabled",
-              has_pcache ? "enabled" : "disabled");
-    for (Core &c : cores_)
-        c.l1.loadState(r);
-    l2_.loadState(r);
-    mshrs_.loadState(r);
-    dram_->loadState(r);
-    if (pcache_)
-        pcache_->loadState(r);
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 } // namespace fdp

@@ -243,6 +243,9 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     /**
      * Per-core event counters, in stat registration order. The first
      * kNumTotals also have a machine-wide total; the per-core breakdown

@@ -112,29 +112,30 @@ MshrFile::clear()
         e.waiters.clear();
 }
 
+template <typename Self, typename Io>
+void
+MshrFile::snapFields(Self &self, Io &io)
+{
+    FDP_ASSERT(self.size() == 0,
+               "%s: %zu misses in flight at a snapshot (not quiesced)",
+               self.auditName(), self.size());
+    io.begin(self.snapName());
+    io.fixedU32(self.capacity_, "capacity");
+    io.end();
+}
+
 void
 MshrFile::saveState(SnapWriter &w) const
 {
-    FDP_ASSERT(size() == 0,
-               "%s: snapshot with %zu misses in flight (not quiesced)",
-               auditName(), size());
-    w.beginSection(snapName());
-    w.putU32(static_cast<std::uint32_t>(capacity_));
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 MshrFile::loadState(SnapReader &r)
 {
-    FDP_ASSERT(size() == 0,
-               "%s: restore into a file with %zu misses in flight",
-               auditName(), size());
-    r.openSection(snapName());
-    const std::uint32_t capacity = r.getU32();
-    if (capacity != capacity_)
-        fatal("snapshot: MSHR capacity is %zu, snapshot has %u", capacity_,
-              capacity);
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 void

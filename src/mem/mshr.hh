@@ -102,6 +102,9 @@ class MshrFile : public Auditable, public Snapshottable
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
     /** One open-addressed index record. */

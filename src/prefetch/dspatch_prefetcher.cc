@@ -74,69 +74,47 @@ DspatchPrefetcher::reset()
     tick_ = 0;
 }
 
+template <typename Self, typename Io>
+void
+DspatchPrefetcher::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u64(self.tick_);
+    io.fixedU32(self.pb_.size(), "page buffer holds");
+    for (auto &e : self.pb_) {
+        io.u8(e.valid);
+        io.u64(e.regionTag);
+        io.u32(e.pattern);
+        io.u8(e.triggerOffset, 0, kDspatchBlocksPerRegion - 1,
+              "PB trigger offset");
+        io.u64(e.triggerPc);
+        io.u64(e.lastUse);
+    }
+    io.fixedU32(self.spt_.size(), "signature table holds");
+    for (auto &e : self.spt_) {
+        io.u8(e.valid);
+        io.u64(e.tag);
+        io.u32(e.covP);
+        io.u32(e.accP);
+        io.u8(e.covScore);
+        io.u8(e.accScore);
+    }
+    io.end();
+}
+
 void
 DspatchPrefetcher::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU64(tick_);
-    w.putU32(static_cast<std::uint32_t>(pb_.size()));
-    for (const PbEntry &e : pb_) {
-        w.putBool(e.valid);
-        w.putU64(e.regionTag);
-        w.putU32(e.pattern);
-        w.putU8(e.triggerOffset);
-        w.putU64(e.triggerPc);
-        w.putU64(e.lastUse);
-    }
-    w.putU32(static_cast<std::uint32_t>(spt_.size()));
-    for (const SptEntry &e : spt_) {
-        w.putBool(e.valid);
-        w.putU64(e.tag);
-        w.putU32(e.covP);
-        w.putU32(e.accP);
-        w.putU8(e.covScore);
-        w.putU8(e.accScore);
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 DspatchPrefetcher::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const unsigned level = r.getU8();
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        fatal("snapshot: dspatch prefetcher level %u out of range", level);
-    level_ = level;
-    tick_ = r.getU64();
-    const std::uint32_t nPb = r.getU32();
-    if (nPb != pb_.size())
-        fatal("snapshot: dspatch page buffer holds %zu entries, snapshot "
-              "has %u",
-              pb_.size(), nPb);
-    for (PbEntry &e : pb_) {
-        e.valid = r.getBool();
-        e.regionTag = r.getU64();
-        e.pattern = r.getU32();
-        e.triggerOffset = r.getU8();
-        e.triggerPc = r.getU64();
-        e.lastUse = r.getU64();
-    }
-    const std::uint32_t nSpt = r.getU32();
-    if (nSpt != spt_.size())
-        fatal("snapshot: dspatch signature table holds %zu entries, "
-              "snapshot has %u",
-              spt_.size(), nSpt);
-    for (SptEntry &e : spt_) {
-        e.valid = r.getBool();
-        e.tag = r.getU64();
-        e.covP = r.getU32();
-        e.accP = r.getU32();
-        e.covScore = r.getU8();
-        e.accScore = r.getU8();
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 std::size_t

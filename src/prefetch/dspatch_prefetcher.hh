@@ -80,6 +80,9 @@ class DspatchPrefetcher : public Prefetcher
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     /** One in-flight spatial region. */
     struct PbEntry
     {

@@ -202,59 +202,42 @@ GhbPrefetcher::audit() const
                auditName(), mapped, valid);
 }
 
+template <typename Self, typename Io>
+void
+GhbPrefetcher::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u64(self.nextSeq_);
+    io.u64(self.tick_);
+    io.fixedU32(self.ghb_.size(), "GHB holds");
+    for (auto &e : self.ghb_) {
+        io.i64(e.block);
+        io.u64(e.prevSeq);
+        io.u8(e.hasPrev);
+    }
+    io.fixedU32(self.index_.size(), "index holds");
+    for (auto &e : self.index_) {
+        io.u8(e.valid);
+        io.u64(e.zone);
+        io.u64(e.headSeq);
+        io.u64(e.lastUse);
+    }
+    io.end();
+}
+
 void
 GhbPrefetcher::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU64(nextSeq_);
-    w.putU64(tick_);
-    w.putU32(static_cast<std::uint32_t>(ghb_.size()));
-    for (const GhbEntry &e : ghb_) {
-        w.putI64(e.block);
-        w.putU64(e.prevSeq);
-        w.putBool(e.hasPrev);
-    }
-    w.putU32(static_cast<std::uint32_t>(index_.size()));
-    for (const IndexEntry &e : index_) {
-        w.putBool(e.valid);
-        w.putU64(e.zone);
-        w.putU64(e.headSeq);
-        w.putU64(e.lastUse);
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 GhbPrefetcher::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const unsigned level = r.getU8();
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        fatal("snapshot: GHB prefetcher level %u out of range", level);
-    level_ = level;
-    nextSeq_ = r.getU64();
-    tick_ = r.getU64();
-    const std::uint32_t ghb_size = r.getU32();
-    if (ghb_size != ghb_.size())
-        fatal("snapshot: GHB holds %zu entries, snapshot has %u",
-              ghb_.size(), ghb_size);
-    for (GhbEntry &e : ghb_) {
-        e.block = r.getI64();
-        e.prevSeq = r.getU64();
-        e.hasPrev = r.getBool();
-    }
-    const std::uint32_t index_size = r.getU32();
-    if (index_size != index_.size())
-        fatal("snapshot: GHB index holds %zu entries, snapshot has %u",
-              index_.size(), index_size);
-    for (IndexEntry &e : index_) {
-        e.valid = r.getBool();
-        e.zone = r.getU64();
-        e.headSeq = r.getU64();
-        e.lastUse = r.getU64();
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 
     // Rebuild the derived state the snapshot does not carry: the cached
     // per-entry deltas (only meaningful while the predecessor is live)

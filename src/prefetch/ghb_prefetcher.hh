@@ -66,6 +66,9 @@ class GhbPrefetcher : public Prefetcher
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     void doObserve(const PrefetchObservation &obs,
                    std::vector<BlockAddr> &out,
                    std::size_t budget) override;

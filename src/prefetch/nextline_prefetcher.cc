@@ -33,25 +33,28 @@ NextLinePrefetcher::audit() const
                level_, kMinAggrLevel, kMaxAggrLevel);
 }
 
+template <typename Self, typename Io>
+void
+NextLinePrefetcher::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u64(self.tick_);
+    io.end();
+}
+
 void
 NextLinePrefetcher::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU64(tick_);
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 NextLinePrefetcher::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const unsigned level = r.getU8();
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        fatal("snapshot: nextline prefetcher level %u out of range", level);
-    level_ = level;
-    tick_ = r.getU64();
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 void

@@ -48,6 +48,9 @@ class NextLinePrefetcher : public Prefetcher
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     void doObserve(const PrefetchObservation &obs,
                    std::vector<BlockAddr> &out,
                    std::size_t budget) override;

@@ -506,68 +506,55 @@ StreamPrefetcher::audit() const
                auditName(), chained, training);
 }
 
+template <typename Self, typename Io>
+void
+StreamPrefetcher::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u64(self.tick_);
+    io.fixedU32(self.entries_.size(), "table holds");
+    for (std::size_t i = 0; i < self.entries_.size(); ++i) {
+        auto &e = self.entries_[i];
+        io.u8(e.state);
+        io.i64(e.dir);
+        io.i64(e.firstMiss);
+        io.i64(e.lastMiss);
+        io.i64(e.startPtr);
+        io.i64(e.endPtr);
+        io.u64(e.lastUse);
+        // The derived indexes are rebuilt from these fields, so reject
+        // what no run produces: a state outside the FSM, a trained
+        // direction other than +/-1, or a stamp from a future tick (the
+        // LRU list relies on new stamps exceeding every restored one).
+        io.check(e.state <= State::MonitorRequest,
+                 "entry %zu in state %u, outside the tracking FSM", i,
+                 static_cast<unsigned>(e.state));
+        const bool trained = e.state == State::Training ||
+                             e.state == State::MonitorRequest;
+        io.check(!trained || e.dir == 1 || e.dir == -1,
+                 "trained entry %zu has direction %d", i, e.dir);
+        io.check(e.state == State::Invalid || e.lastUse <= self.tick_,
+                 "entry %zu last used at tick %llu, after the "
+                 "prefetcher's tick %llu",
+                 i, static_cast<unsigned long long>(e.lastUse),
+                 static_cast<unsigned long long>(self.tick_));
+    }
+    io.end();
+}
+
 void
 StreamPrefetcher::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU64(tick_);
-    w.putU32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.putU8(static_cast<std::uint8_t>(e.state));
-        w.putI64(e.dir);
-        w.putI64(e.firstMiss);
-        w.putI64(e.lastMiss);
-        w.putI64(e.startPtr);
-        w.putI64(e.endPtr);
-        w.putU64(e.lastUse);
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 StreamPrefetcher::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const unsigned level = r.getU8();
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        fatal("snapshot: stream prefetcher level %u out of range", level);
-    level_ = level;
-    tick_ = r.getU64();
-    const std::uint32_t n = r.getU32();
-    if (n != entries_.size())
-        fatal("snapshot: stream prefetcher has %zu entries, snapshot has "
-              "%u", entries_.size(), n);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        Entry &e = entries_[i];
-        const std::uint8_t state = r.getU8();
-        const std::int64_t dir = r.getI64();
-        e.firstMiss = r.getI64();
-        e.lastMiss = r.getI64();
-        e.startPtr = r.getI64();
-        e.endPtr = r.getI64();
-        e.lastUse = r.getU64();
-        // The derived indexes are rebuilt from these fields, so reject
-        // what no run produces: a state outside the FSM, a trained
-        // direction other than +/-1, or a stamp from a future tick (the
-        // LRU list relies on new stamps exceeding every restored one).
-        if (state > static_cast<std::uint8_t>(State::MonitorRequest))
-            fatal("snapshot: stream entry %zu in state %u, outside the "
-                  "tracking FSM", i, state);
-        e.state = static_cast<State>(state);
-        const bool trained = e.state == State::Training ||
-                             e.state == State::MonitorRequest;
-        if (trained && dir != 1 && dir != -1)
-            fatal("snapshot: trained stream entry %zu has direction %lld",
-                  i, static_cast<long long>(dir));
-        e.dir = static_cast<int>(dir);
-        if (e.state != State::Invalid && e.lastUse > tick_)
-            fatal("snapshot: stream entry %zu last used at tick %llu, "
-                  "after the prefetcher's tick %llu",
-                  i, static_cast<unsigned long long>(e.lastUse),
-                  static_cast<unsigned long long>(tick_));
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
     rebuildIndexes();
 }
 

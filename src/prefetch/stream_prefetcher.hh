@@ -104,6 +104,9 @@ class StreamPrefetcher : public Prefetcher
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     struct Entry
     {
         State state = State::Invalid;

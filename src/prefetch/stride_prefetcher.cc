@@ -29,46 +29,37 @@ StridePrefetcher::reset()
     tick_ = 0;
 }
 
+template <typename Self, typename Io>
+void
+StridePrefetcher::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u64(self.tick_);
+    io.fixedU32(self.table_.size(), "table holds");
+    for (auto &e : self.table_) {
+        io.u8(e.valid);
+        io.u64(e.tag);
+        io.i64(e.lastAddr);
+        io.i64(e.stride);
+        io.u8(e.state, State::Initial, State::NoPred, "entry state");
+        io.u64(e.lastUse);
+    }
+    io.end();
+}
+
 void
 StridePrefetcher::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU64(tick_);
-    w.putU32(static_cast<std::uint32_t>(table_.size()));
-    for (const Entry &e : table_) {
-        w.putBool(e.valid);
-        w.putU64(e.tag);
-        w.putI64(e.lastAddr);
-        w.putI64(e.stride);
-        w.putU8(static_cast<std::uint8_t>(e.state));
-        w.putU64(e.lastUse);
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 StridePrefetcher::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const unsigned level = r.getU8();
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        fatal("snapshot: stride prefetcher level %u out of range", level);
-    level_ = level;
-    tick_ = r.getU64();
-    const std::uint32_t n = r.getU32();
-    if (n != table_.size())
-        fatal("snapshot: stride table holds %zu entries, snapshot has %u",
-              table_.size(), n);
-    for (Entry &e : table_) {
-        e.valid = r.getBool();
-        e.tag = r.getU64();
-        e.lastAddr = r.getI64();
-        e.stride = r.getI64();
-        e.state = static_cast<State>(r.getU8());
-        e.lastUse = r.getU64();
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 std::size_t

@@ -69,6 +69,9 @@ class StridePrefetcher : public Prefetcher
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     void doObserve(const PrefetchObservation &obs,
                    std::vector<BlockAddr> &out,
                    std::size_t budget) override;

@@ -56,88 +56,55 @@ VldpPrefetcher::reset()
     tick_ = 0;
 }
 
+template <typename Self, typename Io>
+void
+VldpPrefetcher::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.u8(self.level_, kMinAggrLevel, kMaxAggrLevel, "level");
+    io.u64(self.tick_);
+    io.fixedU32(self.dhb_.size(), "DHB holds");
+    for (auto &e : self.dhb_) {
+        io.u8(e.valid);
+        io.u64(e.pageTag);
+        io.u8(e.lastOffset, 0, kVldpBlocksPerPage - 1, "DHB last offset");
+        io.u8(e.firstOffset, 0, kVldpBlocksPerPage - 1, "DHB first offset");
+        for (auto &d : e.deltas)
+            io.u8(d);
+        io.u8(e.numDeltas, 0, kVldpHistLen, "DHB delta count");
+        io.u64(e.lastUse);
+    }
+    io.fixedU32(kVldpBlocksPerPage, "OPT holds");
+    for (auto &e : self.opt_) {
+        io.u8(e.valid);
+        io.u8(e.pred);
+        io.u8(e.accuracy);
+    }
+    io.fixedU32(self.params_.dptEntries, "DPT holds");
+    for (auto &table : self.dpt_) {
+        for (auto &e : table) {
+            io.u8(e.valid);
+            for (auto &d : e.key)
+                io.u8(d);
+            io.u8(e.pred);
+            io.u8(e.accuracy);
+        }
+    }
+    io.end();
+}
+
 void
 VldpPrefetcher::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU8(static_cast<std::uint8_t>(level_));
-    w.putU64(tick_);
-    w.putU32(static_cast<std::uint32_t>(dhb_.size()));
-    for (const DhbEntry &e : dhb_) {
-        w.putBool(e.valid);
-        w.putU64(e.pageTag);
-        w.putU8(e.lastOffset);
-        w.putU8(e.firstOffset);
-        for (std::int8_t d : e.deltas)
-            w.putU8(static_cast<std::uint8_t>(d));
-        w.putU8(e.numDeltas);
-        w.putU64(e.lastUse);
-    }
-    w.putU32(kVldpBlocksPerPage);
-    for (const OptEntry &e : opt_) {
-        w.putBool(e.valid);
-        w.putU8(static_cast<std::uint8_t>(e.pred));
-        w.putU8(e.accuracy);
-    }
-    w.putU32(static_cast<std::uint32_t>(params_.dptEntries));
-    for (const auto &table : dpt_) {
-        for (const DptEntry &e : table) {
-            w.putBool(e.valid);
-            for (std::int8_t d : e.key)
-                w.putU8(static_cast<std::uint8_t>(d));
-            w.putU8(static_cast<std::uint8_t>(e.pred));
-            w.putU8(e.accuracy);
-        }
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 VldpPrefetcher::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const unsigned level = r.getU8();
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        fatal("snapshot: vldp prefetcher level %u out of range", level);
-    level_ = level;
-    tick_ = r.getU64();
-    const std::uint32_t nDhb = r.getU32();
-    if (nDhb != dhb_.size())
-        fatal("snapshot: vldp DHB holds %zu entries, snapshot has %u",
-              dhb_.size(), nDhb);
-    for (DhbEntry &e : dhb_) {
-        e.valid = r.getBool();
-        e.pageTag = r.getU64();
-        e.lastOffset = r.getU8();
-        e.firstOffset = r.getU8();
-        for (std::int8_t &d : e.deltas)
-            d = static_cast<std::int8_t>(r.getU8());
-        e.numDeltas = r.getU8();
-        e.lastUse = r.getU64();
-    }
-    const std::uint32_t nOpt = r.getU32();
-    if (nOpt != kVldpBlocksPerPage)
-        fatal("snapshot: vldp OPT holds %u entries, snapshot has %u",
-              kVldpBlocksPerPage, nOpt);
-    for (OptEntry &e : opt_) {
-        e.valid = r.getBool();
-        e.pred = static_cast<std::int8_t>(r.getU8());
-        e.accuracy = r.getU8();
-    }
-    const std::uint32_t nDpt = r.getU32();
-    if (nDpt != params_.dptEntries)
-        fatal("snapshot: vldp DPT holds %u entries, snapshot has %u",
-              params_.dptEntries, nDpt);
-    for (auto &table : dpt_) {
-        for (DptEntry &e : table) {
-            e.valid = r.getBool();
-            for (std::int8_t &d : e.key)
-                d = static_cast<std::int8_t>(r.getU8());
-            e.pred = static_cast<std::int8_t>(r.getU8());
-            e.accuracy = r.getU8();
-        }
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 std::size_t

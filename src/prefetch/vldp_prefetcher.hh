@@ -79,6 +79,9 @@ class VldpPrefetcher : public Prefetcher
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     /** One page's recent access history. */
     struct DhbEntry
     {

@@ -100,30 +100,32 @@ EventQueue::reset()
     horizon_ = 0;
 }
 
+template <typename Self, typename Io>
+void
+EventQueue::snapFields(Self &self, Io &io)
+{
+    FDP_ASSERT(self.heap_.empty(),
+               "%s: %zu events pending at a snapshot (not quiesced)",
+               self.auditName(), self.heap_.size());
+    io.begin(self.snapName());
+    io.u64(self.horizon_);
+    io.u64(self.nextSeq_);
+    io.u64(self.serviced_);
+    io.end();
+}
+
 void
 EventQueue::saveState(SnapWriter &w) const
 {
-    FDP_ASSERT(heap_.empty(),
-               "%s: snapshot with %zu events pending (not quiesced)",
-               auditName(), heap_.size());
-    w.beginSection(snapName());
-    w.putU64(horizon_);
-    w.putU64(nextSeq_);
-    w.putU64(serviced_);
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 EventQueue::loadState(SnapReader &r)
 {
-    FDP_ASSERT(heap_.empty(),
-               "%s: restore into a queue with %zu events pending",
-               auditName(), heap_.size());
-    r.openSection(snapName());
-    horizon_ = r.getU64();
-    nextSeq_ = r.getU64();
-    serviced_ = r.getU64();
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 void

@@ -90,6 +90,9 @@ class EventQueue : public Auditable, public Snapshottable
   private:
     friend struct AuditCorrupter;
 
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     /** Heap record: the callback stays put in the slab while sifting. */
     struct Entry
     {

@@ -173,11 +173,20 @@ SnapReader::closeSection()
 void
 SnapReader::skipSection(const std::string &expected)
 {
-    const std::string name = enterFrame();
+    const std::string name = skipAnySection().name;
     if (name != expected)
         fatal("snapshot: expected section `%s', found `%s'",
               expected.c_str(), name.c_str());
+}
+
+SnapReader::Span
+SnapReader::skipAnySection()
+{
+    Span s;
+    s.name = enterFrame();
+    s.payloadBytes = static_cast<std::uint32_t>(sectionEnd_ - pos_);
     pos_ = sectionEnd_;
+    return s;
 }
 
 std::uint8_t
@@ -244,6 +253,34 @@ SnapReader::getBytes()
     std::vector<std::uint8_t> blob(data_ + pos_, data_ + pos_ + len);
     pos_ += len;
     return blob;
+}
+
+// ---------------------------------------------------------------------------
+// SnapLoad.
+// ---------------------------------------------------------------------------
+
+void
+SnapLoad::fixedStr(const std::string &s, const char *what)
+{
+    const std::string got = r_.getString();
+    if (got != s)
+        fail(detail::formatMessage("%s `%s', snapshot has `%s'", what,
+                                   s.c_str(), got.c_str()));
+}
+
+void
+SnapLoad::same(std::uint64_t have, std::uint64_t got, const char *what) const
+{
+    if (got != have)
+        fail(detail::formatMessage("%s %llu, snapshot has %llu", what,
+                                   static_cast<unsigned long long>(have),
+                                   static_cast<unsigned long long>(got)));
+}
+
+void
+SnapLoad::fail(const std::string &message) const
+{
+    fatal("snapshot: %s %s", section_, message.c_str());
 }
 
 } // namespace fdp

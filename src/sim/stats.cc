@@ -80,63 +80,38 @@ StatGroup::resetAll()
         d->reset();
 }
 
+template <typename Self, typename Io>
+void
+StatGroup::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.fixedU32(self.scalars_.size(), "scalars");
+    for (ScalarStat *s : self.scalars_) {
+        io.fixedStr(s->name(), "scalar");
+        io.u64(s->value_);
+    }
+    io.fixedU32(self.distributions_.size(), "distributions");
+    for (DistributionStat *d : self.distributions_) {
+        io.fixedStr(d->name(), "distribution");
+        io.fixedU32(d->numBuckets(), "buckets");
+        for (std::uint64_t &count : d->buckets_)
+            io.u64(count);
+    }
+    io.end();
+}
+
 void
 StatGroup::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putU32(static_cast<std::uint32_t>(scalars_.size()));
-    for (const auto *s : scalars_) {
-        w.putString(s->name());
-        w.putU64(s->value());
-    }
-    w.putU32(static_cast<std::uint32_t>(distributions_.size()));
-    for (const auto *d : distributions_) {
-        w.putString(d->name());
-        w.putU32(static_cast<std::uint32_t>(d->numBuckets()));
-        for (std::size_t i = 0; i < d->numBuckets(); ++i)
-            w.putU64(d->bucket(i));
-    }
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 StatGroup::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const std::uint32_t nScalars = r.getU32();
-    if (nScalars != scalars_.size())
-        fatal("snapshot: stat group %s has %zu scalars, snapshot has %u",
-              name_.c_str(), scalars_.size(), nScalars);
-    for (auto *s : scalars_) {
-        const std::string name = r.getString();
-        if (name != s->name())
-            fatal("snapshot: stat group %s expected scalar %s, found %s",
-                  name_.c_str(), s->name().c_str(), name.c_str());
-        s->reset();
-        *s += r.getU64();
-    }
-    const std::uint32_t nDists = r.getU32();
-    if (nDists != distributions_.size())
-        fatal("snapshot: stat group %s has %zu distributions, snapshot "
-              "has %u", name_.c_str(), distributions_.size(), nDists);
-    for (auto *d : distributions_) {
-        const std::string name = r.getString();
-        if (name != d->name())
-            fatal("snapshot: stat group %s expected distribution %s, "
-                  "found %s", name_.c_str(), d->name().c_str(),
-                  name.c_str());
-        const std::uint32_t buckets = r.getU32();
-        if (buckets != d->numBuckets())
-            fatal("snapshot: distribution %s has %zu buckets, snapshot "
-                  "has %u", d->name().c_str(), d->numBuckets(), buckets);
-        d->reset();
-        for (std::size_t i = 0; i < d->numBuckets(); ++i) {
-            const std::uint64_t count = r.getU64();
-            if (count != 0)
-                d->sample(i, count);
-        }
-    }
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 } // namespace fdp

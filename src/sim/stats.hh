@@ -44,6 +44,8 @@ class ScalarStat
     const std::string &desc() const { return desc_; }
 
   private:
+    friend class StatGroup;  // snapshots value_
+
     std::string name_;
     std::string desc_;
     std::uint64_t value_ = 0;
@@ -81,6 +83,8 @@ class DistributionStat
     const std::string &desc() const { return desc_; }
 
   private:
+    friend class StatGroup;  // snapshots buckets_
+
     std::string name_;
     std::string desc_;
     std::vector<std::uint64_t> buckets_;
@@ -127,6 +131,9 @@ class StatGroup : public Snapshottable
   private:
     friend class ScalarStat;
     friend class DistributionStat;
+
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
 
     std::string name_;
     std::string snapName_;

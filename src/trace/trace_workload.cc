@@ -27,36 +27,42 @@ TraceWorkload::audit() const
     reader_.audit();
 }
 
+template <typename Self, typename Io>
+void
+TraceWorkload::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.fixedStr(self.reader_.header().benchmark, "trace benchmark");
+    std::uint64_t ops = self.reader_.opsRead();
+    io.u64(ops);
+    io.end();
+    if constexpr (Io::kLoading) {
+        // Re-read the trace up to the saved cursor.
+        self.reader_.reset();
+        MicroOp op;
+        for (std::uint64_t i = 0; i < ops; ++i)
+            if (!self.reader_.next(op))
+                fatal("snapshot: trace %s holds %llu micro-ops but the "
+                      "snapshot consumed %llu",
+                      self.reader_.path().c_str(),
+                      static_cast<unsigned long long>(
+                          self.reader_.header().opCount),
+                      static_cast<unsigned long long>(ops));
+    }
+}
+
 void
 TraceWorkload::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putString(reader_.header().benchmark);
-    w.putU64(reader_.opsRead());
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 TraceWorkload::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const std::string benchmark = r.getString();
-    if (benchmark != reader_.header().benchmark)
-        fatal("snapshot: trace %s replays %s, snapshot was taken on %s",
-              reader_.path().c_str(), reader_.header().benchmark.c_str(),
-              benchmark.c_str());
-    const std::uint64_t ops = r.getU64();
-    r.closeSection();
-    reader_.reset();
-    MicroOp op;
-    for (std::uint64_t i = 0; i < ops; ++i)
-        if (!reader_.next(op))
-            fatal("snapshot: trace %s holds %llu micro-ops but the "
-                  "snapshot consumed %llu",
-                  reader_.path().c_str(),
-                  static_cast<unsigned long long>(
-                      reader_.header().opCount),
-                  static_cast<unsigned long long>(ops));
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 MicroOp

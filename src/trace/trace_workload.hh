@@ -54,6 +54,9 @@ class TraceWorkload : public Workload, public Auditable, public Snapshottable
 
   private:
     TraceReader reader_;
+
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
 };
 
 /** Pass-through Workload that records every produced micro-op. */

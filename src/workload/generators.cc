@@ -1,11 +1,28 @@
 #include "workload/generators.hh"
 
+#include <iterator>
 #include <utility>
 
 #include "sim/logging.hh"
 
 namespace fdp
 {
+
+namespace
+{
+
+/** Block deltas the delta walker cycles through (see pDelta). */
+constexpr unsigned kDeltaCycle[] = {1, 3, 2};
+
+/** Highest index of @p v, or 0 when it is empty. */
+template <typename V>
+std::size_t
+lastIndex(const V &v)
+{
+    return v.empty() ? 0 : v.size() - 1;
+}
+
+} // namespace
 
 SyntheticWorkload::SyntheticWorkload(const SyntheticParams &params)
     : params_(params), rng_(params.seed)
@@ -166,9 +183,8 @@ SyntheticWorkload::deltaOp()
         return op;
     deltaWord_ = 0;
 
-    static constexpr unsigned kDeltas[3] = {1, 3, 2};
-    const unsigned d = kDeltas[deltaPhase_];
-    if (++deltaPhase_ >= 3)
+    const unsigned d = kDeltaCycle[deltaPhase_];
+    if (++deltaPhase_ >= std::size(kDeltaCycle))
         deltaPhase_ = 0;
     if (deltaOffset_ + d >= kDeltaPageBytes / kBlockBytes) {
         // Page exhausted: jump to a fresh random page but keep the
@@ -212,67 +228,53 @@ SyntheticWorkload::next()
     return MicroOp{};  // Int op
 }
 
+template <typename Self, typename Io>
+void
+SyntheticWorkload::snapFields(Self &self, Io &io)
+{
+    io.begin(self.snapName());
+    io.fixedStr(self.params_.name, "benchmark");
+    std::uint64_t rng[4];
+    self.rng_.stateWords(rng);
+    for (std::uint64_t &word : rng)
+        io.u64(word);
+    if constexpr (Io::kLoading)
+        self.rng_.setStateWords(rng);
+    io.fixedU32(self.streams_.size(), "streams");
+    for (auto &s : self.streams_) {
+        io.u64(s.cur);
+        io.u64(s.remainingBytes);
+        io.i64(s.dir);
+        io.u64(s.pc);
+    }
+    // The generator indexes by its cursors unchecked, so a restore
+    // bounds each one (a cursor over an empty table stays 0).
+    io.u32(self.nextStream_, 0, lastIndex(self.streams_), "stream cursor");
+    io.u64(self.chaseCur_);
+    io.u64(self.chaseSeqAddr_);
+    io.u64(self.hotCursor_, 0, lastIndex(self.hotOrder_), "hot cursor");
+    // Snapshot format v2: the delta walker and the phase counter.
+    io.u64(self.deltaPage_);
+    io.u32(self.deltaOffset_, 0, kDeltaPageBytes / kBlockBytes - 1,
+           "delta offset");
+    io.u32(self.deltaPhase_, 0, std::size(kDeltaCycle) - 1, "delta phase");
+    io.u32(self.deltaWord_, 0, kBlockBytes / 8 - 1, "delta word");
+    io.u64(self.opCount_);
+    io.end();
+}
+
 void
 SyntheticWorkload::saveState(SnapWriter &w) const
 {
-    w.beginSection(snapName());
-    w.putString(params_.name);
-    std::uint64_t rng_state[4];
-    rng_.stateWords(rng_state);
-    for (const std::uint64_t word : rng_state)
-        w.putU64(word);
-    w.putU32(static_cast<std::uint32_t>(streams_.size()));
-    for (const Stream &s : streams_) {
-        w.putU64(s.cur);
-        w.putU64(s.remainingBytes);
-        w.putI64(s.dir);
-        w.putU64(s.pc);
-    }
-    w.putU32(nextStream_);
-    w.putU64(chaseCur_);
-    w.putU64(chaseSeqAddr_);
-    w.putU64(hotCursor_);
-    // Snapshot format v2: the delta walker and the phase counter.
-    w.putU64(deltaPage_);
-    w.putU32(deltaOffset_);
-    w.putU32(deltaPhase_);
-    w.putU32(deltaWord_);
-    w.putU64(opCount_);
-    w.endSection();
+    SnapSave io(w);
+    snapFields(*this, io);
 }
 
 void
 SyntheticWorkload::loadState(SnapReader &r)
 {
-    r.openSection(snapName());
-    const std::string name = r.getString();
-    if (name != params_.name)
-        fatal("snapshot: workload is %s, snapshot was taken on %s",
-              params_.name.c_str(), name.c_str());
-    std::uint64_t rng_state[4];
-    for (std::uint64_t &word : rng_state)
-        word = r.getU64();
-    rng_.setStateWords(rng_state);
-    const std::uint32_t n = r.getU32();
-    if (n != streams_.size())
-        fatal("snapshot: workload %s has %zu streams, snapshot has %u",
-              params_.name.c_str(), streams_.size(), n);
-    for (Stream &s : streams_) {
-        s.cur = r.getU64();
-        s.remainingBytes = r.getU64();
-        s.dir = static_cast<int>(r.getI64());
-        s.pc = r.getU64();
-    }
-    nextStream_ = r.getU32();
-    chaseCur_ = r.getU64();
-    chaseSeqAddr_ = r.getU64();
-    hotCursor_ = static_cast<std::size_t>(r.getU64());
-    deltaPage_ = r.getU64();
-    deltaOffset_ = r.getU32();
-    deltaPhase_ = r.getU32();
-    deltaWord_ = r.getU32();
-    opCount_ = r.getU64();
-    r.closeSection();
+    SnapLoad io(r);
+    snapFields(*this, io);
 }
 
 PhasedWorkload::PhasedWorkload(std::unique_ptr<Workload> a,

@@ -122,6 +122,9 @@ class SyntheticWorkload : public Workload, public Snapshottable
     const char *snapName() const override { return "workload"; }
 
   private:
+    template <typename Self, typename Io>
+    static void snapFields(Self &self, Io &io);
+
     struct Stream
     {
         Addr cur = 0;

@@ -25,7 +25,9 @@
 #include "harness/result_store.hh"
 #include "harness/sweep_pool.hh"
 #include "harness/warm_fork.hh"
+#include "sim/snapshot.hh"
 #include "support/same_results.hh"
+#include "support/snap_patch.hh"
 
 namespace fdp
 {
@@ -289,6 +291,79 @@ TEST_F(WarmForkDeath, ForkWithMismatchedWarmupIsFatal)
     other.warmupInsts *= 2;
     EXPECT_EXIT(runBenchmarkFromSnapshot(image, other, "fdp"),
                 testing::ExitedWithCode(1), "");
+}
+
+/**
+ * @p benchmark's warm image with the workload-section field @p fromEnd
+ * bytes before the section's end (@p width bytes wide) set to @p value,
+ * written through writeSnapshotFile so its CRC is valid, and read back
+ * as a store or --load-snap image is. The section ends with the
+ * generator's cursors: stream cursor u32 (56 bytes from the end), chase
+ * cursor and address u64, hot cursor u64 (36), delta page u64, delta
+ * offset u32 (20), delta phase u32 (16), delta word u32 (12), op count
+ * u64.
+ */
+SnapshotImage
+imageWithWorkloadField(const std::string &benchmark, std::size_t fromEnd,
+                       std::size_t width, std::uint64_t value)
+{
+    SnapshotImage image =
+        captureWarmSnapshot(benchmark, warmed(RunConfig::fullFdp()));
+    SnapReader r(image.body);
+    std::size_t end = 0;
+    for (SnapReader::Span s; s.name != "workload";) {
+        s = r.skipAnySection();
+        end += 1 + s.name.size() + 4 + s.payloadBytes;
+    }
+    patchLe(image.body, end - fromEnd, width, value);
+    const std::string path = testing::TempDir() + "warm_fork_" +
+                             benchmark + "_" + std::to_string(fromEnd) +
+                             ".fdpsnap";
+    writeSnapshotFile(path, image);
+    return readSnapshotFile(path);
+}
+
+/** Fork @p image the way a warmed sweep cell does. */
+void
+forkFrom(const SnapshotImage &image)
+{
+    runBenchmarkFromSnapshot(image, warmed(RunConfig::fullFdp()), "fdp");
+}
+
+TEST_F(WarmForkDeath, StreamCursorPastTheStreamsIsFatal)
+{
+    EXPECT_EXIT(forkFrom(imageWithWorkloadField("swim", 56, 4, 0x0fffffff)),
+                testing::ExitedWithCode(1),
+                "snapshot: workload stream cursor 268435455 out of range");
+}
+
+TEST_F(WarmForkDeath, HotCursorPastTheSweepIsFatal)
+{
+    EXPECT_EXIT(forkFrom(imageWithWorkloadField("art", 36, 8, 0x0fffffff)),
+                testing::ExitedWithCode(1),
+                "snapshot: workload hot cursor 268435455 out of range");
+}
+
+TEST_F(WarmForkDeath, DeltaOffsetPastThePageIsFatal)
+{
+    EXPECT_EXIT(forkFrom(imageWithWorkloadField("deltamix", 20, 4, 64)),
+                testing::ExitedWithCode(1),
+                "snapshot: workload delta offset 64 out of range");
+}
+
+TEST_F(WarmForkDeath, DeltaPhasePastTheCycleIsFatal)
+{
+    EXPECT_EXIT(
+        forkFrom(imageWithWorkloadField("deltamix", 16, 4, 0x0fffffff)),
+        testing::ExitedWithCode(1),
+        "snapshot: workload delta phase 268435455 out of range");
+}
+
+TEST_F(WarmForkDeath, DeltaWordPastTheBlockIsFatal)
+{
+    EXPECT_EXIT(forkFrom(imageWithWorkloadField("deltamix", 12, 4, 8)),
+                testing::ExitedWithCode(1),
+                "snapshot: workload delta word 8 out of range");
 }
 
 } // namespace

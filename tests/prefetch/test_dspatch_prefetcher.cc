@@ -13,6 +13,7 @@
 
 #include "prefetch/dspatch_prefetcher.hh"
 #include "sim/snapshot.hh"
+#include "support/snap_patch.hh"
 
 namespace fdp
 {
@@ -225,6 +226,19 @@ TEST(DspatchPrefetcherDeathTest, SnapshotGeometryMismatchIsFatal)
     DspatchPrefetcher other;  // default 32-entry page buffer
     SnapReader r(w.bytes());
     EXPECT_DEATH(other.loadState(r), "page buffer holds");
+}
+
+TEST(DspatchPrefetcherDeathTest, RestoredTriggerOffsetOutsideRegionIsFatal)
+{
+    // Page Buffer entry 0 starts after the u8 level, u64 tick and u32
+    // size; its trigger offset follows valid u8, tag u64, pattern u32.
+    // Prediction shifts a 32-bit pattern by it.
+    const auto bytes = savedWithByte(DspatchPrefetcher(), 13 + 13,
+                                     kDspatchBlocksPerRegion);
+    DspatchPrefetcher pf;
+    SnapReader r(bytes);
+    EXPECT_EXIT(pf.loadState(r), testing::ExitedWithCode(1),
+                "dspatch PB trigger offset 32 out of range");
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "prefetch/stride_prefetcher.hh"
+#include "sim/snapshot.hh"
+#include "support/snap_patch.hh"
 
 namespace fdp
 {
@@ -186,6 +188,18 @@ TEST_P(StrideCoverage, SlidingWindowCoversStream)
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, StrideCoverage,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+TEST(StridePrefetcherDeathTest, RestoredStateOutsideTheFsmIsFatal)
+{
+    // Table entry 0 starts after the u8 level, u64 tick and u32 size;
+    // its FSM state follows valid u8, tag u64, last address and stride
+    // i64.
+    const auto bytes = savedWithByte(StridePrefetcher(), 13 + 25, 4);
+    StridePrefetcher pf;
+    SnapReader r(bytes);
+    EXPECT_EXIT(pf.loadState(r), testing::ExitedWithCode(1),
+                "pc-stride entry state 4 out of range");
+}
 
 } // namespace
 } // namespace fdp

@@ -9,6 +9,7 @@
 
 #include "prefetch/vldp_prefetcher.hh"
 #include "sim/snapshot.hh"
+#include "support/snap_patch.hh"
 
 namespace fdp
 {
@@ -183,6 +184,33 @@ TEST(VldpPrefetcherDeathTest, SnapshotGeometryMismatchIsFatal)
     VldpPrefetcher other(params);
     SnapReader r(w.bytes());
     EXPECT_DEATH(other.loadState(r), "DHB holds");
+}
+
+// Payload offset of DHB entry 0 (after the u8 level, u64 tick and u32
+// DHB size); the entry is valid u8, page tag u64, last offset u8, first
+// offset u8, kVldpHistLen deltas, delta count u8, LRU stamp u64.
+constexpr std::size_t kDhbEntry0 = 1 + 8 + 4;
+
+TEST(VldpPrefetcherDeathTest, RestoredFirstOffsetOutsideThePageIsFatal)
+{
+    // The page's second access indexes the OPT by its first offset.
+    const auto bytes = savedWithByte(VldpPrefetcher(), kDhbEntry0 + 10,
+                                     kVldpBlocksPerPage);
+    VldpPrefetcher pf;
+    SnapReader r(bytes);
+    EXPECT_EXIT(pf.loadState(r), testing::ExitedWithCode(1),
+                "vldp DHB first offset 64 out of range");
+}
+
+TEST(VldpPrefetcherDeathTest, RestoredDeltaCountPastTheHistoryIsFatal)
+{
+    // Training walks one DPT level per recorded delta.
+    const auto bytes = savedWithByte(VldpPrefetcher(), kDhbEntry0 + 14,
+                                     kVldpHistLen + 1);
+    VldpPrefetcher pf;
+    SnapReader r(bytes);
+    EXPECT_EXIT(pf.loadState(r), testing::ExitedWithCode(1),
+                "vldp DHB delta count 4 out of range");
 }
 
 } // namespace

@@ -4,7 +4,10 @@
  * exactly (including IEEE-754 and two's-complement edge values), and
  * every structural misuse — wrong section name, leftover payload,
  * reading past a section, a body with trailing garbage — is a clean
- * fatal() diagnostic, never UB or silent garbage.
+ * fatal() diagnostic, never UB or silent garbage. The SnapSave/SnapLoad
+ * walker writes one field list's bytes and rejects a fixed value that
+ * differs, a bounded value out of range, and a value too wide for its
+ * field.
  */
 
 #include <gtest/gtest.h>
@@ -154,6 +157,83 @@ TEST_F(SnapCodecDeath, TruncatedBodyIsFatal)
             r.openSection("core");
         },
         testing::ExitedWithCode(1), "");
+}
+
+/** One field of each walker kind, listed once for both directions. */
+struct Walked
+{
+    bool flag = false;
+    int dir = 1;
+    unsigned cursor = 0;
+
+    template <typename Self, typename Io>
+    static void
+    snapFields(Self &self, Io &io)
+    {
+        io.begin("walked");
+        io.fixedU32(4, "table holds");
+        io.u8(self.flag);
+        io.i64(self.dir);
+        io.u32(self.cursor, 0, 3, "cursor");
+        io.end();
+    }
+};
+
+/** A "walked" section with the given raw field values. */
+std::vector<std::uint8_t>
+walkedSection(std::uint32_t size, std::uint8_t flag, std::int64_t dir,
+              std::uint32_t cursor)
+{
+    SnapWriter w;
+    w.beginSection("walked");
+    w.putU32(size);
+    w.putU8(flag);
+    w.putI64(dir);
+    w.putU32(cursor);
+    w.endSection();
+    return w.bytes();
+}
+
+Walked
+loadWalked(const std::vector<std::uint8_t> &bytes)
+{
+    Walked out;
+    SnapReader r(bytes);
+    SnapLoad io(r);
+    Walked::snapFields(out, io);
+    EXPECT_TRUE(r.atEnd());
+    return out;
+}
+
+TEST(SnapWalker, OneFieldListSavesAndLoadsTheSameBytes)
+{
+    const Walked in{true, -1, 3};
+    SnapWriter w;
+    SnapSave io(w);
+    Walked::snapFields(in, io);
+    EXPECT_EQ(w.bytes(), walkedSection(4, 1, -1, 3));
+
+    const Walked out = loadWalked(w.bytes());
+    EXPECT_TRUE(out.flag);
+    EXPECT_EQ(out.dir, -1);
+    EXPECT_EQ(out.cursor, 3u);
+}
+
+TEST(SnapWalkerDeath, RestoreChecksAreCleanFatals)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(loadWalked(walkedSection(5, 1, 1, 0)),
+                testing::ExitedWithCode(1),
+                "snapshot: walked table holds 4, snapshot has 5");
+    EXPECT_EXIT(loadWalked(walkedSection(4, 1, 1, 4)),
+                testing::ExitedWithCode(1),
+                "snapshot: walked cursor 4 out of range \\[0, 3\\]");
+    EXPECT_EXIT(loadWalked(walkedSection(4, 2, 1, 0)),
+                testing::ExitedWithCode(1),
+                "snapshot: walked value 0x2 does not fit its field");
+    EXPECT_EXIT(loadWalked(walkedSection(4, 1, std::int64_t{1} << 32, 0)),
+                testing::ExitedWithCode(1),
+                "value 0x100000000 does not fit its field");
 }
 
 } // namespace

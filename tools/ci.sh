@@ -151,20 +151,33 @@ stage_tier1() {
     # Warm swim in place and measure, then warm once into an fdpsnap-v1
     # image and fork the measured run from it: stdout tables and results
     # JSON must be bit-identical or the snapshot missed machine state.
+    # One leg per memory-side section layout: the flat DRAM model, the
+    # FR-FCFS controller (dramctl), and a separate prefetch cache.
     local ndir="$ROOT/build-ci/snap-smoke"
     rm -rf "$ndir" && mkdir -p "$ndir"
-    "$ROOT/build-ci/bench/fdp_sim" --bench swim --warmup 200000 \
-        --insts 200000 --out "$ndir/cold.json" > "$ndir/cold.out" \
-        2> /dev/null
-    "$ROOT/build-ci/bench/fdp_sim" --bench swim --warmup 200000 \
-        --save-snap "$ndir/swim.fdpsnap" > /dev/null 2>&1
-    "$ROOT/build-ci/bench/fdp_snap" verify "$ndir/swim.fdpsnap"
-    "$ROOT/build-ci/bench/fdp_sim" --load-snap "$ndir/swim.fdpsnap" \
-        --insts 200000 --out "$ndir/fork.json" > "$ndir/fork.out" \
-        2> /dev/null
-    diff "$ndir/cold.out" "$ndir/fork.out"
-    diff "$ndir/cold.json" "$ndir/fork.json"
-    echo "snap smoke: forked run bit-identical to in-place warm-up"
+    local leg machine
+    for leg in flat ctrl pcache; do
+        case "$leg" in
+            flat) machine=() ;;
+            ctrl) machine=(--dram controller --channels 4
+                           --row-policy adaptive) ;;
+            pcache) machine=(--pcache-kb 64) ;;
+        esac
+        "$ROOT/build-ci/bench/fdp_sim" --bench swim "${machine[@]}" \
+            --warmup 200000 --insts 200000 --out "$ndir/$leg-cold.json" \
+            > "$ndir/$leg-cold.out" 2> /dev/null
+        "$ROOT/build-ci/bench/fdp_sim" --bench swim "${machine[@]}" \
+            --warmup 200000 --save-snap "$ndir/$leg.fdpsnap" \
+            > /dev/null 2>&1
+        "$ROOT/build-ci/bench/fdp_snap" verify "$ndir/$leg.fdpsnap"
+        "$ROOT/build-ci/bench/fdp_sim" --load-snap "$ndir/$leg.fdpsnap" \
+            "${machine[@]}" --insts 200000 --out "$ndir/$leg-fork.json" \
+            > "$ndir/$leg-fork.out" 2> /dev/null
+        diff "$ndir/$leg-cold.out" "$ndir/$leg-fork.out"
+        diff "$ndir/$leg-cold.json" "$ndir/$leg-fork.json"
+    done
+    echo "snap smoke: forked runs bit-identical to in-place warm-up" \
+        "(flat DRAM, controller, prefetch cache)"
 
     echo "==== stage tier1: warm-fork sweep determinism smoke ===="
     # A warmed multi-config sweep normally warms each benchmark once and

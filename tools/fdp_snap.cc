@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/snapshot.hh"
 #include "snap/snapshot_file.hh"
 
 namespace
@@ -36,42 +37,18 @@ usage()
     std::exit(1);
 }
 
-struct SectionSpan
-{
-    std::string name;
-    std::uint32_t payloadBytes = 0;
-};
-
 /**
- * Decode the body's section framing (u8 nameLen + name + u32 payloadLen
- * + payload, little-endian) without interpreting any payload. Fatal on
- * truncation, so both commands double as structural checks.
+ * Step over every section of the body without interpreting a payload,
+ * through the codec's own frame decoder. Fatal on truncation, so both
+ * commands double as structural checks.
  */
-std::vector<SectionSpan>
+std::vector<SnapReader::Span>
 walkSections(const SnapshotImage &image, const std::string &path)
 {
-    const std::vector<std::uint8_t> &b = image.body;
-    std::vector<SectionSpan> sections;
-    std::size_t pos = 0;
-    while (pos < b.size()) {
-        const std::size_t nameLen = b[pos++];
-        if (pos + nameLen + 4 > b.size())
-            fatal("snapshot %s: truncated section header at body "
-                  "offset %zu", path.c_str(), pos - 1);
-        SectionSpan s;
-        s.name.assign(reinterpret_cast<const char *>(&b[pos]), nameLen);
-        pos += nameLen;
-        for (int i = 0; i < 4; ++i)
-            s.payloadBytes |= static_cast<std::uint32_t>(b[pos + i])
-                              << (8 * i);
-        pos += 4;
-        if (pos + s.payloadBytes > b.size())
-            fatal("snapshot %s: section `%s' claims %u payload bytes "
-                  "but only %zu remain", path.c_str(), s.name.c_str(),
-                  s.payloadBytes, b.size() - pos);
-        pos += s.payloadBytes;
-        sections.push_back(std::move(s));
-    }
+    SnapReader r(image.body);
+    std::vector<SnapReader::Span> sections;
+    while (!r.atEnd())
+        sections.push_back(r.skipAnySection());
     if (sections.size() != image.sectionCount)
         fatal("snapshot %s: header promises %u sections but the body "
               "holds %zu", path.c_str(), image.sectionCount,
@@ -83,7 +60,7 @@ int
 cmdInfo(const std::string &path)
 {
     const SnapshotImage image = readSnapshotFile(path);
-    const std::vector<SectionSpan> sections = walkSections(image, path);
+    const std::vector<SnapReader::Span> sections = walkSections(image, path);
     std::printf("snapshot:   %s\n", path.c_str());
     std::printf("format:     fdpsnap-v%u\n", kSnapVersion);
     std::printf("benchmark:  %s\n", image.benchmark.c_str());
@@ -92,7 +69,7 @@ cmdInfo(const std::string &path)
                 static_cast<unsigned long long>(image.warmupInsts));
     std::printf("body:       %zu bytes in %zu sections\n",
                 image.body.size(), sections.size());
-    for (const SectionSpan &s : sections)
+    for (const SnapReader::Span &s : sections)
         std::printf("  %-22s %u bytes\n", s.name.c_str(),
                     s.payloadBytes);
     return 0;
@@ -104,7 +81,7 @@ cmdVerify(const std::string &path)
     // readSnapshotFile already rejects bad magic, CRC, version, and
     // truncation; the section walk adds body-level byte accounting.
     const SnapshotImage image = readSnapshotFile(path);
-    const std::vector<SectionSpan> sections = walkSections(image, path);
+    const std::vector<SnapReader::Span> sections = walkSections(image, path);
     std::printf("fdp_snap: %s ok (%s, %llu warm-up micro-ops, "
                 "%zu sections, %zu body bytes)\n", path.c_str(),
                 image.benchmark.c_str(),
