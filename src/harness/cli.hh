@@ -1,8 +1,9 @@
 /**
  * @file
  * The one command-line parser of the simulator binaries. Each binary
- * declares the flags it honours once, as a table of Flag entries whose
- * setters validate a value straight into its typed field; parseFlags()
+ * (or subcommand) declares the flags it honours once, as a table of
+ * Flag entries whose setters validate a value straight into its typed
+ * field; parseFlags() or, for a subcommand with operands, parseArgs()
  * walks argv against that table. Anything the table does not name, or
  * a flag missing its value, is a fatal() that names the flag and
  * prints the help generated from the same table, before the binary
@@ -45,6 +46,17 @@ std::string flagHelp(const std::string &program,
  * fatal() naming it, followed by flagHelp() for the binary.
  */
 void parseFlags(int argc, char **argv, const std::vector<Flag> &flags);
+
+/**
+ * The same walk for a subcommand that also takes operands: apply
+ * argv[first..argc) to @p flags and return the arguments that do not
+ * start with "--", in order. An argument starting with "--" that no
+ * flag names, or a flag missing its value, is a fatal() naming it,
+ * followed by @p usage, before the caller reads or creates any file.
+ */
+std::vector<std::string> parseArgs(int argc, char **argv, int first,
+                                   const std::vector<Flag> &flags,
+                                   const std::string &usage);
 
 } // namespace fdp
 

@@ -80,83 +80,95 @@ RunConfig::accuracyOnlyFdp()
     return c;
 }
 
+namespace
+{
+
+/** Build a @p P at @p level through its @p Params. */
+template <typename P, typename Params>
+std::unique_ptr<Prefetcher>
+build(unsigned level)
+{
+    Params p;
+    p.initialLevel = level;
+    return std::make_unique<P>(p);
+}
+
+/** One prefetcher selection: its name and what it selects. */
+struct PrefetcherRow
+{
+    const char *name;
+    PrefetcherSelection selection;
+    /** nullptr for `none', and for the manager, which
+     *  makeRunPrefetcher assembles over its zoo. */
+    std::unique_ptr<Prefetcher> (*make)(unsigned level);
+};
+
+/**
+ * Every selection, in display order. The kinds' values feed the store
+ * key and the names feed --list-prefetchers, so neither may change; a
+ * new prefetcher is its class plus one row.
+ */
+constexpr PrefetcherRow kPrefetchers[] = {
+    {"none", {PrefetcherKind::None}, nullptr},
+    {"stream", {PrefetcherKind::Stream},
+     build<StreamPrefetcher, StreamPrefetcherParams>},
+    {"ghb", {PrefetcherKind::GhbCdc},
+     build<GhbPrefetcher, GhbPrefetcherParams>},
+    {"stride", {PrefetcherKind::Stride},
+     build<StridePrefetcher, StridePrefetcherParams>},
+    {"vldp", {PrefetcherKind::Vldp},
+     build<VldpPrefetcher, VldpPrefetcherParams>},
+    {"dspatch", {PrefetcherKind::Dspatch},
+     build<DspatchPrefetcher, DspatchPrefetcherParams>},
+    {"nextline", {PrefetcherKind::NextLine},
+     build<NextLinePrefetcher, NextLinePrefetcherParams>},
+    {"manager", {PrefetcherKind::Stream, ManagerKind::Explore}, nullptr},
+};
+
+/** The row that selects @p kind without the manager. */
+const PrefetcherRow &
+rowOf(PrefetcherKind kind)
+{
+    for (const PrefetcherRow &row : kPrefetchers)
+        if (row.selection.kind == kind &&
+            row.selection.manager == ManagerKind::Off)
+            return row;
+    panic("unknown prefetcher kind");
+}
+
+} // namespace
+
 std::unique_ptr<Prefetcher>
 makePrefetcher(PrefetcherKind kind, unsigned level)
 {
-    switch (kind) {
-      case PrefetcherKind::None:
-        return nullptr;
-      case PrefetcherKind::Stream: {
-        StreamPrefetcherParams p;
-        p.initialLevel = level;
-        return std::make_unique<StreamPrefetcher>(p);
-      }
-      case PrefetcherKind::GhbCdc: {
-        GhbPrefetcherParams p;
-        p.initialLevel = level;
-        return std::make_unique<GhbPrefetcher>(p);
-      }
-      case PrefetcherKind::Stride: {
-        StridePrefetcherParams p;
-        p.initialLevel = level;
-        return std::make_unique<StridePrefetcher>(p);
-      }
-      case PrefetcherKind::Vldp: {
-        VldpPrefetcherParams p;
-        p.initialLevel = level;
-        return std::make_unique<VldpPrefetcher>(p);
-      }
-      case PrefetcherKind::Dspatch: {
-        DspatchPrefetcherParams p;
-        p.initialLevel = level;
-        return std::make_unique<DspatchPrefetcher>(p);
-      }
-      case PrefetcherKind::NextLine: {
-        NextLinePrefetcherParams p;
-        p.initialLevel = level;
-        return std::make_unique<NextLinePrefetcher>(p);
-      }
-    }
-    panic("unknown prefetcher kind");
+    const PrefetcherRow &row = rowOf(kind);
+    return row.make ? row.make(level) : nullptr;
 }
 
 const char *
 prefetcherKindName(PrefetcherKind kind)
 {
-    switch (kind) {
-      case PrefetcherKind::None: return "none";
-      case PrefetcherKind::Stream: return "stream";
-      case PrefetcherKind::GhbCdc: return "ghb";
-      case PrefetcherKind::Stride: return "stride";
-      case PrefetcherKind::Vldp: return "vldp";
-      case PrefetcherKind::Dspatch: return "dspatch";
-      case PrefetcherKind::NextLine: return "nextline";
-    }
-    panic("unknown prefetcher kind");
+    return rowOf(kind).name;
 }
 
 const std::vector<std::string> &
 knownPrefetcherNames()
 {
-    static const std::vector<std::string> names = {
-        "none",    "stream",   "ghb",     "stride",
-        "vldp",    "dspatch",  "nextline", "manager",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const PrefetcherRow &row : kPrefetchers)
+            v.emplace_back(row.name);
+        return v;
+    }();
     return names;
 }
 
 PrefetcherSelection
 prefetcherSelectionFromName(const std::string &name)
 {
-    if (name == "manager")
-        return {PrefetcherKind::Stream, ManagerKind::Explore};
-    for (const PrefetcherKind kind :
-         {PrefetcherKind::None, PrefetcherKind::Stream,
-          PrefetcherKind::GhbCdc, PrefetcherKind::Stride,
-          PrefetcherKind::Vldp, PrefetcherKind::Dspatch,
-          PrefetcherKind::NextLine})
-        if (name == prefetcherKindName(kind))
-            return {kind, ManagerKind::Off};
+    for (const PrefetcherRow &row : kPrefetchers)
+        if (name == row.name)
+            return row.selection;
     std::string known;
     for (const auto &n : knownPrefetcherNames())
         known += (known.empty() ? "" : " ") + n;

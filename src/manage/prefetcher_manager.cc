@@ -12,8 +12,8 @@ namespace fdp
 ManagedPrefetcher::ManagedPrefetcher(
     const ManagerParams &params,
     std::vector<std::unique_ptr<Prefetcher>> zoo)
-    : params_(params), zoo_(std::move(zoo)), level_(params.initialLevel),
-      score_(zoo_.size(), 0.0), wins_(zoo_.size(), 0)
+    : params_(params), zoo_(std::move(zoo)), score_(zoo_.size(), 0.0),
+      wins_(zoo_.size(), 0)
 {
     if (zoo_.empty())
         fatal("prefetcher manager needs a nonempty zoo");
@@ -35,9 +35,7 @@ ManagedPrefetcher::ManagedPrefetcher(
 void
 ManagedPrefetcher::setAggressiveness(unsigned level)
 {
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        panic("prefetcher manager: bad aggressiveness level %u", level);
-    level_ = level;
+    Prefetcher::setAggressiveness(level);
     zoo_[active_]->setAggressiveness(level);
 }
 
@@ -181,9 +179,7 @@ ManagedPrefetcher::intervalTick(const ManagerSignal &signal)
 void
 ManagedPrefetcher::audit() const
 {
-    FDP_ASSERT(level_ >= kMinAggrLevel && level_ <= kMaxAggrLevel,
-               "%s: aggressiveness level %u outside [%u, %u]", auditName(),
-               level_, kMinAggrLevel, kMaxAggrLevel);
+    Prefetcher::audit();
     FDP_ASSERT(!zoo_.empty(), "%s: empty zoo", auditName());
     FDP_ASSERT(active_ < zoo_.size(),
                "%s: active candidate %zu outside zoo of %zu", auditName(),

@@ -100,8 +100,8 @@ class ManagedPrefetcher : public Prefetcher
     ManagedPrefetcher(const ManagerParams &params,
                       std::vector<std::unique_ptr<Prefetcher>> zoo);
 
+    /** The base's setter, plus the forward to the active candidate. */
     void setAggressiveness(unsigned level) override;
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return "manager"; }
     void reset() override;
 
@@ -123,8 +123,8 @@ class ManagedPrefetcher : public Prefetcher
     std::uint64_t ticks() const { return ticks_; }
 
     /**
-     * Invariants: aggressiveness level in range; FSM indices inside the
-     * zoo; Explore phase runs the candidate it is scoring; phase
+     * Invariants, after the base's level check: FSM indices inside
+     * the zoo; Explore phase runs the candidate it is scoring; phase
      * progress below its bound; the active candidate holds the
      * published aggressiveness level; score/win vectors sized to the
      * zoo; every candidate's own audit passes.
@@ -158,7 +158,6 @@ class ManagedPrefetcher : public Prefetcher
 
     ManagerParams params_;
     std::vector<std::unique_ptr<Prefetcher>> zoo_;
-    unsigned level_;
     Phase phase_ = Phase::Explore;
     /** Candidate currently observing the access stream. */
     std::size_t active_ = 0;

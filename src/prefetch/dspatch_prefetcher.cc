@@ -46,7 +46,7 @@ bumpScore(std::uint8_t &score, bool good)
 } // namespace
 
 DspatchPrefetcher::DspatchPrefetcher(const DspatchPrefetcherParams &params)
-    : params_(params), level_(params.initialLevel), pb_(params.pbEntries),
+    : params_(params), pb_(params.pbEntries),
       spt_(params.sptEntries)
 {
     if (params_.pbEntries == 0)
@@ -54,14 +54,6 @@ DspatchPrefetcher::DspatchPrefetcher(const DspatchPrefetcherParams &params)
     if (params_.sptEntries == 0)
         fatal("dspatch prefetcher needs a nonzero signature table");
     setAggressiveness(params_.initialLevel);
-}
-
-void
-DspatchPrefetcher::setAggressiveness(unsigned level)
-{
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        panic("dspatch prefetcher: bad aggressiveness level %u", level);
-    level_ = level;
 }
 
 void
@@ -210,9 +202,7 @@ DspatchPrefetcher::predict(const SptEntry &s, const PbEntry &trigger,
 void
 DspatchPrefetcher::audit() const
 {
-    FDP_ASSERT(level_ >= kMinAggrLevel && level_ <= kMaxAggrLevel,
-               "%s: aggressiveness level %u outside [%u, %u]", auditName(),
-               level_, kMinAggrLevel, kMaxAggrLevel);
+    Prefetcher::audit();
     for (std::size_t i = 0; i < pb_.size(); ++i) {
         const PbEntry &e = pb_[i];
         if (!e.valid)

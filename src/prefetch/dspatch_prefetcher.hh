@@ -57,8 +57,6 @@ class DspatchPrefetcher : public Prefetcher
   public:
     explicit DspatchPrefetcher(const DspatchPrefetcherParams &params = {});
 
-    void setAggressiveness(unsigned level) override;
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return "dspatch"; }
     void reset() override;
 
@@ -66,7 +64,7 @@ class DspatchPrefetcher : public Prefetcher
     unsigned degree() const { return kDspatchAggrTable[level_].degree; }
 
     /**
-     * Invariants: aggressiveness level in range; Page Buffer entries
+     * Invariants, after the base's level check: Page Buffer entries
      * keep their trigger bit set, trigger offsets inside the region,
      * unique region tags, and LRU stamps not in the future; SPT
      * patterns are nonzero with 2-bit scores.
@@ -124,7 +122,6 @@ class DspatchPrefetcher : public Prefetcher
     std::size_t sptIndexOf(Addr pc) const;
 
     DspatchPrefetcherParams params_;
-    unsigned level_;
     std::vector<PbEntry> pb_;
     std::vector<SptEntry> spt_;
     std::uint64_t tick_ = 0;

@@ -14,7 +14,7 @@ constexpr std::uint32_t kNoZoneSlot = ~std::uint32_t{0};
 } // namespace
 
 GhbPrefetcher::GhbPrefetcher(const GhbPrefetcherParams &params)
-    : params_(params), level_(params.initialLevel), ghb_(params.ghbSize),
+    : params_(params), ghb_(params.ghbSize),
       index_(params.indexSize)
 {
     if (params_.ghbSize == 0 || params_.indexSize == 0)
@@ -50,14 +50,6 @@ GhbPrefetcher::rebuildZoneMap()
             h = (h + 1) & mask;
         zoneMap_[h] = static_cast<std::uint32_t>(i);
     }
-}
-
-void
-GhbPrefetcher::setAggressiveness(unsigned level)
-{
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        panic("GHB prefetcher: bad aggressiveness level %u", level);
-    level_ = level;
 }
 
 void
@@ -119,9 +111,7 @@ GhbPrefetcher::allocateZone(std::uint64_t zone)
 void
 GhbPrefetcher::audit() const
 {
-    FDP_ASSERT(level_ >= kMinAggrLevel && level_ <= kMaxAggrLevel,
-               "%s: aggressiveness level %u outside [%u, %u]", auditName(),
-               level_, kMinAggrLevel, kMaxAggrLevel);
+    Prefetcher::audit();
     for (std::size_t i = 0; i < index_.size(); ++i) {
         const IndexEntry &e = index_[i];
         if (!e.valid)

@@ -43,8 +43,6 @@ class GhbPrefetcher : public Prefetcher
   public:
     explicit GhbPrefetcher(const GhbPrefetcherParams &params = {});
 
-    void setAggressiveness(unsigned level) override;
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return "ghb-cdc"; }
     void reset() override;
 
@@ -52,7 +50,7 @@ class GhbPrefetcher : public Prefetcher
     unsigned degree() const { return kGhbAggrTable[level_].degree; }
 
     /**
-     * Invariants: aggressiveness level in range, index entries name
+     * Invariants, after the base's level check: index entries name
      * distinct zones with live-or-null head pointers, and every live
      * GHB link points strictly backwards in sequence order (the
      * same-zone lists are acyclic).
@@ -124,7 +122,6 @@ class GhbPrefetcher : public Prefetcher
     IndexEntry &allocateZone(std::uint64_t zone);
 
     GhbPrefetcherParams params_;
-    unsigned level_;
     std::vector<GhbEntry> ghb_;
     std::vector<IndexEntry> index_;
     /** Sequence number of the next push; slot = slotOf(seq). */

@@ -1,36 +1,18 @@
 #include "prefetch/nextline_prefetcher.hh"
 
-#include "sim/logging.hh"
-
 namespace fdp
 {
 
 NextLinePrefetcher::NextLinePrefetcher(const NextLinePrefetcherParams &params)
-    : params_(params), level_(params.initialLevel)
+    : params_(params)
 {
     setAggressiveness(params_.initialLevel);
-}
-
-void
-NextLinePrefetcher::setAggressiveness(unsigned level)
-{
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        panic("nextline prefetcher: bad aggressiveness level %u", level);
-    level_ = level;
 }
 
 void
 NextLinePrefetcher::reset()
 {
     tick_ = 0;
-}
-
-void
-NextLinePrefetcher::audit() const
-{
-    FDP_ASSERT(level_ >= kMinAggrLevel && level_ <= kMaxAggrLevel,
-               "%s: aggressiveness level %u outside [%u, %u]", auditName(),
-               level_, kMinAggrLevel, kMaxAggrLevel);
 }
 
 template <typename Self, typename Io>

@@ -31,23 +31,16 @@ class NextLinePrefetcher : public Prefetcher
   public:
     explicit NextLinePrefetcher(const NextLinePrefetcherParams &params = {});
 
-    void setAggressiveness(unsigned level) override;
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return "nextline"; }
     void reset() override;
 
     unsigned degree() const { return kNextLineAggrTable[level_].degree; }
-
-    /** Invariants: aggressiveness level in range. */
-    void audit() const override;
 
     /** Serialize the level and the tick. */
     void saveState(SnapWriter &w) const override;
     void loadState(SnapReader &r) override;
 
   private:
-    friend struct AuditCorrupter;
-
     template <typename Self, typename Io>
     static void snapFields(Self &self, Io &io);
 
@@ -56,7 +49,6 @@ class NextLinePrefetcher : public Prefetcher
                    std::size_t budget) override;
 
     NextLinePrefetcherParams params_;
-    unsigned level_;
     std::uint64_t tick_ = 0;
 };
 

@@ -40,7 +40,12 @@ struct PrefetchObservation
     double busUtil = 0.0;
 };
 
-/** Base class for the stream / GHB / stride prefetchers. */
+/**
+ * Base class of every prefetcher in the zoo. It owns the one
+ * aggressiveness level FDP steers (paper Table 2 picks a Table 1 row),
+ * its range check and its audit, so a prefetcher adds only its own
+ * state and its (distance, degree) table.
+ */
 class Prefetcher : public Auditable, public Snapshottable
 {
   public:
@@ -65,17 +70,24 @@ class Prefetcher : public Auditable, public Snapshottable
         doObserve(obs, out, budget);
     }
 
-    /** Select the aggressiveness level (1..5, paper Table 1). */
-    virtual void setAggressiveness(unsigned level) = 0;
+    /**
+     * Select the aggressiveness level (1..5, paper Table 1); any other
+     * level panics naming the prefetcher. Constructors call it on their
+     * initial level, so a bad one never builds.
+     */
+    virtual void setAggressiveness(unsigned level);
 
     /** Current aggressiveness level (1..5). */
-    virtual unsigned aggressiveness() const = 0;
+    virtual unsigned aggressiveness() const { return level_; }
 
     /** Short identifier, e.g. "stream". */
     virtual const char *name() const = 0;
 
     /** Drop all learned state (streams, history, strides). */
     virtual void reset() = 0;
+
+    /** Invariant: the level is in range. Every override runs it first. */
+    void audit() const override;
 
     /** Audit failures report the prefetcher under its short name. */
     const char *auditName() const override { return name(); }
@@ -88,6 +100,12 @@ class Prefetcher : public Auditable, public Snapshottable
     virtual void doObserve(const PrefetchObservation &obs,
                            std::vector<BlockAddr> &out,
                            std::size_t budget) = 0;
+
+    /** The aggressiveness level; each snapFields lists it first. */
+    unsigned level_ = kInitialAggrLevel;
+
+  private:
+    friend struct AuditCorrupter;
 };
 
 } // namespace fdp

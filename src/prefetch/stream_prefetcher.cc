@@ -10,8 +10,7 @@ namespace fdp
 {
 
 StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherParams &params)
-    : params_(params), level_(params.initialLevel),
-      entries_(params.numStreams)
+    : params_(params), entries_(params.numStreams)
 {
     if (params_.numStreams == 0)
         fatal("stream prefetcher needs at least one tracking entry");
@@ -24,14 +23,6 @@ StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherParams &params)
     trainHashShift_ =
         64 - static_cast<unsigned>(std::countr_zero(trainHead_.size()));
     rebuildIndexes();
-}
-
-void
-StreamPrefetcher::setAggressiveness(unsigned level)
-{
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        panic("stream prefetcher: bad aggressiveness level %u", level);
-    level_ = level;
 }
 
 void
@@ -371,9 +362,7 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
 void
 StreamPrefetcher::audit() const
 {
-    FDP_ASSERT(level_ >= kMinAggrLevel && level_ <= kMaxAggrLevel,
-               "%s: aggressiveness level %u outside [%u, %u]", auditName(),
-               level_, kMinAggrLevel, kMaxAggrLevel);
+    Prefetcher::audit();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry &e = entries_[i];
         FDP_ASSERT(static_cast<std::uint8_t>(e.state) <=

@@ -61,8 +61,6 @@ class StreamPrefetcher : public Prefetcher
 
     explicit StreamPrefetcher(const StreamPrefetcherParams &params = {});
 
-    void setAggressiveness(unsigned level) override;
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return "stream"; }
     void reset() override;
 
@@ -85,10 +83,10 @@ class StreamPrefetcher : public Prefetcher
     State entryState(unsigned idx) const { return entries_.at(idx).state; }
 
     /**
-     * Invariants: aggressiveness level in range, every entry in a legal
-     * state, trained entries with a +/-1 direction, monitored regions
-     * oriented along their direction, and LRU timestamps not in the
-     * future; the derived indexes (monitor list, free list, LRU list,
+     * Invariants, after the base's level check: every entry in a
+     * legal state, trained entries with a +/-1 direction, monitored
+     * regions oriented along their direction, and LRU timestamps not in
+     * the future; the derived indexes (monitor list, free list, LRU list,
      * training index) name exactly the entries they must, in order.
      */
     void audit() const override;
@@ -186,7 +184,6 @@ class StreamPrefetcher : public Prefetcher
     };
 
     StreamPrefetcherParams params_;
-    unsigned level_;
     std::vector<Entry> entries_;
     std::uint64_t tick_ = 0;
 

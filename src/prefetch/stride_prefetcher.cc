@@ -6,19 +6,11 @@ namespace fdp
 {
 
 StridePrefetcher::StridePrefetcher(const StridePrefetcherParams &params)
-    : params_(params), level_(params.initialLevel), table_(params.tableSize)
+    : params_(params), table_(params.tableSize)
 {
     if (params_.tableSize == 0)
         fatal("stride prefetcher needs a nonzero table size");
     setAggressiveness(params_.initialLevel);
-}
-
-void
-StridePrefetcher::setAggressiveness(unsigned level)
-{
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        panic("stride prefetcher: bad aggressiveness level %u", level);
-    level_ = level;
 }
 
 void
@@ -81,9 +73,7 @@ StridePrefetcher::entryState(Addr pc) const
 void
 StridePrefetcher::audit() const
 {
-    FDP_ASSERT(level_ >= kMinAggrLevel && level_ <= kMaxAggrLevel,
-               "%s: aggressiveness level %u outside [%u, %u]", auditName(),
-               level_, kMinAggrLevel, kMaxAggrLevel);
+    Prefetcher::audit();
     for (std::size_t i = 0; i < table_.size(); ++i) {
         const Entry &e = table_[i];
         if (!e.valid)

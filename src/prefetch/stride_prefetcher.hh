@@ -44,8 +44,6 @@ class StridePrefetcher : public Prefetcher
 
     explicit StridePrefetcher(const StridePrefetcherParams &params = {});
 
-    void setAggressiveness(unsigned level) override;
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return "pc-stride"; }
     void reset() override;
 
@@ -56,9 +54,9 @@ class StridePrefetcher : public Prefetcher
     State entryState(Addr pc) const;
 
     /**
-     * Invariants: aggressiveness level in range, every valid entry in a
-     * legal FSM state, stored in the slot its tag hashes to, with an LRU
-     * timestamp not in the future.
+     * Invariants, after the base's level check: every valid entry in
+     * a legal FSM state, stored in the slot its tag hashes to, with an
+     * LRU timestamp not in the future.
      */
     void audit() const override;
 
@@ -89,7 +87,6 @@ class StridePrefetcher : public Prefetcher
     std::size_t indexOf(Addr pc) const;
 
     StridePrefetcherParams params_;
-    unsigned level_;
     std::vector<Entry> table_;
     std::uint64_t tick_ = 0;
 };

@@ -25,7 +25,7 @@ bumpAccuracy(std::uint8_t &acc, bool correct)
 } // namespace
 
 VldpPrefetcher::VldpPrefetcher(const VldpPrefetcherParams &params)
-    : params_(params), level_(params.initialLevel), dhb_(params.dhbEntries)
+    : params_(params), dhb_(params.dhbEntries)
 {
     if (params_.dhbEntries == 0)
         fatal("vldp prefetcher needs a nonzero delta history buffer");
@@ -34,14 +34,6 @@ VldpPrefetcher::VldpPrefetcher(const VldpPrefetcherParams &params)
     for (auto &table : dpt_)
         table.resize(params_.dptEntries);
     setAggressiveness(params_.initialLevel);
-}
-
-void
-VldpPrefetcher::setAggressiveness(unsigned level)
-{
-    if (level < kMinAggrLevel || level > kMaxAggrLevel)
-        panic("vldp prefetcher: bad aggressiveness level %u", level);
-    level_ = level;
 }
 
 void
@@ -196,9 +188,7 @@ VldpPrefetcher::predictDelta(
 void
 VldpPrefetcher::audit() const
 {
-    FDP_ASSERT(level_ >= kMinAggrLevel && level_ <= kMaxAggrLevel,
-               "%s: aggressiveness level %u outside [%u, %u]", auditName(),
-               level_, kMinAggrLevel, kMaxAggrLevel);
+    Prefetcher::audit();
     for (std::size_t i = 0; i < dhb_.size(); ++i) {
         const DhbEntry &e = dhb_[i];
         if (!e.valid)

@@ -55,8 +55,6 @@ class VldpPrefetcher : public Prefetcher
   public:
     explicit VldpPrefetcher(const VldpPrefetcherParams &params = {});
 
-    void setAggressiveness(unsigned level) override;
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return "vldp"; }
     void reset() override;
 
@@ -64,8 +62,8 @@ class VldpPrefetcher : public Prefetcher
     unsigned degree() const { return kVldpAggrTable[level_].degree; }
 
     /**
-     * Invariants: aggressiveness level in range; DHB offsets and delta
-     * histories within page bounds with unique page tags and LRU stamps
+     * Invariants, after the base's level check: DHB offsets and
+     * delta histories within page bounds with unique page tags and LRU stamps
      * not in the future; DPT entries stored in the slot their key
      * hashes to with legal deltas and saturating counters; OPT
      * predictions are legal nonzero deltas.
@@ -139,7 +137,6 @@ class VldpPrefetcher : public Prefetcher
         const std::array<std::int8_t, kVldpHistLen> &hist) const;
 
     VldpPrefetcherParams params_;
-    unsigned level_;
     std::vector<DhbEntry> dhb_;
     std::array<OptEntry, kVldpBlocksPerPage> opt_{};
     /** dpt_[j] is DPT level j+1 (keys of length j+1). */

@@ -460,7 +460,7 @@ TEST(NextLineAudit, CleanPrefetcherPasses)
 TEST(NextLineAuditDeathTest, BadLevelCaught)
 {
     NextLinePrefetcher pf;
-    AuditCorrupter::nextlineBadLevel(pf);
+    AuditCorrupter::prefetcherBadLevel(pf);
     EXPECT_DEATH(pf.audit(), "outside");
 }
 

@@ -4,7 +4,8 @@
  * reach their setters in argv order, repeated flags call the setter
  * once per occurrence, an unknown flag or a missing value is a clean
  * fatal naming it, and the generated help lists every flag with its
- * metavar.
+ * metavar. The operand form returns the other arguments in order and
+ * rejects an unknown "--" argument the same way.
  */
 
 #include <string>
@@ -126,6 +127,48 @@ TEST(CliDeath, EmptyTableRejectsEveryFlag)
     std::vector<const char *> argv = {"prog", "--insts", "5"};
     EXPECT_EXIT(parseFlags(3, args(argv), {}), testing::ExitedWithCode(1),
                 "unknown flag `--insts'");
+}
+
+TEST(Cli, OperandsReturnInOrderAroundTheFlags)
+{
+    Parsed p;
+    std::vector<const char *> argv = {"prog", "gc",    "a",  "--out",
+                                      "r.json", "b", "--quick", "c"};
+    const std::vector<std::string> operands =
+        parseArgs(static_cast<int>(argv.size()), args(argv), 2, p.flags(),
+                  "usage: prog gc DIR\n");
+    EXPECT_EQ(operands, (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(p.out, "r.json");  // a flag's value is never an operand
+    EXPECT_EQ(p.quick, 1);
+}
+
+TEST(Cli, OperandsAloneNeedNoTable)
+{
+    std::vector<const char *> argv = {"prog", "info", "x.fdptrace"};
+    EXPECT_EQ(parseArgs(3, args(argv), 2, {}, ""),
+              (std::vector<std::string>{"x.fdptrace"}));
+    EXPECT_TRUE(parseArgs(2, args(argv), 2, {}, "").empty());
+}
+
+TEST(CliDeath, UnknownFlagAmongOperandsIsFatalWithTheUsage)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Parsed p;
+    std::vector<const char *> argv = {"prog", "gc", "dir", "--dryrun"};
+    EXPECT_EXIT(parseArgs(4, args(argv), 2, p.flags(),
+                          "usage: prog gc DIR\n"),
+                testing::ExitedWithCode(1),
+                "unknown flag `--dryrun'.*usage: prog gc DIR");
+}
+
+TEST(CliDeath, OperandFormMissingValueIsFatalNamingTheFlag)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Parsed p;
+    std::vector<const char *> argv = {"prog", "diff", "a", "--out"};
+    EXPECT_EXIT(parseArgs(4, args(argv), 2, p.flags(), "usage: prog\n"),
+                testing::ExitedWithCode(1),
+                "--out requires a value \\(PATH\\)");
 }
 
 } // namespace

@@ -39,11 +39,8 @@ class StubPrefetcher : public Prefetcher
     {
     }
 
-    void setAggressiveness(unsigned level) override { level_ = level; }
-    unsigned aggressiveness() const override { return level_; }
     const char *name() const override { return name_; }
     void reset() override { ++resets; }
-    void audit() const override {}
 
     void
     saveState(SnapWriter &w) const override
@@ -78,7 +75,6 @@ class StubPrefetcher : public Prefetcher
 
     const char *name_;
     BlockAddr emit_;
-    unsigned level_ = kInitialAggrLevel;
 };
 
 /** A stub zoo plus non-owning handles for inspection after the move. */

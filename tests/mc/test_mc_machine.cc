@@ -60,20 +60,7 @@ expectSingleCoreParity(const RunConfig &base, const char *bench)
     const McRunResult corun = runMix(benchMix("parity", {bench}),
                                      mcConfig(base, 1, base.numInsts), "mc");
     ASSERT_EQ(corun.cores.size(), 1u);
-    const McCoreResult &c = corun.cores[0];
-    EXPECT_EQ(c.program, s.benchmark);
-    EXPECT_EQ(c.insts, s.insts);
-    EXPECT_EQ(c.cycles, s.cycles);
-    EXPECT_EQ(bits(c.ipc), bits(s.ipc));
-    EXPECT_EQ(bits(c.bpki), bits(s.bpki));
-    EXPECT_EQ(bits(c.accuracy), bits(s.accuracy));
-    EXPECT_EQ(bits(c.lateness), bits(s.lateness));
-    EXPECT_EQ(bits(c.pollution), bits(s.pollution));
-    EXPECT_EQ(c.prefSent, s.prefSent);
-    EXPECT_EQ(c.prefUsed, s.prefUsed);
-    EXPECT_EQ(c.l2Misses, s.l2Misses);
-    EXPECT_EQ(c.demandAccesses, s.demandAccesses);
-    EXPECT_EQ(c.busAccesses, s.busAccesses);
+    expectSameSharedFields(s, corun.cores[0]);
 }
 
 /**
@@ -105,6 +92,18 @@ expectParityGrid(const RunConfig &policy)
         SCOPED_TRACE(pf);
         expectParityAcrossDram(applyPrefetcherSelection(policy, pf));
     }
+}
+
+TEST(McMachine, OneCoreParityComparesEverySharedField)
+{
+    // A field renamed in either list must not leave the check unnoticed.
+    std::vector<std::string> shared;
+    forEachSharedCoreField(
+        [&](const char *name, auto, auto) { shared.emplace_back(name); });
+    EXPECT_EQ(shared, (std::vector<std::string>{
+                          "insts", "cycles", "ipc", "bpki", "accuracy",
+                          "lateness", "pollution", "pref_sent", "pref_used",
+                          "l2_misses", "demand_accesses", "bus_accesses"}));
 }
 
 TEST(McMachine, OneCoreParityFullFdp)

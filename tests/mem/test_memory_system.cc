@@ -348,11 +348,8 @@ statValue(const StatGroup &group, const std::string &name)
 class FloodPrefetcher : public Prefetcher
 {
   public:
-    void setAggressiveness(unsigned) override {}
-    unsigned aggressiveness() const override { return kMaxAggrLevel; }
     const char *name() const override { return "flood"; }
     void reset() override {}
-    void audit() const override {}
     void saveState(SnapWriter &) const override {}
     void loadState(SnapReader &) override {}
 

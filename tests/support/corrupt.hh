@@ -247,9 +247,9 @@ struct AuditCorrupter
         e.lastUse = pf.tick_;
     }
 
-    /** Push the next-line prefetcher's level out of [1, 5]. */
+    /** Push any prefetcher's level (the base's) out of [1, 5]. */
     static void
-    nextlineBadLevel(NextLinePrefetcher &pf)
+    prefetcherBadLevel(Prefetcher &pf)
     {
         pf.level_ = kMaxAggrLevel + 4;
     }

@@ -2,8 +2,9 @@
  * @file
  * Whole-result equality for the equivalence tests: every RunResult
  * field, bit for bit, through the one field list in
- * harness/experiment.hh, and every McRunResult field, per core too,
- * through the lists in mc/mc_machine.hh, so no test compares a
+ * harness/experiment.hh, every McRunResult field, per core too,
+ * through the lists in mc/mc_machine.hh, and every field a co-run's
+ * core shares with a single-core run, so no test compares a
  * hand-picked subset.
  */
 
@@ -16,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,6 +58,41 @@ expectBitIdentical(const std::vector<T> &a, const std::vector<T> &b,
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         expectBitIdentical(a[i], b[i], skip);
+}
+
+/**
+ * Calls @p visit(name, runMember, coreMember) for every field that
+ * forEachRunResultField and forEachMcCoreResultField both name, with
+ * the same type, in the core list's order: what a 1-core co-run's core
+ * shares with the single-core run.
+ */
+template <class Visit>
+void
+forEachSharedCoreField(Visit &&visit)
+{
+    forEachMcCoreResultField([&](const char *name, auto core) {
+        forEachRunResultField([&](const char *runName, auto run) {
+            using Core = std::remove_cvref_t<
+                decltype(std::declval<McCoreResult>().*core)>;
+            using Run =
+                std::remove_cvref_t<decltype(std::declval<RunResult>().*run)>;
+            if constexpr (std::is_same_v<Core, Run>)
+                if (std::string_view(name) == runName)
+                    visit(name, run, core);
+        });
+    });
+}
+
+/** Expect core @p c of a 1-core co-run to match the single-core run
+ *  @p s bit for bit on every shared field, and to run s's benchmark. */
+inline void
+expectSameSharedFields(const RunResult &s, const McCoreResult &c)
+{
+    EXPECT_EQ(c.program, s.benchmark);
+    forEachSharedCoreField([&](const char *name, auto run, auto core) {
+        EXPECT_TRUE(sameBits(s.*run, c.*core))
+            << name << ": " << s.*run << " vs " << c.*core;
+    });
 }
 
 /// @name nudge(v): change @p v to the nearest value that differs from

@@ -14,19 +14,6 @@ findingLess(const Finding &a, const Finding &b)
            std::tie(b.file, b.line, b.rule, b.message);
 }
 
-std::string
-findingKey(const Finding &f)
-{
-    std::string key;
-    key.reserve(f.file.size() + f.rule.size() + f.message.size() + 2);
-    key += f.file;
-    key += '\0';
-    key += f.rule;
-    key += '\0';
-    key += f.message;
-    return key;
-}
-
 namespace
 {
 

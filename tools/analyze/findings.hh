@@ -1,8 +1,7 @@
 /**
  * @file
  * Findings: what every fdp_analyze check emits, and the
- * `fdp-findings-v1` JSON serialization CI archives and the baseline
- * differ consumes.
+ * `fdp-findings-v1` JSON serialization CI archives.
  */
 
 #ifndef FDP_ANALYZE_FINDINGS_HH
@@ -28,13 +27,6 @@ struct Finding
 
 /** Stable order: file, line, rule, message. */
 bool findingLess(const Finding &a, const Finding &b);
-
-/**
- * Baseline identity of a finding. Deliberately excludes the line
- * number so unrelated edits that shift code do not churn the
- * baseline; two findings with the same key are matched by count.
- */
-std::string findingKey(const Finding &f);
 
 /** Serialize as an `fdp-findings-v1` document (sorted, trailing \n). */
 std::string toFindingsJson(const std::vector<Finding> &findings);

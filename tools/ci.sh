@@ -106,6 +106,8 @@ stage_tier1() {
         "$ROOT/build-ci/bench/fig09_overall" --out
     expect_cli_error "unknown flag \`--bogus'" "$cdir/fdp_sim" \
         "$ROOT/build-ci/bench/fdp_sim" --bogus
+    expect_cli_error "unknown flag \`--manager'" "$cdir/manager" \
+        "$ROOT/build-ci/bench/fdp_sim" --manager explore
     "$ROOT/build-ci/bench/fig01_aggressiveness" --insts 100000 --jobs 1 \
         --out "$cdir/jobs1.json" > "$cdir/jobs1.out" 2> /dev/null
     "$ROOT/build-ci/bench/fig01_aggressiveness" --insts 100000 --jobs 4 \
@@ -125,6 +127,19 @@ stage_tier1() {
         "$ROOT/BENCH_quick_baseline.json" "$cdir/jobs1.json" --strict-timing
     if [ -e "$cdir/--dryrun" ] || [ -e "$cdir/--help" ]; then
         echo "cli smoke: fdp_results made a directory named after a flag" >&2
+        exit 1
+    fi
+    # So do the fdp_trace and fdp_snap subcommands, through the same
+    # walker: the flag is rejected before any file is read or written.
+    expect_cli_error "unknown flag \`--bogus'" "$cdir/trace-dump" \
+        "$ROOT/build-ci/bench/fdp_trace" dump "$cdir/no.fdptrace" --bogus
+    expect_cli_error "unknown flag \`--bogus'" "$cdir/trace-record" \
+        "$ROOT/build-ci/bench/fdp_trace" record --bench swim --ops 10 \
+        --out "$cdir/rec.fdptrace" --bogus
+    expect_cli_error "unknown flag \`--bogus'" "$cdir/snap-info" \
+        "$ROOT/build-ci/bench/fdp_snap" info "$cdir/no.fdpsnap" --bogus
+    if [ -e "$cdir/rec.fdptrace" ]; then
+        echo "cli smoke: fdp_trace record wrote a trace despite a bad flag" >&2
         exit 1
     fi
     echo "cli smoke: bad flags rejected cleanly; fig01 bit-identical" \
@@ -258,13 +273,15 @@ stage_tier1() {
     # managed sweep is bit-identical across worker counts too.
     local gdir="$ROOT/build-ci/manager-smoke"
     rm -rf "$gdir" && mkdir -p "$gdir"
+    # The selection names, in order: the one prefetcher table's rows.
     "$ROOT/build-ci/bench/fdp_sim" --list-prefetchers > "$gdir/list.out"
-    grep -q '^manager$' "$gdir/list.out"
+    printf '%s\n' none stream ghb stride vldp dspatch nextline manager |
+        diff - "$gdir/list.out"
     "$ROOT/build-ci/bench/fdp_sim" --bench swim --bench mgrid \
-        --manager explore --insts 200000 --jobs 1 \
+        --prefetcher manager --insts 200000 --jobs 1 \
         --out "$gdir/jobs1.json" > "$gdir/jobs1.out" 2> /dev/null
     "$ROOT/build-ci/bench/fdp_sim" --bench swim --bench mgrid \
-        --manager explore --insts 200000 --jobs 4 \
+        --prefetcher manager --insts 200000 --jobs 4 \
         --out "$gdir/jobs4.json" > "$gdir/jobs4.out" 2> /dev/null
     diff "$gdir/jobs1.out" "$gdir/jobs4.out"
     diff "$gdir/jobs1.json" "$gdir/jobs4.json"

@@ -9,25 +9,24 @@
  *
  * Usage:
  *   fdp_analyze [--root DIR]                 analyze, print findings
- *   fdp_analyze --root DIR --baseline FILE   gate on regressions only
- *   fdp_analyze --json FILE                  write fdp-findings-v1 JSON
- *   fdp_analyze --write-baseline FILE        snapshot current findings
+ *   fdp_analyze --json FILE                  also write fdp-findings-v1
  *   fdp_analyze --self-test [--corpus DIR]   prove checks non-vacuous
  *   fdp_analyze --list-checks                print the rule catalog
  *
- * Exit status: 0 clean (or baseline-covered), 1 findings/regressions/
- * self-test failures, 2 usage or I/O errors.
+ * Every finding fails: the one way to tolerate one is an inline
+ * `fdp-analyze: suppress(rule, reason)` at the site.
+ *
+ * Exit status: 0 clean, 1 findings or self-test failures, 2 usage or
+ * I/O errors.
  */
 
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analyze/analyzer.hh"
-#include "analyze/baseline.hh"
 #include "analyze/checks.hh"
 
 namespace
@@ -36,8 +35,7 @@ namespace
 int
 usage()
 {
-    std::cerr << "usage: fdp_analyze [--root DIR] [--baseline FILE]\n"
-                 "                   [--json FILE] [--write-baseline FILE]\n"
+    std::cerr << "usage: fdp_analyze [--root DIR] [--json FILE]\n"
                  "                   [--self-test] [--corpus DIR]\n"
                  "                   [--list-checks]\n";
     return 2;
@@ -64,7 +62,7 @@ main(int argc, char **argv)
     using namespace fdp::analyze;
 
     std::string root = ".";
-    std::string baselinePath, jsonPath, writeBaselinePath, corpus;
+    std::string jsonPath, corpus;
     bool selfTest = false, listChecks = false;
 
     std::vector<std::string> args(argv + 1, argv + argc);
@@ -78,12 +76,8 @@ main(int argc, char **argv)
         };
         if (args[i] == "--root")
             root = value("--root");
-        else if (args[i] == "--baseline")
-            baselinePath = value("--baseline");
         else if (args[i] == "--json")
             jsonPath = value("--json");
-        else if (args[i] == "--write-baseline")
-            writeBaselinePath = value("--write-baseline");
         else if (args[i] == "--corpus")
             corpus = value("--corpus");
         else if (args[i] == "--self-test")
@@ -107,67 +101,18 @@ main(int argc, char **argv)
             return runSelfTest(corpus, std::cout) == 0 ? 0 : 1;
         }
 
-        std::vector<Finding> findings = analyzeTree(root);
+        const std::vector<Finding> findings = analyzeTree(root);
 
         if (!jsonPath.empty() &&
             !writeFile(jsonPath, toFindingsJson(findings)))
             return 2;
-        if (!writeBaselinePath.empty()) {
-            if (!writeFile(writeBaselinePath, toFindingsJson(findings)))
-                return 2;
-            std::cout << "fdp_analyze: wrote baseline ("
-                      << findings.size() << " finding(s)) to "
-                      << writeBaselinePath << "\n";
-            return 0;
-        }
-
-        if (baselinePath.empty()) {
-            printFindings(std::cout, findings);
-            if (!findings.empty()) {
-                std::cout << "fdp_analyze: " << findings.size()
-                          << " finding(s)\n";
-                return 1;
-            }
-            std::cout << "fdp_analyze: clean\n";
-            return 0;
-        }
-
-        std::ifstream in(baselinePath, std::ios::binary);
-        if (!in) {
-            std::cerr << "fdp_analyze: cannot read baseline "
-                      << baselinePath << "\n";
-            return 2;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        std::vector<Finding> baseline;
-        std::string err;
-        if (!parseFindingsJson(buf.str(), &baseline, &err)) {
-            std::cerr << "fdp_analyze: bad baseline " << baselinePath
-                      << ": " << err << "\n";
-            return 2;
-        }
-
-        BaselineDiff diff = diffAgainstBaseline(findings, baseline);
-        if (!diff.fresh.empty()) {
-            std::cout << "fdp_analyze: " << diff.fresh.size()
-                      << " new finding(s) not covered by the baseline:\n";
-            printFindings(std::cout, diff.fresh);
-            std::cout << "fix them, suppress with a reason, or (for "
-                         "pre-existing debt) add them to "
-                      << baselinePath << "\n";
+        printFindings(std::cout, findings);
+        if (!findings.empty()) {
+            std::cout << "fdp_analyze: " << findings.size()
+                      << " finding(s)\n";
             return 1;
         }
-        if (!diff.fixed.empty()) {
-            std::cout << "fdp_analyze: " << diff.fixed.size()
-                      << " baselined finding(s) no longer fire - shrink "
-                      << baselinePath << ":\n";
-            printFindings(std::cout, diff.fixed);
-        }
-        std::cout << "fdp_analyze: clean ("
-                  << (findings.size() - diff.fresh.size())
-                  << " baselined, " << diff.fixed.size()
-                  << " fixable)\n";
+        std::cout << "fdp_analyze: clean\n";
         return 0;
     } catch (const std::exception &e) {
         std::cerr << "fdp_analyze: " << e.what() << "\n";

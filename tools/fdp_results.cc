@@ -37,59 +37,27 @@ namespace
 
 using namespace fdp;
 
+const char kUsage[] =
+    "usage: fdp_results <command> ...\n"
+    "  diff BASE FRESH [--verdict PATH] [--all]\n"
+    "                  compare two fdp-results-v1 files exactly;\n"
+    "                  exit 1 when the diff blocks. --verdict also\n"
+    "                  writes a machine-readable fdp-diff-v1 file;\n"
+    "                  --all prints unchanged entries too\n"
+    "  ls DIR          list the entries of a result store\n"
+    "  gc DIR [--keep-rev REV] [--dry-run]\n"
+    "                  drop corrupt entries, plus entries from\n"
+    "                  other binary revisions when --keep-rev is\n"
+    "                  given\n"
+    "  merge DST SRC...\n"
+    "                  copy entries absent from DST out of the SRC\n"
+    "                  stores (corrupt sources are skipped)\n";
+
 [[noreturn]] void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: fdp_results <command> ...\n"
-        "  diff BASE FRESH [--verdict PATH] [--all]\n"
-        "                  compare two fdp-results-v1 files exactly;\n"
-        "                  exit 1 when the diff blocks. --verdict also\n"
-        "                  writes a machine-readable fdp-diff-v1 file;\n"
-        "                  --all prints unchanged entries too\n"
-        "  ls DIR          list the entries of a result store\n"
-        "  gc DIR [--keep-rev REV] [--dry-run]\n"
-        "                  drop corrupt entries, plus entries from\n"
-        "                  other binary revisions when --keep-rev is\n"
-        "                  given\n"
-        "  merge DST SRC...\n"
-        "                  copy entries absent from DST out of the SRC\n"
-        "                  stores (corrupt sources are skipped)\n");
+    std::fputs(kUsage, stderr);
     std::exit(1);
-}
-
-/**
- * Apply argv[2..) to the subcommand's @p flags (whose help is
- * usage()'s) and return its other arguments, in order. An argument
- * starting with "--" that no flag names, or a flag missing its value,
- * is a fatal() naming it, raised before the subcommand reads or
- * creates any file.
- */
-std::vector<std::string>
-parseArgs(int argc, char **argv, const std::vector<Flag> &flags)
-{
-    std::vector<std::string> operands;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            operands.push_back(arg);
-            continue;
-        }
-        const auto flag =
-            std::find_if(flags.begin(), flags.end(),
-                         [&](const Flag &f) { return f.name == arg; });
-        if (flag == flags.end())
-            fatal("%s: unknown flag `%s'", argv[1], arg.c_str());
-        if (flag->metavar.empty())
-            flag->set(nullptr);
-        else if (i + 1 < argc)
-            flag->set(argv[++i]);
-        else
-            fatal("%s: %s requires a value (%s)", argv[1], arg.c_str(),
-                  flag->metavar.c_str());
-    }
-    return operands;
 }
 
 int
@@ -98,10 +66,11 @@ cmdDiff(int argc, char **argv)
     std::string verdictPath;
     bool everything = false;
     const std::vector<std::string> paths = parseArgs(
-        argc, argv,
+        argc, argv, 2,
         {{"--verdict", "PATH", "",
           [&](const char *v) { verdictPath = v; }},
-         {"--all", "", "", [&](const char *) { everything = true; }}});
+         {"--all", "", "", [&](const char *) { everything = true; }}},
+        kUsage);
     if (paths.size() != 2)
         usage();
 
@@ -132,7 +101,8 @@ cmdDiff(int argc, char **argv)
 int
 cmdLs(int argc, char **argv)
 {
-    const std::vector<std::string> dirs = parseArgs(argc, argv, {});
+    const std::vector<std::string> dirs =
+        parseArgs(argc, argv, 2, {}, kUsage);
     if (dirs.size() != 1)
         usage();
     const ResultStore store(dirs[0]);
@@ -165,9 +135,10 @@ cmdGc(int argc, char **argv)
     std::string keepRev;
     bool dryRun = false;
     const std::vector<std::string> dirs = parseArgs(
-        argc, argv,
+        argc, argv, 2,
         {{"--keep-rev", "REV", "", [&](const char *v) { keepRev = v; }},
-         {"--dry-run", "", "", [&](const char *) { dryRun = true; }}});
+         {"--dry-run", "", "", [&](const char *) { dryRun = true; }}},
+        kUsage);
     if (dirs.size() != 1)
         usage();
 
@@ -200,7 +171,8 @@ cmdGc(int argc, char **argv)
 int
 cmdMerge(int argc, char **argv)
 {
-    const std::vector<std::string> dirs = parseArgs(argc, argv, {});
+    const std::vector<std::string> dirs =
+        parseArgs(argc, argv, 2, {}, kUsage);
     if (dirs.size() < 2)
         usage();
     const ResultStore dst(dirs[0]);

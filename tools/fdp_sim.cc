@@ -59,7 +59,6 @@ struct Cli
     const Policy *policy = &kPolicies[4];
     unsigned level = 5;
     PrefetcherSelection prefetcher;
-    bool explore = false;  // --manager explore
     /** Machine, budget, and warm-up, set in place by their flags. */
     RunConfig knobs;
     bool controllerKnob = false;  // a controller-only flag was given
@@ -137,16 +136,10 @@ flagTable(Cli &o)
          [](const char *) { listAndExit(allBenchmarks()); }},
         {"--prefetcher", "KIND",
          "none | stream | ghb | stride | vldp | dspatch |\n"
-         "nextline | manager (default stream)",
+         "nextline | manager (default stream; manager runs the\n"
+         "POWER7-style explore/exploit manager over the zoo)",
          [&o](const char *v) {
              o.prefetcher = prefetcherSelectionFromName(v);
-         }},
-        {"--manager", "M",
-         "off | explore: wrap the run in the adaptive manager\n"
-         "(POWER7-style explore/exploit over the default zoo;\n"
-         "`--prefetcher manager' is shorthand for explore)",
-         [&o](const char *v) {
-             o.explore = choice("--manager", v, {"off", "explore"}) == 1;
          }},
         {"--list-prefetchers", "", "list the --prefetcher selections and exit",
          [](const char *) { listAndExit(knownPrefetcherNames()); }},
@@ -348,7 +341,7 @@ buildConfig(const Cli &o)
     RunConfig c = o.policy->make(o.level);
     if (o.policy != &kPolicies[0]) {
         c.prefetcher = o.prefetcher.kind;
-        c.manager = o.explore ? ManagerKind::Explore : o.prefetcher.manager;
+        c.manager = o.prefetcher.manager;
     }
     c.machine = o.knobs.machine;
     c.numInsts = o.knobs.numInsts;

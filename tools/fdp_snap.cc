@@ -12,10 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "snap/snapshot_file.hh"
@@ -25,15 +26,16 @@ namespace
 
 using namespace fdp;
 
+const char kUsage[] =
+    "usage: fdp_snap <command> PATH\n"
+    "  info PATH      print the snapshot header and section layout\n"
+    "  verify PATH    full integrity pass: magic, CRC, version,\n"
+    "                 section byte accounting\n";
+
 [[noreturn]] void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: fdp_snap <command> PATH\n"
-        "  info PATH      print the snapshot header and section layout\n"
-        "  verify PATH    full integrity pass: magic, CRC, version,\n"
-        "                 section byte accounting\n");
+    std::fputs(kUsage, stderr);
     std::exit(1);
 }
 
@@ -95,13 +97,16 @@ cmdVerify(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    if (argc != 3)
+    if (argc < 2)
         usage();
     const std::string cmd = argv[1];
-    const std::string path = argv[2];
+    const std::vector<std::string> paths =
+        parseArgs(argc, argv, 2, {}, kUsage);
+    if (paths.size() != 1)
+        usage();
     if (cmd == "info")
-        return cmdInfo(path);
+        return cmdInfo(paths[0]);
     if (cmd == "verify")
-        return cmdVerify(path);
+        return cmdVerify(paths[0]);
     usage();
 }

@@ -14,10 +14,13 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "harness/cli.hh"
 #include "harness/experiment.hh"
 #include "sim/logging.hh"
 #include "trace/trace_diff.hh"
@@ -30,23 +33,24 @@ namespace
 
 using namespace fdp;
 
+const char kUsage[] =
+    "usage: fdp_trace <command> ...\n"
+    "  record --bench NAME --ops N --out PATH\n"
+    "                    generate N micro-ops from the calibrated\n"
+    "                    benchmark generator into an fdptrace-v1 file\n"
+    "  info PATH         print the trace header and size summary\n"
+    "  dump PATH [--limit N]\n"
+    "                    print records human-readably (default 32;\n"
+    "                    0 = all)\n"
+    "  verify PATH       full integrity pass: header/footer, every\n"
+    "                    record, CRC, byte accounting\n"
+    "  diff PATH PATH    compare two traces op by op; report the\n"
+    "                    first divergence (exit 0 identical, 1 not)\n";
+
 [[noreturn]] void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: fdp_trace <command> ...\n"
-        "  record --bench NAME --ops N --out PATH\n"
-        "                    generate N micro-ops from the calibrated\n"
-        "                    benchmark generator into an fdptrace-v1 file\n"
-        "  info PATH         print the trace header and size summary\n"
-        "  dump PATH [--limit N]\n"
-        "                    print records human-readably (default 32;\n"
-        "                    0 = all)\n"
-        "  verify PATH       full integrity pass: header/footer, every\n"
-        "                    record, CRC, byte accounting\n"
-        "  diff PATH PATH    compare two traces op by op; report the\n"
-        "                    first divergence (exit 0 identical, 1 not)\n");
+    std::fputs(kUsage, stderr);
     std::exit(1);
 }
 
@@ -70,23 +74,14 @@ cmdRecord(int argc, char **argv)
     std::string bench;
     std::string out;
     std::uint64_t ops = 0;
-    for (int i = 2; i < argc; ++i) {
-        const char *a = argv[i];
-        auto need = [&](int &j) -> const char * {
-            if (j + 1 >= argc)
-                usage();
-            return argv[++j];
-        };
-        if (!std::strcmp(a, "--bench"))
-            bench = need(i);
-        else if (!std::strcmp(a, "--ops"))
-            ops = parseCountArg("--ops", need(i));
-        else if (!std::strcmp(a, "--out"))
-            out = need(i);
-        else
-            usage();
-    }
-    if (bench.empty() || out.empty() || ops == 0)
+    const std::vector<std::string> operands = parseArgs(
+        argc, argv, 2,
+        {{"--bench", "NAME", "", [&](const char *v) { bench = v; }},
+         {"--ops", "N", "",
+          [&](const char *v) { ops = parseCountArg("--ops", v); }},
+         {"--out", "PATH", "", [&](const char *v) { out = v; }}},
+        kUsage);
+    if (!operands.empty() || bench.empty() || out.empty() || ops == 0)
         usage();
 
     auto workload = makeBenchmark(bench);  // fatal on unknown names
@@ -182,32 +177,29 @@ main(int argc, char **argv)
     if (argc < 2)
         usage();
     const std::string cmd = argv[1];
-
     if (cmd == "record")
         return cmdRecord(argc, argv);
-    if (cmd == "diff") {
-        if (argc != 4)
-            usage();
-        return cmdDiff(argv[2], argv[3]);
-    }
 
-    // The remaining commands all take one trace path plus options.
-    if (argc < 3)
+    // The remaining commands take trace paths; only dump has a flag.
+    std::uint64_t limit = 32;
+    std::vector<Flag> flags;
+    if (cmd == "dump")
+        flags.push_back({"--limit", "N", "", [&](const char *v) {
+                             limit = std::strcmp(v, "0") == 0
+                                         ? 0
+                                         : parseCountArg("--limit", v);
+                         }});
+    const std::vector<std::string> paths =
+        parseArgs(argc, argv, 2, flags, kUsage);
+    if (cmd == "diff" && paths.size() == 2)
+        return cmdDiff(paths[0], paths[1]);
+    if (paths.size() != 1)
         usage();
-    const std::string path = argv[2];
-    if (cmd == "info" && argc == 3)
-        return cmdInfo(path);
-    if (cmd == "verify" && argc == 3)
-        return cmdVerify(path);
-    if (cmd == "dump") {
-        std::uint64_t limit = 32;
-        if (argc == 5 && !std::strcmp(argv[3], "--limit"))
-            limit = std::strcmp(argv[4], "0") == 0
-                        ? 0
-                        : parseCountArg("--limit", argv[4]);
-        else if (argc != 3)
-            usage();
-        return cmdDump(path, limit);
-    }
+    if (cmd == "info")
+        return cmdInfo(paths[0]);
+    if (cmd == "verify")
+        return cmdVerify(paths[0]);
+    if (cmd == "dump")
+        return cmdDump(paths[0], limit);
     usage();
 }

@@ -3,7 +3,7 @@
 #
 # Always runs: fdp_analyze (built on demand) and its self-test, so a
 # vacuous rule is itself a failure, then fdp_analyze over the tree,
-# gated on the committed baseline. clang-tidy and cppcheck run when
+# where any finding fails. clang-tidy and cppcheck run when
 # installed and are skipped with a notice otherwise —
 # the container toolchain has neither, and their absence must not break
 # the pipeline. FDP_LINT_ONLY=1 skips them even when installed (used by
@@ -51,7 +51,6 @@ echo "== fdp_analyze: self-test =="
 
 echo "== fdp_analyze: repo contracts =="
 "$ANALYZE_BIN" --root "$ROOT" \
-    --baseline "$ROOT/tools/analyze/baseline.json" \
     ${FDP_FINDINGS_JSON:+--json "$FDP_FINDINGS_JSON"} || status=1
 
 if [ "${FDP_LINT_ONLY:-0}" = "1" ]; then
