@@ -41,7 +41,7 @@ runPoint(const Point &pt, const SweepArgs &args, Table &t, ResultsJson &out)
     const auto &benches = memoryIntensiveBenchmarks();
     const std::vector<LabeledConfig> configs = {{"va", va},
                                                 {"fdp", fdp}};
-    const auto results = runSweep(benches, configs, args.jobs);
+    const auto results = runSweep(benches, configs, args.jobs, args.store);
     const auto &rva = results[0];
     const auto &rfdp = results[1];
     for (std::size_t b = 0; b < benches.size(); ++b) {

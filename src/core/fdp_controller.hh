@@ -163,6 +163,10 @@ class FdpController : public Auditable, public Snapshottable
 
     std::uint64_t intervalsCompleted() const { return intervals_.value(); }
 
+    /** Lifetime prefetches sent to memory, and those found useful. */
+    std::uint64_t prefSent() const { return prefSent_.value(); }
+    std::uint64_t prefUsed() const { return prefUsed_.value(); }
+
     /**
      * Install @p hook to run after every completed sampling interval;
      * the experiment harness uses it to audit the whole machine at the

@@ -1,30 +1,40 @@
 /**
  * @file
  * The DRAM backend seam: the parameter structs, the request priority /
- * accuracy-tier vocabulary, and the abstract interface both memory
- * systems talk to (DESIGN.md §18).
+ * accuracy-tier vocabulary, and the DramBackend base the memory system
+ * talks to (DESIGN.md §18).
  *
  * Two implementations exist:
- *  - the flat bandwidth-limited model of paper Table 3
- *    (mem/dram.hh, the default baseline), and
+ *  - the flat model of paper Table 3 (mem/dram.hh, the default
+ *    baseline): one data bus over banked open rows, fed by three
+ *    priority FIFOs, and
  *  - the FR-FCFS multi-channel controller (dram/dram_controller.hh,
  *    opt-in via DramKind::Controller) that adds per-bank queues,
  *    row-policy knobs, accuracy-directed prefetch priority, and
  *    per-core bandwidth QoS.
  *
- * This layer knows nothing above sim/: the memory systems pick an
+ * Both grant through the base: DramBackend owns the bus statistics,
+ * the per-core bus attribution and grant(), the bank and bus timing of
+ * one transfer. A backend keeps only its queues and its pick.
+ *
+ * This layer knows nothing above sim/: the memory system picks an
  * implementation, the FDP controller supplies the PrefetchTier.
  */
 
 #ifndef FDP_DRAM_DRAM_BACKEND_HH
 #define FDP_DRAM_DRAM_BACKEND_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "sim/check.hh"
+#include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/snapshot.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace fdp
@@ -110,11 +120,14 @@ struct DramCtrlParams
 };
 
 /**
- * Abstract DRAM + memory-bus engine. Implementations own their
- * statistics (registered under the shared memory StatGroup with the
- * flat model's names, so result extraction is backend-agnostic) and
- * honor the repo contracts: audited invariants, quiesce-point
- * snapshots, and bit-identical determinism.
+ * DRAM + memory-bus engine. The base owns what every backend shares:
+ * the bus statistics (registered under the shared memory StatGroup
+ * with one set of names, so result extraction is backend-agnostic),
+ * the per-core bus attribution and its conservation audit, and
+ * grant(), one transfer on one channel's banks and data bus. A backend
+ * supplies its queues and its pick, and honors the repo contracts:
+ * audited invariants, quiesce-point snapshots, and bit-identical
+ * determinism.
  */
 class DramBackend : public Auditable, public Snapshottable
 {
@@ -146,14 +159,20 @@ class DramBackend : public Auditable, public Snapshottable
 
     /// @name Lifetime statistics
     /// @{
-    virtual std::uint64_t busAccesses() const = 0;
+    std::uint64_t busAccesses() const { return count(kBusAccesses); }
     /** Measured data-bus occupancy, summed over every channel. */
-    virtual std::uint64_t busBusyCycles() const = 0;
-    virtual std::uint64_t rowHits() const = 0;
-    virtual std::uint64_t rowConflicts() const = 0;
+    virtual std::uint64_t busBusyCycles() const
+    {
+        return count(kBusBusyCycles);
+    }
+    std::uint64_t rowHits() const { return count(kRowHits); }
+    std::uint64_t rowConflicts() const { return count(kRowConflicts); }
+    /** Bus grants at @p prio (a promoted prefetch is granted as a
+     *  demand). */
+    std::uint64_t grants(BusPriority prio) const;
 
     /** Blocks transferred on the bus on behalf of @p core. */
-    virtual std::uint64_t busAccessesByCore(CoreId core) const = 0;
+    std::uint64_t busAccessesByCore(CoreId core) const;
     /// @}
 
     /**
@@ -161,14 +180,119 @@ class DramBackend : public Auditable, public Snapshottable
      * counters audited against registered statistics) alongside a
      * StatGroup reset at a measurement boundary.
      */
-    virtual void resetAttribution() = 0;
+    virtual void resetAttribution();
 
     /** Independent data buses: busBusyCycles() can reach
      *  dataBuses() * elapsed, so utilization windows normalize by it. */
     virtual unsigned dataBuses() const = 0;
 
-    virtual const DramParams &params() const = 0;
+    const DramParams &params() const { return params_; }
+
+    /** The per-core bus accesses sum exactly to the shared total.
+     *  Every backend's audit runs this first. */
+    void audit() const override;
+
+  protected:
+    /** The bus statistics, in registration order (the order of the
+     *  scalars in a stats snapshot). */
+    enum Counter : std::uint8_t
+    {
+        kBusAccesses,
+        kDemandGrants,
+        kPrefetchGrants,
+        kWritebackGrants,
+        kRowHits,
+        kRowConflicts,
+        kRowEmpties,
+        kBusBusyCycles,
+        kPromotions,
+        kLowTierDrops,
+        kQosRejects,
+        kNumCounters
+    };
+
+    /** An open-row register holding no row (precharged bank). */
+    static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
+
+    /** One channel's banks and data bus: the state grant() advances. */
+    struct Bus
+    {
+        std::vector<Cycle> bankReady;
+        std::vector<std::uint64_t> openRow;
+        Cycle busFree = 0;
+    };
+
+    /**
+     * Register @p kind's bus statistics under @p stats: the flat model
+     * counts no empty rows, tier drops or QoS rejects. A grant leaves
+     * its row open, closed or adaptively precharged by @p rowPolicy;
+     * only the controller has empty (precharged) rows to find, so the
+     * flat model's precharged bank costs, and counts as, a conflict.
+     *
+     * @param numCores  cores that may issue bus requests; per-core bus
+     *                  accesses are tallied against this many counters
+     */
+    DramBackend(const DramParams &params, DramKind kind,
+                RowPolicy rowPolicy, EventQueue &events, StatGroup &stats,
+                unsigned numCores);
+
+    /** A bus whose banks are all precharged and idle. */
+    Bus idleBus() const;
+
+    /**
+     * Grant one transfer on @p bus: the access phase starts when
+     * @p bank is free. An open-row hit pipelines at the CAS cadence; an
+     * activate holds the bank until its transfer ends. The data then
+     * serializes on the bus. Counts the row outcome and @p prio,
+     * charges @p core, and schedules @p done (if any) at the fill.
+     */
+    void grant(Bus &bus, unsigned bank, std::uint64_t row, Cycle enqueued,
+               BusPriority prio, CoreId core, DoneFn &&done);
+
+    /** Value of a counter; 0 for one this backend does not register. */
+    std::uint64_t
+    count(Counter k) const
+    {
+        return stats_[k] ? stats_[k]->value() : 0;
+    }
+    ScalarStat &stat(Counter k) { return *stats_[k]; }
+
+    unsigned
+    numCores() const
+    {
+        return static_cast<unsigned>(coreBusAccesses_.size());
+    }
+
+    /** The attribution's snapshot fields: the core count, then each
+     *  core's bus accesses. */
+    template <typename Self, typename Io>
+    static void attributionFields(Self &self, Io &io);
+
+    DramParams params_;
+    EventQueue &events_;
+    Cycle transferCycles_;
+
+  private:
+    friend struct AuditCorrupter;
+
+    /** The grant counter of @p prio. */
+    static Counter grantCounter(BusPriority prio);
+
+    RowPolicy rowPolicy_;
+    bool emptyRows_;
+    /** Bus accesses attributed to each requesting core. */
+    std::vector<std::uint64_t> coreBusAccesses_;
+    std::array<std::optional<ScalarStat>, kNumCounters> stats_;
 };
+
+template <typename Self, typename Io>
+void
+DramBackend::attributionFields(Self &self, Io &io)
+{
+    io.fixedU32(self.coreBusAccesses_.size(), "cores");
+    for (auto &n : self.coreBusAccesses_)
+        io.u64(n);
+}
 
 } // namespace fdp
 

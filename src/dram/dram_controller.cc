@@ -12,30 +12,10 @@ DramController::DramController(const DramParams &params,
                                const DramCtrlParams &ctrl,
                                EventQueue &events, StatGroup &stats,
                                unsigned numCores)
-    : params_(params), ctrl_(ctrl), events_(events),
-      transferCycles_(params.transferCycles()),
-      coreBusAccesses_(numCores, 0), coreServed_(numCores, 0),
-      corePrefQueued_(numCores, 0),
-      busAccesses_(stats, "bus_accesses", "blocks transferred on the bus"),
-      demandGrants_(stats, "demand_grants", "demand bus grants"),
-      prefetchGrants_(stats, "prefetch_grants", "prefetch bus grants"),
-      writebackGrants_(stats, "writeback_grants", "writeback bus grants"),
-      rowHits_(stats, "row_hits", "row-buffer hits"),
-      rowConflicts_(stats, "row_conflicts", "row-buffer conflicts"),
-      rowEmpties_(stats, "row_empties",
-                  "accesses to a precharged bank (no open row)"),
-      busBusyCycles_(stats, "bus_busy_cycles",
-                     "cycles any data bus was busy (all channels)"),
-      promotions_(stats, "promotions", "prefetches promoted to demand"),
-      lowTierDrops_(stats, "low_tier_drops",
-                    "low-accuracy prefetches dropped under queue pressure"),
-      qosRejects_(stats, "qos_rejects",
-                  "prefetches rejected by the per-core QoS cap")
+    : DramBackend(params, DramKind::Controller, ctrl.rowPolicy, events,
+                  stats, numCores),
+      ctrl_(ctrl), coreServed_(numCores, 0), corePrefQueued_(numCores, 0)
 {
-    if (params_.banks == 0 || params_.rowBlocks == 0)
-        fatal("DRAM needs nonzero banks and row size");
-    if (numCores == 0)
-        fatal("DRAM needs at least one requesting core");
     if (ctrl_.channels == 0 ||
         (ctrl_.channels & (ctrl_.channels - 1)) != 0)
         fatal("DRAM controller needs a power-of-two channel count "
@@ -48,10 +28,8 @@ DramController::DramController(const DramParams &params,
         fatal("DRAM controller queue capacity %zu exceeds %zu",
               params_.queueCapacity, kMaxQueueCapacity);
     channels_ = std::vector<Channel>(ctrl_.channels);
-    for (Channel &c : channels_) {
-        c.bankReady.assign(params_.banks, 0);
-        c.openRow.assign(params_.banks, kNoRow);
-    }
+    for (Channel &c : channels_)
+        static_cast<Bus &>(c) = idleBus();
 
     // FR-FCFS classes, indexed [group][row hit]. Accuracy-blind mode is
     // one class for every read. With the FDP tie-in, a prefetch demoted
@@ -104,13 +82,13 @@ DramController::enqueue(BlockAddr block, BusPriority prio, Cycle now,
             return false;
         if (ctrl_.qosInFlightCap > 0 &&
             corePrefQueued_[core.index()] >= ctrl_.qosInFlightCap) {
-            ++qosRejects_;
+            ++stat(kQosRejects);
             return false;
         }
         if (ctrl_.fdpPriority && tier == PrefetchTier::Low &&
             ctrl_.lowTierDropAt > 0 &&
             c.readQ.size() >= ctrl_.lowTierDropAt) {
-            ++lowTierDrops_;
+            ++stat(kLowTierDrops);
             return false;
         }
         ++corePrefQueued_[core.index()];
@@ -157,7 +135,7 @@ DramController::promoteToDemand(BlockAddr block)
             continue;
         k.group = kGroupDemand;
         --corePrefQueued_[k.core.index()];
-        ++promotions_;
+        ++stat(kPromotions);
         return;
     }
     // Not queued: already granted the bus; nothing to expedite.
@@ -190,20 +168,10 @@ DramController::busBusyCyclesOnChannel(unsigned ch) const
     return channels_[ch].busyCycles;
 }
 
-std::uint64_t
-DramController::busAccessesByCore(CoreId core) const
-{
-    FDP_ASSERT(core.index() < coreBusAccesses_.size(),
-               "%s: core %u of %zu asked for its bus accesses",
-               auditName(), core.index(), coreBusAccesses_.size());
-    return coreBusAccesses_[core.index()];
-}
-
 void
 DramController::resetAttribution()
 {
-    for (std::uint64_t &n : coreBusAccesses_)
-        n = 0;
+    DramBackend::resetAttribution();
     // The measured occupancies are audited against the bus_busy_cycles
     // statistic, which the measurement boundary resets with its group.
     for (Channel &c : channels_)
@@ -274,95 +242,30 @@ DramController::pump(unsigned ch)
         read != kNoPick &&
         (c.readQ[read].group == kGroupDemand || read_class == 0 ||
          c.wbQ.size() <= params_.writebackHighWater);
-    if (!take_read && c.wbQ.empty())
-        return;  // nothing queued
-
-    Cycle enqueue_cycle = 0;
-    unsigned bank = 0;
-    std::uint64_t row = 0;
-    CoreId core;
-    std::uint8_t group = kGroupDemand;
-    bool writeback = false;
-    DoneFn done;
     if (take_read) {
         const ReadKey k = c.readQ[read];
         c.readQ.erase(c.readQ.begin() + static_cast<std::ptrdiff_t>(read));
         ReadSlot &slot = c.slab[k.slot];
-        done = std::move(slot.done);
-        enqueue_cycle = slot.enqueueCycle;
+        const bool demand = k.group == kGroupDemand;
+        grant(c, k.bank, k.row, slot.enqueueCycle,
+              demand ? BusPriority::Demand : BusPriority::Prefetch, k.core,
+              std::move(slot.done));
         c.slabFree.push_back(k.slot);
-        bank = k.bank;
-        row = k.row;
-        core = k.core;
-        group = k.group;
-    } else {
-        const WbRequest &w = c.wbQ.front();
-        decode(w.block, &bank, &row);
-        enqueue_cycle = w.enqueueCycle;
-        core = w.core;
+        ++coreServed_[k.core.index()];
+        if (!demand)
+            --corePrefQueued_[k.core.index()];
+    } else if (!c.wbQ.empty()) {
+        const WbRequest w = c.wbQ.front();
         c.wbQ.pop_front();
-        writeback = true;
-    }
-
-    const Cycle now = events_.horizon();
-    const bool row_hit = c.openRow[bank] == row;
-    const bool row_empty = !row_hit && c.openRow[bank] == kNoRow;
-    const Cycle access = row_hit    ? params_.accessRowHit
-                         : row_empty ? params_.accessRowEmpty()
-                                     : params_.accessRowConflict;
-
-    // Same bank/bus pipeline as the flat model, per channel: open-row
-    // hits pipeline at the CAS cadence, activates (empty or conflict)
-    // occupy the bank until their transfer ends, and the data transfer
-    // serializes on the channel's bus.
-    const Cycle access_start = std::max(enqueue_cycle, c.bankReady[bank]);
-    const Cycle data_start =
-        std::max({access_start + access, c.busFree, now});
-    const Cycle data_end = data_start + transferCycles_;
-
-    c.busFree = data_end;
-    c.bankReady[bank] =
-        row_hit ? access_start + params_.casToCASCycles : data_end;
-    switch (ctrl_.rowPolicy) {
-      case RowPolicy::Open:
-        c.openRow[bank] = row;
-        break;
-      case RowPolicy::Closed:
-        c.openRow[bank] = kNoRow;  // auto-precharge
-        break;
-      case RowPolicy::Adaptive:
-        // Precharge after a conflict (the open row is not earning its
-        // keep); stay open after hits and first-touch activates.
-        c.openRow[bank] = row_hit || row_empty ? row : kNoRow;
-        break;
-    }
-
-    ++busAccesses_;
-    ++coreBusAccesses_[core.index()];
-    c.busyCycles += transferCycles_;
-    busBusyCycles_ += transferCycles_;
-    if (row_hit)
-        ++rowHits_;
-    else if (row_empty)
-        ++rowEmpties_;
-    else
-        ++rowConflicts_;
-    if (writeback) {
-        ++writebackGrants_;
-    } else if (group == kGroupDemand) {
-        ++demandGrants_;
-        ++coreServed_[core.index()];
+        unsigned bank = 0;
+        std::uint64_t row = 0;
+        decode(w.block, &bank, &row);
+        grant(c, bank, row, w.enqueueCycle, BusPriority::Writeback, w.core,
+              nullptr);
     } else {
-        ++prefetchGrants_;
-        ++coreServed_[core.index()];
-        --corePrefQueued_[core.index()];
+        return;  // nothing queued
     }
-
-    if (done) {
-        const Cycle fill = data_end + params_.returnCycles;
-        events_.schedule(fill, [fn = std::move(done),
-                                fill]() mutable { fn(fill); });
-    }
+    c.busyCycles += transferCycles_;
 
     if (!c.readQ.empty() || !c.wbQ.empty())
         schedulePump(ch, c.busFree);
@@ -390,9 +293,7 @@ DramController::snapFields(Self &self, Io &io)
         for (auto &row : c.openRow)
             io.u64(row);
     }
-    io.fixedU32(self.coreBusAccesses_.size(), "cores");
-    for (auto &n : self.coreBusAccesses_)
-        io.u64(n);
+    attributionFields(self, io);
     for (auto &n : self.coreServed_)
         io.u64(n);
     io.end();
@@ -425,6 +326,7 @@ DramController::loadState(SnapReader &r)
 void
 DramController::audit() const
 {
+    DramBackend::audit();
     FDP_ASSERT(channels_.size() == ctrl_.channels,
                "%s: %zu channel states for %u configured channels",
                auditName(), channels_.size(), ctrl_.channels);
@@ -460,11 +362,11 @@ DramController::audit() const
                        "to channel %u",
                        auditName(), static_cast<unsigned long long>(block),
                        ch, channelOf(block));
-            FDP_ASSERT(core.index() < coreBusAccesses_.size(),
+            FDP_ASSERT(core.index() < numCores(),
                        "%s: queued request for block %llu tagged with "
-                       "core %u of %zu",
+                       "core %u of %u",
                        auditName(), static_cast<unsigned long long>(block),
-                       core.index(), coreBusAccesses_.size());
+                       core.index(), numCores());
             FDP_ASSERT(!have_seq || seq > last_seq,
                        "%s: channel %zu queue order disagrees with "
                        "arrival order (seq %llu after %llu)",
@@ -529,19 +431,11 @@ DramController::audit() const
         for (const WbRequest &w : c.wbQ)
             auditOrder(w.block, w.core, w.seq);
     }
-    FDP_ASSERT(busy_sum == busBusyCycles_.value(),
+    FDP_ASSERT(busy_sum == count(kBusBusyCycles),
                "%s: per-channel occupancies sum to %llu but the "
                "registered statistic is %llu",
                auditName(), static_cast<unsigned long long>(busy_sum),
-               static_cast<unsigned long long>(busBusyCycles_.value()));
-    std::uint64_t per_core_sum = 0;
-    for (const std::uint64_t n : coreBusAccesses_)
-        per_core_sum += n;
-    FDP_ASSERT(per_core_sum == busAccesses_.value(),
-               "%s: per-core bus accesses sum to %llu but the shared "
-               "total is %llu",
-               auditName(), static_cast<unsigned long long>(per_core_sum),
-               static_cast<unsigned long long>(busAccesses_.value()));
+               static_cast<unsigned long long>(count(kBusBusyCycles)));
     for (std::size_t i = 0; i < corePrefQueued_.size(); ++i)
         FDP_ASSERT(pref_queued[i] == corePrefQueued_[i],
                    "%s: core %zu QoS ledger says %u queued prefetches "

@@ -2,7 +2,8 @@
  * @file
  * FR-FCFS multi-channel memory controller (DESIGN.md §18).
  *
- * Replaces the flat three-deque bus model with a real controller:
+ * Replaces the flat model's three priority FIFOs with a real
+ * controller (both grant through DramBackend::grant()):
  *  - XOR channel interleaving: consecutive blocks stripe across
  *    channels, and the row index is folded in so same-bank streams on
  *    one channel remap on the next, each channel owning its banks,
@@ -34,8 +35,6 @@
 #include <vector>
 
 #include "dram/dram_backend.hh"
-#include "sim/event_queue.hh"
-#include "sim/stats.hh"
 
 namespace fdp
 {
@@ -58,22 +57,12 @@ class DramController : public DramBackend
     void promoteToDemand(BlockAddr block) override;
     std::size_t queued() const override;
 
-    std::uint64_t busAccesses() const override
-    {
-        return busAccesses_.value();
-    }
     /** Sum of the per-channel measured data-bus occupancies (the
      *  registered statistic mirrors it; audited equal). */
     std::uint64_t busBusyCycles() const override;
-    std::uint64_t rowHits() const override { return rowHits_.value(); }
-    std::uint64_t rowConflicts() const override
-    {
-        return rowConflicts_.value();
-    }
-    std::uint64_t busAccessesByCore(CoreId core) const override;
+    /** Also zeroes the per-channel occupancies. */
     void resetAttribution() override;
     unsigned dataBuses() const override { return ctrl_.channels; }
-    const DramParams &params() const override { return params_; }
 
     const DramCtrlParams &ctrlParams() const { return ctrl_; }
 
@@ -85,24 +74,24 @@ class DramController : public DramBackend
 
     /// @name Controller-specific lifetime statistics
     /// @{
-    std::uint64_t rowEmpties() const { return rowEmpties_.value(); }
-    std::uint64_t lowTierDrops() const { return lowTierDrops_.value(); }
-    std::uint64_t qosRejects() const { return qosRejects_.value(); }
+    std::uint64_t rowEmpties() const { return count(kRowEmpties); }
+    std::uint64_t lowTierDrops() const { return count(kLowTierDrops); }
+    std::uint64_t qosRejects() const { return count(kQosRejects); }
     /// @}
 
     /**
-     * Invariants: channel/bank state arrays match the configured
-     * geometry; every read queue stays within capacity; each queued
-     * request sits on the channel its block routes to, with a valid
-     * core id and arrival sequence numbers strictly increasing in queue
-     * order; each read key's cached bank/row match a fresh decode of
-     * its block and its scheduling group is in range; each read key
-     * owns a distinct slab slot holding a completion callback, and the
-     * slab's free list names exactly the other slots; a pump event is
-     * scheduled on every channel with queued work; the per-core bus
-     * accesses sum to the shared total; the per-channel measured bus
-     * occupancies sum to the registered statistic; and the per-core
-     * queued-prefetch counters match a recount of the queues.
+     * Invariants (after the base's): channel/bank state arrays match
+     * the configured geometry; every read queue stays within capacity;
+     * each queued request sits on the channel its block routes to, with
+     * a valid core id and arrival sequence numbers strictly increasing
+     * in queue order; each read key's cached bank/row match a fresh
+     * decode of its block and its scheduling group is in range; each
+     * read key owns a distinct slab slot holding a completion callback,
+     * and the slab's free list names exactly the other slots; a pump
+     * event is scheduled on every channel with queued work; the
+     * per-channel measured bus occupancies sum to the registered
+     * statistic; and the per-core queued-prefetch counters match a
+     * recount of the queues.
      */
     void audit() const override;
     const char *auditName() const override { return "dram_controller"; }
@@ -126,8 +115,6 @@ class DramController : public DramBackend
     template <typename Self, typename Io>
     static void snapFields(Self &self, Io &io);
 
-    /** An open-row register holding no row (precharged bank). */
-    static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
     static constexpr std::size_t kNoPick = ~std::size_t{0};
     /** Read-queue depth the 16-bit slab slot numbers can address. */
     static constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 16;
@@ -184,7 +171,8 @@ class DramController : public DramBackend
         CoreId core;
     };
 
-    struct Channel
+    /** A channel: its banks and data bus, plus its queues. */
+    struct Channel : Bus
     {
         /** Queued reads (demands + prefetches) in arrival order, the
          *  FCFS age within every FR-FCFS class. */
@@ -194,9 +182,6 @@ class DramController : public DramBackend
         std::vector<ReadSlot> slab;
         std::vector<std::uint16_t> slabFree;
         std::deque<WbRequest> wbQ;
-        std::vector<Cycle> bankReady;
-        std::vector<std::uint64_t> openRow;
-        Cycle busFree = 0;
         /** Measured data-bus occupancy (sources the busUtil window). */
         std::uint64_t busyCycles = 0;
         bool pumpScheduled = false;
@@ -227,32 +212,15 @@ class DramController : public DramBackend
     void schedulePump(unsigned ch, Cycle now);
     void pump(unsigned ch);
 
-    DramParams params_;
     DramCtrlParams ctrl_;
-    EventQueue &events_;
-    Cycle transferCycles_;
 
     std::vector<Channel> channels_;
     ClassTable classOf_{};
-    /** Bus accesses attributed to each requesting core. */
-    std::vector<std::uint64_t> coreBusAccesses_;
     /** Read grants per core, the weighted-service ledger. */
     std::vector<std::uint64_t> coreServed_;
     /** Queued (not yet granted) prefetches per core, for the QoS cap. */
     std::vector<unsigned> corePrefQueued_;
     std::uint64_t nextSeq_ = 0;
-
-    ScalarStat busAccesses_;
-    ScalarStat demandGrants_;
-    ScalarStat prefetchGrants_;
-    ScalarStat writebackGrants_;
-    ScalarStat rowHits_;
-    ScalarStat rowConflicts_;
-    ScalarStat rowEmpties_;
-    ScalarStat busBusyCycles_;
-    ScalarStat promotions_;
-    ScalarStat lowTierDrops_;
-    ScalarStat qosRejects_;
 };
 
 } // namespace fdp

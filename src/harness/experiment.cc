@@ -415,13 +415,14 @@ extractResult(SimMachine &m, const std::string &configLabel, CoreId core)
     m.mem.flushStats();
     const OooCore &cpu = m.core(core);
     const FdpController &fdp = m.fdp(core);
+    const DramBackend &dram = m.mem.dram();
     RunResult r;
     r.benchmark = m.workload(core).name();
     r.config = configLabel;
     r.insts = cpu.retired();
     r.cycles = cpu.cycles();
     r.ipc = cpu.ipc();
-    r.busAccesses = m.mem.dram().busAccessesByCore(core);
+    r.busAccesses = dram.busAccessesByCore(core);
     r.bpki = ratio(static_cast<double>(r.busAccesses),
                    static_cast<double>(r.insts) / 1000.0);
     r.accuracy = fdp.lifetimeAccuracy();
@@ -432,21 +433,11 @@ extractResult(SimMachine &m, const std::string &configLabel, CoreId core)
     r.prefDropQueueFull = m.mem.prefDropQueueFull(core);
     r.mshrStallCount = m.mem.mshrStalls();
     r.avgMissLatency = m.mem.avgDemandMissLatency();
-    for (const auto *s : m.memStats.scalars()) {
-        if (s->name() == "demand_grants")
-            r.demandGrants = s->value();
-        else if (s->name() == "prefetch_grants")
-            r.prefetchGrants = s->value();
-        else if (s->name() == "writeback_grants")
-            r.writebackGrants = s->value();
-    }
-
-    for (const auto *s : m.fdpStats(core).scalars()) {
-        if (s->name() == "pref_sent")
-            r.prefSent = s->value();
-        else if (s->name() == "pref_used")
-            r.prefUsed = s->value();
-    }
+    r.demandGrants = dram.grants(BusPriority::Demand);
+    r.prefetchGrants = dram.grants(BusPriority::Prefetch);
+    r.writebackGrants = dram.grants(BusPriority::Writeback);
+    r.prefSent = fdp.prefSent();
+    r.prefUsed = fdp.prefUsed();
     const DistributionStat &ld = fdp.levelDistribution();
     for (std::size_t i = 0; i < r.levelDist.size(); ++i)
         r.levelDist[i] = ld.fraction(i);

@@ -30,24 +30,13 @@ namespace
 // More workers than this is a configuration typo, not a machine.
 constexpr std::uint64_t kMaxSweepJobs = 4096;
 
-/** Process-wide store attachment (set once at startup, before any
- *  sweep runs, so there is no cross-thread mutation to order). */
-SweepStoreConfig g_sweepStore;
-
 } // namespace
 
 void
-setSweepStore(const SweepStoreConfig &config)
+SweepStoreConfig::check() const
 {
-    if (config.resume && config.dir.empty())
+    if (resume && dir.empty())
         fatal("--resume needs --store DIR (nothing to resume from)");
-    g_sweepStore = config;
-}
-
-const SweepStoreConfig &
-sweepStore()
-{
-    return g_sweepStore;
 }
 
 SweepPool::SweepPool(unsigned threads)
@@ -163,7 +152,8 @@ runJobs(const std::vector<std::function<void()>> &jobs, unsigned threads)
 
 std::vector<std::vector<RunResult>>
 runSweep(const std::vector<std::string> &benchmarks,
-         const std::vector<LabeledConfig> &configs, unsigned jobs)
+         const std::vector<LabeledConfig> &configs, unsigned jobs,
+         const SweepStoreConfig &storeCfg)
 {
     if (jobs == 0)
         jobs = defaultSweepJobs();
@@ -192,7 +182,6 @@ runSweep(const std::vector<std::string> &benchmarks,
     // and in cell order, build every cell's key and serve resumable
     // cells straight into their slots. The cell jobs of phase 3 only
     // insert, each into its own entry file.
-    const SweepStoreConfig storeCfg = sweepStore();
     std::unique_ptr<ResultStore> store;
     std::vector<StoreKey> keys;
     std::vector<char> cached;
@@ -351,10 +340,10 @@ runSweep(const std::vector<std::string> &benchmarks,
 std::vector<RunResult>
 runSuiteParallel(const std::vector<std::string> &benchmarks,
                  const RunConfig &config, const std::string &configLabel,
-                 unsigned jobs)
+                 unsigned jobs, const SweepStoreConfig &store)
 {
     std::vector<LabeledConfig> configs = {{configLabel, config}};
-    return std::move(runSweep(benchmarks, configs, jobs).front());
+    return std::move(runSweep(benchmarks, configs, jobs, store).front());
 }
 
 unsigned
@@ -426,7 +415,7 @@ parseSweepArgs(int argc, char **argv, std::uint64_t insts)
                {instsFlag(args.insts), quickFlag(args.insts),
                 jobsFlag(args.jobs), storeFlag(args.store),
                 resumeFlag(args.store), outFlag(args.out)});
-    setSweepStore(args.store);
+    args.store.check();
     if (args.jobs == 0)
         args.jobs = defaultSweepJobs();
     return args;
@@ -448,7 +437,7 @@ runSweep(const SweepArgs &args, const std::string &source,
 {
     for (auto &[label, config] : configs)
         config.numInsts = args.insts;
-    auto results = runSweep(benchmarks, configs, args.jobs);
+    auto results = runSweep(benchmarks, configs, args.jobs, args.store);
     writeSweepResults(args.out, source, benchmarks, labelsOf(configs),
                       results);
     return results;

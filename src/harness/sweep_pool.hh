@@ -112,40 +112,40 @@ struct SweepStoreConfig
     bool resume = false; ///< reuse cells already present
 
     bool enabled() const { return !dir.empty(); }
+
+    /** Fatal when asked to resume without a store directory; every
+     *  parser of --store/--resume calls it. */
+    void check() const;
 };
-
-/** Install @p config process-wide for subsequent runSweep calls; fatal
- *  when it asks to resume without a store directory. */
-void setSweepStore(const SweepStoreConfig &config);
-
-/** The installed store configuration (disabled by default). */
-const SweepStoreConfig &sweepStore();
 
 /**
  * Run every (benchmark, config) cell of a sweep, fanning the cells out
  * over @p jobs worker threads (0 = defaultSweepJobs(); 1 = the plain
  * sequential path with no threads created). results[c][b] is benchmark
  * b under configs[c], in the argument order, regardless of completion
- * order. Before the cells, the same workers hash each workload stream
- * the store keys need (only with a store attached), then load or
- * capture one warm image per (benchmark, geometry, warm-up) group of
- * warmed cells; each phase finishes before the next starts. Cells are
- * handed to the pool longest-first (LPT by the config's instruction
- * count) so a long run picked up last cannot leave the tail of the
- * sweep running on one thread; the ordering only affects wall-clock,
- * never results. Prints one sweep-throughput line to stderr (stdout
- * tables stay bit-identical across thread counts), plus sweep-store and
- * sweep-snap lines when a store or warm images are involved.
+ * order. With @p store enabled, fresh cells are persisted there and,
+ * under resume, stored cells are served from it. Before the cells,
+ * the same workers hash each workload stream the store keys need
+ * (only with a store), then load or capture one warm image per
+ * (benchmark, geometry, warm-up) group of warmed cells; each phase
+ * finishes before the next starts. Cells are handed to the pool
+ * longest-first (LPT by the config's instruction count) so a long run
+ * picked up last cannot leave the tail of the sweep running on one
+ * thread; the ordering only affects wall-clock, never results. Prints
+ * one sweep-throughput line to stderr (stdout tables stay
+ * bit-identical across thread counts), plus sweep-store and sweep-snap
+ * lines when a store or warm images are involved.
  */
 std::vector<std::vector<RunResult>>
 runSweep(const std::vector<std::string> &benchmarks,
-         const std::vector<LabeledConfig> &configs, unsigned jobs = 0);
+         const std::vector<LabeledConfig> &configs, unsigned jobs = 0,
+         const SweepStoreConfig &store = {});
 
 /** Single-configuration sweep: results[b] is benchmark b. */
 std::vector<RunResult>
 runSuiteParallel(const std::vector<std::string> &benchmarks,
                  const RunConfig &config, const std::string &configLabel,
-                 unsigned jobs = 0);
+                 unsigned jobs = 0, const SweepStoreConfig &store = {});
 
 /**
  * Sweep width when the caller does not say: FDP_JOBS from the
@@ -181,8 +181,7 @@ Flag outFlag(std::string &path);
 /**
  * A sweep binary's whole command line: the six sweep flags and nothing
  * else (parseFlags), @p insts being the binary's default budget. Then
- * installs the store (setSweepStore) and, without --jobs, takes
- * defaultSweepJobs().
+ * checks the store flags and, without --jobs, takes defaultSweepJobs().
  */
 SweepArgs parseSweepArgs(int argc, char **argv, std::uint64_t insts);
 
@@ -191,8 +190,8 @@ std::vector<std::string> labelsOf(const std::vector<LabeledConfig> &configs);
 
 /**
  * A fig/tab/sec binary's grid: runSweep over @p configs, each run at
- * args.insts, on args.jobs workers. With --out, the results are also
- * written there as fdp-results-v1 from @p source.
+ * args.insts, on args.jobs workers, with args.store. With --out, the
+ * results are also written there as fdp-results-v1 from @p source.
  */
 std::vector<std::vector<RunResult>>
 runSweep(const SweepArgs &args, const std::string &source,

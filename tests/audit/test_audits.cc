@@ -155,6 +155,13 @@ TEST(DramAuditDeathTest, LostPumpEventCaught)
     EXPECT_DEATH(d.dram.audit(), "no pump scheduled");
 }
 
+TEST(DramAuditDeathTest, CoreAttributionDesyncCaught)
+{
+    DramUnderAudit d;
+    AuditCorrupter::dramBreakCoreSum(d.dram);
+    EXPECT_DEATH(d.dram.audit(), "per-core bus accesses sum");
+}
+
 // ---------------------------------------------------------------------------
 // DramController
 // ---------------------------------------------------------------------------
@@ -240,7 +247,7 @@ TEST(DramCtrlAuditDeathTest, LiveSlabSlotOnFreeListCaught)
 TEST(DramCtrlAuditDeathTest, CoreAttributionDesyncCaught)
 {
     DramCtrlUnderAudit d;
-    AuditCorrupter::dramCtrlBreakCoreSum(d.dram);
+    AuditCorrupter::dramBreakCoreSum(d.dram);
     EXPECT_DEATH(d.dram.audit(), "per-core bus accesses sum");
 }
 

@@ -3,15 +3,20 @@
  * DramParams timing arithmetic: transfer-cycle rounding, the unloaded
  * latency identity, the withUnloadedLatency() budget split both
  * memory-system constructors rely on, and the bus-rate check every
- * backend is built behind.
+ * backend is built behind. Then the DramBackend base: the statistics
+ * each backend registers, in order, and the geometry checks both
+ * backends are built behind.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "dram/dram_backend.hh"
+#include "dram/dram_controller.hh"
 #include "mem/dram.hh"
 
 namespace fdp
@@ -80,6 +85,79 @@ TEST(DramParamsDeathTest, BackendRejectsUnusableBusRates)
                         testing::ExitedWithCode(1), "DRAM bus rate")
                 << rate;
         }
+}
+
+/** The name of every scalar in @p stats, in registration order. */
+std::vector<std::string>
+namesOf(const StatGroup &stats)
+{
+    std::vector<std::string> names;
+    for (const ScalarStat *s : stats.scalars())
+        names.push_back(s->name());
+    return names;
+}
+
+std::string
+descOf(const StatGroup &stats, const std::string &name)
+{
+    for (const ScalarStat *s : stats.scalars())
+        if (s->name() == name)
+            return s->desc();
+    return "";
+}
+
+// Registration order is the order of the scalars in a stats snapshot,
+// so these pins name the statistic that moved where SnapshotBytes.*
+// would only report a different hash.
+TEST(DramBackendStats, FlatModelRegistersEightInTableOrder)
+{
+    EventQueue events;
+    StatGroup stats{"mem"};
+    DramModel dram(DramParams{}, events, stats);
+    EXPECT_EQ(namesOf(stats),
+              (std::vector<std::string>{
+                  "bus_accesses", "demand_grants", "prefetch_grants",
+                  "writeback_grants", "row_hits", "row_conflicts",
+                  "bus_busy_cycles", "promotions"}));
+    EXPECT_EQ(descOf(stats, "bus_busy_cycles"),
+              "cycles the data bus was busy");
+}
+
+TEST(DramBackendStats, ControllerRegistersElevenInTableOrder)
+{
+    EventQueue events;
+    StatGroup stats{"mem"};
+    DramCtrlParams ctrl;
+    ctrl.kind = DramKind::Controller;
+    DramController dram(DramParams{}, ctrl, events, stats);
+    EXPECT_EQ(namesOf(stats),
+              (std::vector<std::string>{
+                  "bus_accesses", "demand_grants", "prefetch_grants",
+                  "writeback_grants", "row_hits", "row_conflicts",
+                  "row_empties", "bus_busy_cycles", "promotions",
+                  "low_tier_drops", "qos_rejects"}));
+    EXPECT_EQ(descOf(stats, "bus_busy_cycles"),
+              "cycles any data bus was busy (all channels)");
+}
+
+TEST(DramBackendDeathTest, EitherBackendRejectsAnEmptyGeometry)
+{
+    for (const DramKind kind : {DramKind::Flat, DramKind::Controller}) {
+        DramCtrlParams ctrl;
+        ctrl.kind = kind;
+        EventQueue events;
+        StatGroup stats{"mem"};
+        DramParams no_banks;
+        no_banks.banks = 0;
+        EXPECT_EXIT(makeDramBackend(no_banks, ctrl, events, stats, 1),
+                    testing::ExitedWithCode(1), "nonzero banks and row");
+        DramParams no_rows;
+        no_rows.rowBlocks = 0;
+        EXPECT_EXIT(makeDramBackend(no_rows, ctrl, events, stats, 1),
+                    testing::ExitedWithCode(1), "nonzero banks and row");
+        EXPECT_EXIT(makeDramBackend(DramParams{}, ctrl, events, stats, 0),
+                    testing::ExitedWithCode(1), "at least one requesting");
+    }
 }
 
 } // namespace

@@ -285,13 +285,10 @@ TEST(ResultStore, ControlCharactersInLabelAndRevisionResumeAsAHit)
     const std::string dir = freshDir("store_escapes");
     const std::string label = "fdp\nlabel\twith tab";
     const std::vector<LabeledConfig> cfgs = {{label, quickConfig(20'000)}};
-    setSweepStore({dir, false});
-    const auto cold = runSweep({"swim"}, cfgs, 1);
-    setSweepStore({dir, true});
+    const auto cold = runSweep({"swim"}, cfgs, 1, {dir, false});
     testing::internal::CaptureStderr();
-    const auto warm = runSweep({"swim"}, cfgs, 1);
+    const auto warm = runSweep({"swim"}, cfgs, 1, {dir, true});
     const std::string err = testing::internal::GetCapturedStderr();
-    setSweepStore({});
 
     const ResultStore store(dir);
     const std::vector<std::string> files = store.entryFiles();
@@ -524,23 +521,20 @@ TEST(ResultStoreSweep, ResumeIsBitIdenticalToColdRunAcrossJobs)
     cfgs[1].second.numInsts = 50'000;
 
     // Cold reference, no store attached.
-    setSweepStore({});
     const auto cold = runSweep(benches, cfgs, 2);
 
     // Seed the store with half the cells (one config column).
     const std::string dir = freshDir("store_resume");
-    setSweepStore({dir, false});
-    runSweep(benches, {cfgs[0]}, 1);
+    runSweep(benches, {cfgs[0]}, 1, {dir, false});
 
     // Resume fills the other half; every result field must be
     // bit-identical to the cold run at jobs=1 and jobs=4.
-    setSweepStore({dir, true});
-    expectBitIdentical(runSweep(benches, cfgs, 1), cold);
-    expectBitIdentical(runSweep(benches, cfgs, 4), cold);
+    const SweepStoreConfig resume = {dir, true};
+    expectBitIdentical(runSweep(benches, cfgs, 1, resume), cold);
+    expectBitIdentical(runSweep(benches, cfgs, 4, resume), cold);
 
     // And a fully-warm resume (every cell cached) still matches.
-    expectBitIdentical(runSweep(benches, cfgs, 2), cold);
-    setSweepStore({});
+    expectBitIdentical(runSweep(benches, cfgs, 2, resume), cold);
 }
 
 TEST(SweepStoreArgs, ParseAndValidation)
@@ -552,9 +546,6 @@ TEST(SweepStoreArgs, ParseAndValidation)
         EXPECT_EQ(c.dir, "/tmp/s");
         EXPECT_TRUE(c.resume);
         EXPECT_TRUE(c.enabled());
-        // Parsing installs the store for the binary's sweeps.
-        EXPECT_EQ(sweepStore().dir, "/tmp/s");
-        EXPECT_TRUE(sweepStore().resume);
     }
     {
         const char *argv[] = {"prog"};
@@ -562,7 +553,6 @@ TEST(SweepStoreArgs, ParseAndValidation)
             parseSweepArgs(1, const_cast<char **>(argv), 1).store;
         EXPECT_FALSE(c.enabled());
         EXPECT_FALSE(c.resume);
-        EXPECT_FALSE(sweepStore().enabled());
     }
 }
 

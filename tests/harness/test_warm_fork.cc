@@ -100,22 +100,46 @@ goldenConfigs()
             {"fdp", warmed(RunConfig::fullFdp())}};
 }
 
-TEST(WarmForkGolden, SweepMatchesColdWarmupAtAnyJobCount)
+/** A forked sweep of @p configs over swim and art at 1 and 4 jobs
+ *  equals warming every cell in place, with no forking involved. */
+void
+expectSweepMatchesColdWarmup(const std::vector<LabeledConfig> &configs)
 {
     const std::vector<std::string> benches = {"swim", "art"};
-    const std::vector<LabeledConfig> configs = goldenConfigs();
-
-    // Cold reference: every cell warms in place via runWorkload's
-    // warm-up path, no forking involved.
     std::vector<std::vector<RunResult>> cold(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c)
         for (const std::string &b : benches)
             cold[c].push_back(
                 runBenchmark(b, configs[c].second, configs[c].first));
 
-    setSweepStore({});
     expectBitIdentical(runSweep(benches, configs, 1), cold);
     expectBitIdentical(runSweep(benches, configs, 4), cold);
+}
+
+TEST(WarmForkGolden, SweepMatchesColdWarmupAtAnyJobCount)
+{
+    expectSweepMatchesColdWarmup(goldenConfigs());
+}
+
+TEST(WarmForkGolden, ControllerSweepMatchesColdWarmup)
+{
+    std::vector<LabeledConfig> configs = goldenConfigs();
+    for (auto &[label, config] : configs) {
+        config.machine.dramCtrl.kind = DramKind::Controller;
+        config.machine.dramCtrl.channels = 4;
+        config.machine.dramCtrl.rowPolicy = RowPolicy::Adaptive;
+    }
+    expectSweepMatchesColdWarmup(configs);
+}
+
+TEST(WarmForkGolden, PrefetchCacheSweepMatchesColdWarmup)
+{
+    std::vector<LabeledConfig> configs = goldenConfigs();
+    for (auto &[label, config] : configs) {
+        config.machine.prefetchCache.enabled = true;
+        config.machine.prefetchCache.sizeBytes = 64 * 1024;
+    }
+    expectSweepMatchesColdWarmup(configs);
 }
 
 TEST(WarmForkGolden, StoreServesWarmSnapshotsAcrossSweeps)
@@ -124,8 +148,7 @@ TEST(WarmForkGolden, StoreServesWarmSnapshotsAcrossSweeps)
     const std::vector<LabeledConfig> configs = goldenConfigs();
     const std::string dir = freshDir("snap_store");
 
-    setSweepStore({dir, false});
-    const auto first = runSweep(benches, configs, 1);
+    const auto first = runSweep(benches, configs, 1, {dir, false});
 
     // One policy-independent warm image per (benchmark, geometry,
     // warm-up) group must now sit in the store.
@@ -135,9 +158,7 @@ TEST(WarmForkGolden, StoreServesWarmSnapshotsAcrossSweeps)
     EXPECT_EQ(::stat(snapPath.c_str(), &st), 0) << snapPath;
 
     // A second sweep reuses the stored image and stays bit-identical.
-    setSweepStore({dir, false});
-    expectBitIdentical(runSweep(benches, configs, 2), first);
-    setSweepStore({});
+    expectBitIdentical(runSweep(benches, configs, 2, {dir, false}), first);
 }
 
 TEST(WarmForkGolden, StoreImagesIdenticalAtAnyJobCount)
@@ -153,11 +174,8 @@ TEST(WarmForkGolden, StoreImagesIdenticalAtAnyJobCount)
 
     const std::string one = freshDir("jobs1");
     const std::string four = freshDir("jobs4");
-    setSweepStore({one, false});
-    expectBitIdentical(runSweep(benches, configs, 1), cold);
-    setSweepStore({four, false});
-    expectBitIdentical(runSweep(benches, configs, 4), cold);
-    setSweepStore({});
+    expectBitIdentical(runSweep(benches, configs, 1, {one, false}), cold);
+    expectBitIdentical(runSweep(benches, configs, 4, {four, false}), cold);
 
     // Which worker captured an image or inserted an entry leaves no
     // trace in the store: same file names, same bytes.
@@ -178,8 +196,8 @@ TEST(WarmForkGolden, CorruptStoreImageIsRecaptured)
     const std::vector<std::string> benches = {"swim", "mgrid"};
     const std::vector<LabeledConfig> configs = goldenConfigs();
     const std::string dir = freshDir("heal");
-    setSweepStore({dir, false});
-    const auto first = runSweep(benches, configs, 2);
+    const SweepStoreConfig store = {dir, false};
+    const auto first = runSweep(benches, configs, 2, store);
 
     const std::string torn = warmSnapshotPath(
         dir, warmSnapshotKey("swim", configs[0].second));
@@ -198,8 +216,7 @@ TEST(WarmForkGolden, CorruptStoreImageIsRecaptured)
 
     // The rerun reads both as misses, recaptures and overwrites them,
     // instead of dying, and its results do not move.
-    expectBitIdentical(runSweep(benches, configs, 2), first);
-    setSweepStore({});
+    expectBitIdentical(runSweep(benches, configs, 2, store), first);
     EXPECT_EQ(fileBytes(torn), tornBytes);
     EXPECT_EQ(fileBytes(flipped), flippedBytes);
 }
@@ -263,12 +280,10 @@ TEST_F(WarmForkDeath, CaptureFailureOnAWorkerIsACleanFatal)
     const std::string dir = freshDir("snaps_blocked");
     std::remove((dir + "/snaps").c_str());
     writeBytes(dir + "/snaps", "not a directory\n");
-    setSweepStore({dir, false});
     EXPECT_EXIT(runSweep({"swim", "mgrid", "art", "mcf"}, goldenConfigs(),
-                         4),
+                         4, {dir, false}),
                 testing::ExitedWithCode(1),
                 "fatal: snapshot .*/snaps/.*: cannot write");
-    setSweepStore({});
 }
 
 TEST_F(WarmForkDeath, ForkWithMismatchedGeometryIsFatal)

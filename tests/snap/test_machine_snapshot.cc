@@ -102,19 +102,18 @@ TEST(MachineSnapshot, RestoredMachineContinuesBitIdentically)
     EXPECT_EQ(m1.core().cycles(), m2.core().cycles());
 }
 
-TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
+/**
+ * The warm-fork contract on @p fdp's machine: capture under no
+ * prefetcher (the neutral warm-up shape), fork-restore into a machine
+ * with a policy attached, then measure; the result must be
+ * byte-identical to warming the policy machine in place. Fork mode
+ * skips the snapshot's policy and stats sections -- measurementBoundary
+ * resets both -- so only the measured interval can differ, and it must
+ * not.
+ */
+void
+expectForkMatchesInPlaceWarmup(const RunConfig &fdp)
 {
-    // The warm-fork contract: capture under no prefetcher (the neutral
-    // warm-up shape), fork-restore into a machine with a policy
-    // attached, then measure; the result must be byte-identical to
-    // warming the policy machine in place. Fork mode skips the
-    // snapshot's policy and stats sections -- measurementBoundary
-    // resets both -- so only the measured interval can differ, and it
-    // must not.
-    RunConfig fdp = testConfig();
-    fdp.numInsts = 100'000;
-    fdp.warmupInsts = 100'000;
-
     // Cold reference: warm in place with the prefetcher detached.
     SyntheticWorkload w1(benchmarkParams("swim"));
     SimMachine m1(w1, fdp);
@@ -139,6 +138,37 @@ TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
     const SnapshotImageBody end2 = runAndCapture(m2, fdp.numInsts);
 
     EXPECT_EQ(end1.bytes, end2.bytes);
+}
+
+RunConfig
+forkConfig()
+{
+    RunConfig fdp = testConfig();
+    fdp.numInsts = 100'000;
+    fdp.warmupInsts = 100'000;
+    return fdp;
+}
+
+TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
+{
+    expectForkMatchesInPlaceWarmup(forkConfig());
+}
+
+TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmupOnTheController)
+{
+    RunConfig fdp = forkConfig();
+    fdp.machine.dramCtrl.kind = DramKind::Controller;
+    fdp.machine.dramCtrl.channels = 4;
+    fdp.machine.dramCtrl.rowPolicy = RowPolicy::Adaptive;
+    expectForkMatchesInPlaceWarmup(fdp);
+}
+
+TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmupWithAPrefetchCache)
+{
+    RunConfig fdp = forkConfig();
+    fdp.machine.prefetchCache.enabled = true;
+    fdp.machine.prefetchCache.sizeBytes = 64 * 1024;
+    expectForkMatchesInPlaceWarmup(fdp);
 }
 
 class MachineSnapshotDeath : public testing::Test

@@ -376,7 +376,7 @@ struct AuditCorrupter
 
     /** Credit core 0 with a bus access the shared total never saw. */
     static void
-    dramCtrlBreakCoreSum(DramController &dram)
+    dramBreakCoreSum(DramBackend &dram)
     {
         ++dram.coreBusAccesses_[0];
     }

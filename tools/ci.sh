@@ -163,11 +163,13 @@ stage_tier1() {
     echo "trace smoke: replay bit-identical to the recording run"
 
     echo "==== stage tier1: snapshot round-trip smoke ===="
-    # Warm swim in place and measure, then warm once into an fdpsnap-v1
-    # image and fork the measured run from it: stdout tables and results
-    # JSON must be bit-identical or the snapshot missed machine state.
-    # One leg per memory-side section layout: the flat DRAM model, the
-    # FR-FCFS controller (dramctl), and a separate prefetch cache.
+    # Warm swim in place (FDP_NO_WARM_FORK=1: the cold path, so stderr
+    # must hold no sweep-snap line) and measure, then warm once into an
+    # fdpsnap-v1 image and fork the measured run from it with
+    # --load-snap: stdout tables and results JSON must be bit-identical
+    # or the snapshot missed machine state. One leg per memory-side
+    # section layout: the flat DRAM model, the FR-FCFS controller
+    # (dramctl), and a separate prefetch cache.
     local ndir="$ROOT/build-ci/snap-smoke"
     rm -rf "$ndir" && mkdir -p "$ndir"
     local leg machine
@@ -178,9 +180,14 @@ stage_tier1() {
                            --row-policy adaptive) ;;
             pcache) machine=(--pcache-kb 64) ;;
         esac
-        "$ROOT/build-ci/bench/fdp_sim" --bench swim "${machine[@]}" \
-            --warmup 200000 --insts 200000 --out "$ndir/$leg-cold.json" \
-            > "$ndir/$leg-cold.out" 2> /dev/null
+        FDP_NO_WARM_FORK=1 "$ROOT/build-ci/bench/fdp_sim" --bench swim \
+            "${machine[@]}" --warmup 200000 --insts 200000 \
+            --out "$ndir/$leg-cold.json" > "$ndir/$leg-cold.out" \
+            2> "$ndir/$leg-cold.err"
+        if grep -q '^sweep-snap:' "$ndir/$leg-cold.err"; then
+            echo "snap smoke: the $leg in-place leg forked" >&2
+            exit 1
+        fi
         "$ROOT/build-ci/bench/fdp_sim" --bench swim "${machine[@]}" \
             --warmup 200000 --save-snap "$ndir/$leg.fdpsnap" \
             > /dev/null 2>&1

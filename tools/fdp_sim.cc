@@ -278,7 +278,7 @@ flagTable(Cli &o)
 void
 checkCombinations(Cli &o)
 {
-    setSweepStore(o.store);
+    o.store.check();
     if (o.knobs.machine.dramCtrl.kind != DramKind::Controller &&
         o.controllerKnob)
         fatal("--channels/--row-policy/--qos/--fdp-priority configure "
@@ -421,7 +421,8 @@ main(int argc, char **argv)
         results.push_back(
             recordBenchmark(o.benches.front(), config, label, o.record));
     else
-        results = runSuiteParallel(o.benches, config, label, o.jobs);
+        results =
+            runSuiteParallel(o.benches, config, label, o.jobs, o.store);
     if (!o.out.empty()) {
         ResultsJson out("fdp_sim");
         for (const RunResult &r : results)
