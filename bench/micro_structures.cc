@@ -286,8 +286,8 @@ BENCHMARK(BM_WorkloadNext);
 void
 BM_StatScalarIncrement(benchmark::State &state)
 {
-    // The per-op accounting pattern before batching: every event bumps
-    // a registered ScalarStat directly.
+    // The per-op accounting pattern the hot path uses: every event bumps
+    // a registered ScalarStat, which reads its counter live.
     StatGroup stats("mem");
     ScalarStat demand(stats, "demand_accesses", "demand accesses");
     ScalarStat hits(stats, "l2_hits", "L2 hits");
@@ -307,8 +307,9 @@ BENCHMARK(BM_StatScalarIncrement);
 void
 BM_StatBatchedIncrement(benchmark::State &state)
 {
-    // The batched pattern the hot path uses: plain local counters,
-    // flushed into the registered stats at sampling boundaries.
+    // Plain local counters flushed into the registered stats in
+    // batches. The hot path keeps no such copy; this case prices a live
+    // statistic against a plain integer.
     StatGroup stats("mem");
     ScalarStat demand(stats, "demand_accesses", "demand accesses");
     ScalarStat hits(stats, "l2_hits", "L2 hits");

@@ -104,10 +104,6 @@ class FeedbackCounters : public Auditable, public Snapshottable
     void reset();
 
     const IntervalCounter &prefTotal() const { return prefTotal_; }
-    const IntervalCounter &usedTotal() const { return usedTotal_; }
-    const IntervalCounter &lateTotal() const { return lateTotal_; }
-    const IntervalCounter &demandTotal() const { return demandTotal_; }
-    const IntervalCounter &pollutionTotal() const { return pollutionTotal_; }
 
     /**
      * Invariants: every smoothed value is finite and non-negative, and

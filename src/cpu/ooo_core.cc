@@ -61,10 +61,6 @@ OooCore::beginRun(std::uint64_t numInsts)
     budget_ = numInsts;
     dispatchedCount_ = 0;
     retiredCount_ = 0;
-    retiredAcc_ = 0;
-    loadsAcc_ = 0;
-    storesAcc_ = 0;
-    robFullAcc_ = 0;
 }
 
 bool
@@ -81,7 +77,7 @@ OooCore::step(Cycle now)
         ++retiredCount_;
         ++r;
     }
-    retiredAcc_ += r;
+    retired_ += r;
 
     // Dispatch up to `width` new micro-ops while the ROB has room.
     // Dispatch never exceeds the budget, so the run ends with exactly
@@ -112,7 +108,7 @@ OooCore::step(Cycle now)
             e.issued = true;
             break;
           case OpKind::Store:
-            ++storesAcc_;
+            ++stores_;
             // Stores drain through the store buffer: they access the
             // hierarchy but never block retirement.
             mem_.demandAccess(op.addr, op.pc, true, now, [](Cycle) {});
@@ -121,7 +117,7 @@ OooCore::step(Cycle now)
             e.issued = true;
             break;
           case OpKind::Load: {
-            ++loadsAcc_;
+            ++loads_;
             bool issue_now = true;
             if (op.depPrevLoad && lastLoadPos_ != kNoPos &&
                 lastLoadPos_ >= head_) {
@@ -158,22 +154,13 @@ void
 OooCore::noteDeadTime(Cycle cycles)
 {
     if (robFull())
-        robFullAcc_ += cycles;
+        robFullCycles_ += cycles;
 }
 
 void
 OooCore::closeRun(Cycle start, Cycle end)
 {
     cycles_ += (end - start) + 1;
-    // Publish the per-op counters batched across the run.
-    retired_ += retiredAcc_;
-    loads_ += loadsAcc_;
-    stores_ += storesAcc_;
-    robFullCycles_ += robFullAcc_;
-    retiredAcc_ = 0;
-    loadsAcc_ = 0;
-    storesAcc_ = 0;
-    robFullAcc_ = 0;
 }
 
 void

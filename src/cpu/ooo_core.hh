@@ -87,7 +87,7 @@ class OooCore : public Snapshottable
     /// @}
 
     std::uint64_t cycles() const { return cycles_.value(); }
-    std::uint64_t retired() const { return retired_.value() + retiredAcc_; }
+    std::uint64_t retired() const { return retired_.value(); }
 
     /** Retired micro-ops per cycle. */
     double ipc() const;
@@ -159,17 +159,6 @@ class OooCore : public Snapshottable
     std::uint64_t dispatchedCount_ = 0;
     /** Micro-ops retired toward the current budget. */
     std::uint64_t retiredCount_ = 0;
-
-    /**
-     * Per-run accumulators for the per-op counters, published into the
-     * stat group by closeRun(): the step loop then touches plain
-     * integers instead of registered statistics. Zero outside a
-     * beginRun()/closeRun() pair; retired() folds the pending count in.
-     */
-    std::uint64_t retiredAcc_ = 0;
-    std::uint64_t loadsAcc_ = 0;
-    std::uint64_t storesAcc_ = 0;
-    std::uint64_t robFullAcc_ = 0;
 
     ScalarStat cycles_;
     ScalarStat retired_;

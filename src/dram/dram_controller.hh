@@ -64,8 +64,6 @@ class DramController : public DramBackend
     void resetAttribution() override;
     unsigned dataBuses() const override { return ctrl_.channels; }
 
-    const DramCtrlParams &ctrlParams() const { return ctrl_; }
-
     /** Channel @p block is routed to (XOR interleaving); for tests. */
     unsigned channelOf(BlockAddr block) const;
 

@@ -194,6 +194,11 @@ defaultManagerZoo()
             PrefetcherKind::NextLine};
 }
 
+namespace
+{
+
+/** FdpParams as the machine actually runs them: a static-aggressiveness
+ *  configuration pins the controller to the static level. */
 FdpParams
 resolvedFdpParams(const RunConfig &config)
 {
@@ -202,9 +207,6 @@ resolvedFdpParams(const RunConfig &config)
         fp.initialLevel = config.staticLevel;
     return fp;
 }
-
-namespace
-{
 
 /** The prefetcher's construction-time aggressiveness level. */
 unsigned
@@ -325,13 +327,13 @@ SimMachine::SimMachine(const RunConfig &config,
 
         // A manager consumes its core's closed interval after the FDP
         // controller has applied its own throttling, so both share one
-        // boundary; the last core's hook then makes the stat groups
-        // exact at each paper checkpoint and audits there.
+        // boundary; with periodic audits on, the last core's hook audits
+        // at each paper checkpoint.
         auto *manager = dynamic_cast<ManagedPrefetcher *>(prefetcher(c));
-        const bool last = i + 1 == n;
-        if (manager == nullptr && !last)
+        const bool audit = periodicAudit && i + 1 == n;
+        if (manager == nullptr && !audit)
             continue;
-        fdp(c).setEndOfIntervalHook([this, c, manager, last,
+        fdp(c).setEndOfIntervalHook([this, c, manager, audit,
                                      traceManager] {
             if (manager != nullptr) {
                 const FeedbackCounters &fc = fdp(c).counters();
@@ -348,11 +350,8 @@ SimMachine::SimMachine(const RunConfig &config,
                               << " active=" << manager->activeName()
                               << '\n';
             }
-            if (last) {
-                mem.flushStats();
-                if (periodicAudit)
-                    audits.runAll();
-            }
+            if (audit)
+                audits.runAll();
         });
     }
 }
@@ -364,7 +363,6 @@ SimMachine::run(std::uint64_t numInsts)
     for (OooCore &c : cores)
         live.push_back(&c);
     runLockstep(events, std::move(live), numInsts);
-    mem.flushStats();
     if (periodicAudit)
         audits.runAll();
 }
@@ -386,7 +384,6 @@ measurementBoundary(SimMachine &m)
     FDP_ASSERT(m.events.empty(),
                "measurement boundary: %zu events pending after drain",
                m.events.size());
-    m.mem.flushStats();
     m.memStats.resetAll();
     for (StatGroup &g : m.stats)
         g.resetAll();
@@ -411,8 +408,6 @@ measurementBoundary(SimMachine &m)
 RunResult
 extractResult(SimMachine &m, const std::string &configLabel, CoreId core)
 {
-    // Publish batched counters before reading the stat groups directly.
-    m.mem.flushStats();
     const OooCore &cpu = m.core(core);
     const FdpController &fdp = m.fdp(core);
     const DramBackend &dram = m.mem.dram();

@@ -219,10 +219,6 @@ RunConfig applyPrefetcherSelection(const RunConfig &base,
 /** The manager's candidate zoo when RunConfig.managerZoo is empty. */
 std::vector<PrefetcherKind> defaultManagerZoo();
 
-/** FdpParams as the machine actually runs them: a static-aggressiveness
- *  configuration pins the controller to the static level. */
-FdpParams resolvedFdpParams(const RunConfig &config);
-
 /**
  * Build the run's prefetcher from the full config: the static
  * PrefetcherKind when the manager is off, or a ManagedPrefetcher over
@@ -242,10 +238,11 @@ std::unique_ptr<Prefetcher> makeRunPrefetcher(const RunConfig &config);
  * attaches them.
  *
  * The machine audits itself: a managed core's end-of-interval hook
- * ticks its manager off that core's feedback, and the last core's hook
- * — shared-L2 evictions tick the controllers in core order, so every
- * core's interval has then closed — publishes the batched counters
- * and, in debug builds or under FDP_AUDIT=1, audits every component.
+ * ticks its manager off that core's feedback and, in debug builds or
+ * under FDP_AUDIT=1, the last core's hook — shared-L2 evictions tick
+ * the controllers in core order, so every core's interval has then
+ * closed — audits every component. Every statistic is live, so any
+ * reader sees exact counts at any time.
  */
 struct SimMachine
 {
@@ -268,8 +265,8 @@ struct SimMachine
 
     /**
      * Run every core in lockstep until each has retired @p numInsts
-     * micro-ops (runLockstep), then publish the batched counters and,
-     * when periodic audits are on, audit the machine.
+     * micro-ops (runLockstep), then, when periodic audits are on, audit
+     * the machine.
      */
     void run(std::uint64_t numInsts);
 
@@ -310,8 +307,9 @@ struct SimMachine
     std::deque<OooCore> cores;
     std::vector<Workload *> workloads;
     AuditSet audits;
-    /** Audit at every interval boundary and after every run(). */
-    bool periodicAudit;
+    /** Audit at every interval boundary and after every run(); fixed
+     *  at construction, which installs the interval hook. */
+    const bool periodicAudit;
 
   private:
     SimMachine(const RunConfig &config,
@@ -322,7 +320,7 @@ struct SimMachine
 
 /**
  * Transition @p m from warm-up to measurement: drain in-flight misses
- * to a quiesce point, flush and zero every statistic, zero DRAM's
+ * to a quiesce point, zero every statistic, zero DRAM's
  * per-core attribution, and, on every core, reset the FDP controller
  * to its configured initial policy and attach the per-configuration
  * prefetcher. Both the cold path (after an in-place warm-up run) and

@@ -58,13 +58,8 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
     // Validate every program on the main thread, before any worker
     // exists: unknown benchmarks and malformed/short traces are user
     // errors, not worker fatals.
-    std::vector<unsigned> dup(n, 0);
     for (unsigned i = 0; i < n; ++i) {
         const MixEntry &e = mix.entries[i];
-        for (unsigned prev = 0; prev < i; ++prev)
-            if (mix.entries[prev].benchmark == e.benchmark &&
-                mix.entries[prev].tracePath == e.tracePath)
-                ++dup[i];
         if (!e.benchmark.empty()) {
             benchmarkParams(e.benchmark);
             continue;
@@ -107,8 +102,9 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
     std::size_t cells = configs.size();
     for (std::size_t c = 0; c < configs.size(); ++c) {
         for (unsigned i = 0; i < n; ++i) {
-            const std::string key = baselineKey(
-                mix.entries[i], dup[i], sel[c].empty() ? "" : sel[c][i]);
+            const std::string key =
+                baselineKey(mix.entries[i], duplicateIndex(mix, i),
+                            sel[c].empty() ? "" : sel[c][i]);
             const auto it =
                 std::find(keys[c].begin(), keys[c].end(), key);
             if (it == keys[c].end()) {
@@ -145,8 +141,8 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
         for (std::size_t k = 0; k < keys[c].size(); ++k) {
             work.push_back([&, c, k] {
                 const unsigned coreIdx = exemplar[c][k];
-                const auto workload =
-                    buildAloneWorkload(mix.entries[coreIdx], dup[coreIdx]);
+                const auto workload = buildAloneWorkload(
+                    mix.entries[coreIdx], duplicateIndex(mix, coreIdx));
                 RunConfig rc = configs[c].config.base;
                 if (!sel[c].empty())
                     rc = applyPrefetcherSelection(rc, sel[c][coreIdx]);

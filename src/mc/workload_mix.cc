@@ -157,6 +157,18 @@ buildAloneWorkload(const MixEntry &entry, unsigned dupIndex)
     return std::make_unique<SyntheticWorkload>(params);
 }
 
+unsigned
+duplicateIndex(const MixSpec &spec, unsigned core)
+{
+    const MixEntry &entry = spec.entries.at(core);
+    unsigned dup = 0;
+    for (unsigned prev = 0; prev < core; ++prev)
+        if (spec.entries[prev].benchmark == entry.benchmark &&
+            spec.entries[prev].tracePath == entry.tracePath)
+            ++dup;
+    return dup;
+}
+
 std::vector<std::unique_ptr<Workload>>
 buildMixWorkloads(const MixSpec &spec)
 {
@@ -169,14 +181,9 @@ buildMixWorkloads(const MixSpec &spec)
         if (entry.benchmark.empty() == entry.tracePath.empty())
             fatal("mix %s core %u: an entry names exactly one of a "
                   "benchmark or a trace", spec.name.c_str(), core);
-        // Duplicate index: how many earlier cores run the same program.
-        unsigned dup = 0;
-        for (unsigned prev = 0; prev < core; ++prev)
-            if (spec.entries[prev].benchmark == entry.benchmark &&
-                spec.entries[prev].tracePath == entry.tracePath)
-                ++dup;
         workloads.push_back(std::make_unique<RebasedWorkload>(
-            buildAloneWorkload(entry, dup), kCoreAddrStride * core));
+            buildAloneWorkload(entry, duplicateIndex(spec, core)),
+            kCoreAddrStride * core));
     }
     return workloads;
 }

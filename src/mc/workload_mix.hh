@@ -74,6 +74,13 @@ const MixSpec &mixByName(const std::string &name);
 MixSpec traceMix(const std::vector<std::string> &tracePaths);
 
 /**
+ * How many cores before @p core in @p spec run the same program. A
+ * co-run workload and its alone baseline both take their seed
+ * perturbation from this index, so both must read it here.
+ */
+unsigned duplicateIndex(const MixSpec &spec, unsigned core);
+
+/**
  * Instantiate the per-core workloads of @p spec, rebased into each
  * core's address slice. Fatal on unknown benchmark names or unreadable
  * traces. Duplicate benchmark entries get deterministic per-core seed
@@ -85,7 +92,7 @@ std::vector<std::unique_ptr<Workload>> buildMixWorkloads(const MixSpec &spec);
  * The workload for @p entry running alone, NOT rebased: the
  * single-core baseline runs of weighted/harmonic speedup use it, and
  * for benchmarks it is bit-identical to what runBenchmark simulates.
- * @p dupIndex is the entry's duplicate index within its mix so the
+ * @p dupIndex is the entry's duplicateIndex() within its mix so the
  * baseline replays the exact co-run stream.
  */
 std::unique_ptr<Workload> buildAloneWorkload(const MixEntry &entry,

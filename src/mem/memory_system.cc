@@ -90,23 +90,25 @@ MemorySystem::MemorySystem(const MachineParams &params, EventQueue &events,
         pcache_ = std::make_unique<PrefetchCache>(params_.prefetchCache);
     }
 
-    // The totals register after the DRAM backend's statistics; each
-    // per-core group gets every counter but the prefetch cache's.
-    for (std::size_t k = 0; k < kNumTotals; ++k)
-        totals_[k] = std::make_unique<ScalarStat>(
-            sharedStats, kCounterInfo[k].name, kCounterInfo[k].desc);
+    // Never reallocated: the statistics name the cores' counts.
     cores_.reserve(numCores_);
     for (unsigned i = 0; i < numCores_; ++i) {
         cores_.emplace_back(withCores(params_.l1, numCores_), prefetchers[i],
                             controllers[i]);
         ports_.emplace_back(*this, CoreId(i));
     }
+    // The totals register after the DRAM backend's statistics; each
+    // per-core group gets every counter but the prefetch cache's.
+    for (std::size_t k = 0; k < kNumTotals; ++k)
+        totals_[k] = std::make_unique<ScalarStat>(
+            sharedStats, kCounterInfo[k].name, kCounterInfo[k].desc,
+            numCores_ == 1 ? cores_[0].counts[k] : totalCounts_[k]);
     for (std::size_t i = 0; i < coreStats.size(); ++i)
         for (std::size_t k = 0; k < kNumCounters; ++k)
             if (k != kPcacheHits)
                 cores_[i].stats[k] = std::make_unique<ScalarStat>(
                     *coreStats[i], kCounterInfo[k].name,
-                    kCounterInfo[k].desc);
+                    kCounterInfo[k].desc, cores_[i].counts[k]);
 }
 
 MemoryPort &
@@ -122,23 +124,23 @@ MemorySystem::demandAccess(CoreId c, Addr addr, Addr pc, bool isWrite,
                            Cycle now, DoneFn &&done)
 {
     Core &self = cores_[c.index()];
-    ++self.hot[kDemandAccesses];
+    bump(self, kDemandAccesses);
     const BlockAddr block = blockAddr(addr);
     const Cycle t1 = now + params_.l1Latency;
 
     if (self.l1.access(block, isWrite).hit) {
-        ++self.hot[kL1Hits];
+        bump(self, kL1Hits);
         done(t1);
         return;
     }
-    ++self.hot[kL1Misses];
+    bump(self, kL1Misses);
 
     const Cycle t2 = t1 + params_.l2Latency;
     const CacheAccessResult l2res = l2_.access(block, false);
     PrefetchObservation obs{addr, block, pc, !l2res.hit};
 
     if (l2res.hit) {
-        ++self.hot[kL2Hits];
+        bump(self, kL2Hits);
         // The use is credited to the core whose prefetcher fetched the
         // block (with disjoint address slices, always the accessor).
         if (l2res.hitPrefetched)
@@ -152,7 +154,7 @@ MemorySystem::demandAccess(CoreId c, Addr addr, Addr pc, bool isWrite,
     // Probed in parallel with the L2, so a prefetch-cache hit costs the
     // same latency as an L2 hit (paper Section 5.7).
     if (pcache_ && pcache_->extract(block)) {
-        ++self.hot[kPcacheHits];
+        bump(self, kPcacheHits);
         self.fdp->onPrefetchUsedInCache();
         insertL2Fill(c, block, false, false, t2);
         fillL1(c, block, isWrite, t2);
@@ -162,7 +164,7 @@ MemorySystem::demandAccess(CoreId c, Addr addr, Addr pc, bool isWrite,
         return;
     }
 
-    ++self.hot[kL2Misses];
+    bump(self, kL2Misses);
     self.fdp->onDemandMiss(block);
     observeAndIssue(c, obs, t2);
 
@@ -172,7 +174,7 @@ MemorySystem::demandAccess(CoreId c, Addr addr, Addr pc, bool isWrite,
     }
 
     if (mshrs_.full()) {
-        ++self.hot[kMshrStalls];
+        bump(self, kMshrStalls);
         mshrWaitQ_.push_back({c, block, isWrite, std::move(done)});
         return;
     }
@@ -194,7 +196,7 @@ void
 MemorySystem::mergeDemand(CoreId c, MshrEntry &e, bool isWrite,
                           DoneFn &&done)
 {
-    ++cores_[c.index()].hot[kMshrMerges];
+    bump(cores_[c.index()], kMshrMerges);
     if (e.prefBit) {
         // Late prefetch: a demand wants data that a prefetch is still
         // fetching (paper Section 3.1.2). The lateness is charged to the
@@ -226,9 +228,9 @@ MemorySystem::observeAndIssue(CoreId c, const PrefetchObservation &obs,
     self.prefetcher->observe(seen, pfCandidates_, budget);
 
     for (const BlockAddr b : pfCandidates_) {
-        ++self.hot[kPrefIssued];
+        bump(self, kPrefIssued);
         if (self.prefetchQueue.size() >= params_.prefetchQueueCap) {
-            ++self.hot[kPrefDropQueueFull];
+            bump(self, kPrefDropQueueFull);
             continue;
         }
         self.prefetchQueue.push_back(b);
@@ -265,12 +267,12 @@ MemorySystem::drainPrefetchQueue(CoreId c, Cycle now)
     while (!self.prefetchQueue.empty()) {
         const BlockAddr b = self.prefetchQueue.front();
         if (l2_.probe(b) || (pcache_ && pcache_->probe(b))) {
-            ++self.hot[kPrefDropL2Hit];
+            bump(self, kPrefDropL2Hit);
             self.prefetchQueue.pop_front();
             continue;
         }
         if (mshrs_.find(b)) {
-            ++self.hot[kPrefDropInFlight];
+            bump(self, kPrefDropInFlight);
             self.prefetchQueue.pop_front();
             continue;
         }
@@ -310,9 +312,9 @@ MemorySystem::onFill(BlockAddr block, Cycle fillCycle)
     fillWaiters_.clear();
     fillWaiters_.swap(e->waiters);
     if (!was_prefetch) {
-        Counters &hot = cores_[owner.index()].hot;
-        ++hot[kDemandMissFills];
-        hot[kDemandMissCycles] += fillCycle - e->allocCycle;
+        Core &c = cores_[owner.index()];
+        bump(c, kDemandMissFills);
+        bump(c, kDemandMissCycles, fillCycle - e->allocCycle);
     }
     mshrs_.deallocate(block);
 
@@ -351,7 +353,7 @@ MemorySystem::insertL2Fill(CoreId by, BlockAddr block, bool prefBit,
     const CacheVictim v = l2_.insert(block, prefBit, pos, dirty, by);
     if (!v.valid)
         return;
-    ++self.hot[kL2EvictionsCaused];
+    bump(self, kL2EvictionsCaused);
     // Every L2 eviction ticks EVERY controller, so all cores' sampling
     // intervals stay synchronized (audited invariant).
     for (Core &c : cores_)
@@ -362,12 +364,12 @@ MemorySystem::insertL2Fill(CoreId by, BlockAddr block, bool prefBit,
         // cost is charged to the prefetching core and, when they
         // differ, also reported against the victim core.
         victim.fdp->onDemandBlockEvictedByPrefetch(v.block);
-        ++self.hot[kPollutionInflicted];
+        bump(self, kPollutionInflicted);
         if (!(v.owner == by))
-            ++victim.hot[kCrossPollutionSuffered];
+            bump(victim, kCrossPollutionSuffered);
     }
     if (v.dirty && params_.modelWritebacks) {
-        ++victim.hot[kWritebacks];
+        bump(victim, kWritebacks);
         dram_->enqueue(v.block, BusPriority::Writeback, now, nullptr,
                       v.owner);
     }
@@ -388,7 +390,7 @@ MemorySystem::fillL1(CoreId c, BlockAddr block, bool isWrite, Cycle now)
         // Dirty L1 victims land in the L2 when present there; otherwise
         // they must go all the way to memory.
         if (!l2_.markDirty(v.block) && params_.modelWritebacks) {
-            ++self.hot[kWritebacks];
+            bump(self, kWritebacks);
             dram_->enqueue(v.block, BusPriority::Writeback, now, nullptr,
                           c);
         }
@@ -406,7 +408,7 @@ MemorySystem::admitPending(Cycle now)
         if (l2_.probe(p.block) || (pcache_ && pcache_->probe(p.block))) {
             if (pcache_ && pcache_->extract(p.block)) {
                 Core &self = cores_[p.core.index()];
-                ++self.hot[kPcacheHits];
+                bump(self, kPcacheHits);
                 self.fdp->onPrefetchUsedInCache();
                 insertL2Fill(p.core, p.block, false, false, now);
             }
@@ -433,37 +435,12 @@ MemorySystem::quiesced() const
     return true;
 }
 
-void
-MemorySystem::flushStats()
-{
-    for (Core &c : cores_) {
-        for (std::size_t k = 0; k < kNumCounters; ++k) {
-            if (totals_[k])
-                *totals_[k] += c.hot[k];
-            if (c.stats[k])
-                *c.stats[k] += c.hot[k];
-        }
-        c.hot = Counters{};
-    }
-}
-
-std::uint64_t
-MemorySystem::total(Counter k) const
-{
-    std::uint64_t n = totals_[k]->value();
-    for (const Core &c : cores_)
-        n += c.hot[k];
-    return n;
-}
-
 std::uint64_t
 MemorySystem::count(CoreId core, Counter k) const
 {
     const Core &c = cores_[core.index()];
-    if (c.stats[k])
-        return c.stats[k]->value() + c.hot[k];
-    if (numCores_ == 1 && k < kNumTotals)
-        return total(k);
+    if (c.stats[k] || (numCores_ == 1 && k < kNumTotals))
+        return c.counts[k];
     panic("%s: no per-core %s (built without per-core stat groups)",
           auditName(), kCounterInfo[k].name);
 }
@@ -502,7 +479,7 @@ MemorySystem::audit() const
     if (pcache_)
         pcache_->audit();
 
-    // Stat scoping: every published total is exactly the sum of its
+    // Stat scoping: every machine total is exactly the sum of its
     // per-core breakdown — attribution may never invent or lose events.
     for (std::size_t k = 0; k < kNumTotals; ++k) {
         if (!cores_[0].stats[k])
@@ -541,12 +518,6 @@ MemorySystem::snapFields(Self &self, Io &io)
                "demands, %zu bus requests)",
                self.auditName(), self.mshrs_.size(), self.mshrWaitQ_.size(),
                self.dram_->queued());
-    // The stat groups are serialized alongside this section; unflushed
-    // batched counts would silently vanish from the snapshot.
-    for (const Core &c : self.cores_)
-        FDP_ASSERT(c.hot == Counters{},
-                   "%s: unflushed batched statistics at a snapshot (call "
-                   "flushStats() first)", self.auditName());
     io.begin(self.snapName());
     io.fixedU8(self.pcache_ != nullptr, "prefetch cache");
     io.f64(self.busUtil_);

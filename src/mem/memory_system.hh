@@ -116,6 +116,10 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
                  StatGroup &sharedStats,
                  const std::vector<StatGroup *> &coreStats);
 
+    /** Ports, fill callbacks and the statistics hold its address. */
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+
     /**
      * Demand load/store by @p core at cycle @p now. @p done fires with
      * the cycle the data is available (loads); stores invoke it too but
@@ -150,8 +154,9 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
         cores_[core.index()].prefetcher = pf;
     }
 
-    /** Publish the locally batched counters into the stat groups. */
-    void flushStats();
+    /** Does nothing: every statistic reads its live counter. Kept for
+     *  perfbench/src/machines.cc, which still calls it. */
+    void flushStats() {}
 
     /** Zero DRAM's per-core attribution (see DramBackend). */
     void resetAttribution() { dram_->resetAttribution(); }
@@ -170,8 +175,6 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
     const DramBackend &dram() const { return *dram_; }
 
     /// @name Lifetime statistics
-    /// Accessors fold in counts still sitting in the hot accumulators,
-    /// so they are exact whether or not flushStats() has run.
     /// @{
     std::uint64_t demandAccesses() const { return total(kDemandAccesses); }
     std::uint64_t l2Misses() const { return total(kL2Misses); }
@@ -184,10 +187,10 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
     /// @}
 
     /// @name Per-core lifetime statistics
-    /// Read from the per-core stat groups; a one-core machine built
-    /// without them returns its totals, since all of it is core 0's.
-    /// Exact like the totals above. The two pollution counters exist
-    /// only per core, so they panic on a machine without the groups.
+    /// A one-core machine built without per-core groups answers from
+    /// its totals, since all of it is core 0's. The two pollution
+    /// counters have no total, and without the groups no statistic
+    /// zeroes them at a measurement boundary, so they panic there.
     /// @{
     std::uint64_t
     demandAccesses(CoreId core) const
@@ -318,20 +321,29 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
         FdpController *fdp;
         std::deque<BlockAddr> prefetchQueue;  ///< Prefetch Request Queue
         /**
-         * Counts since the last flushStats(), batched as plain integers
-         * in one packed array (two or three cache lines touched per
-         * demand instead of a spread of registered statistics). DRAM/bus
-         * statistics are NOT batched: the DRAM model owns them and its
-         * audit cross-checks them in place.
+         * This core's event counts in one packed array (two or three
+         * cache lines touched per demand). Its statistics name them, and
+         * on a one-core machine so do the machine totals. DRAM/bus
+         * statistics live in the DRAM backend, which counts them itself.
          */
-        Counters hot{};
+        Counters counts{};
         /** This core's breakdown (all null without per-core groups). */
         CounterStats stats;
     };
 
-    /** Machine-wide total of @p k, batched counts included. */
-    std::uint64_t total(Counter k) const;
-    /** @p core's share of @p k, batched counts included. */
+    /** Count @p n events of @p k for @p core, and in the machine total
+     *  when that is a counter of its own (with more than one core). */
+    void
+    bump(Core &core, Counter k, std::uint64_t n = 1)
+    {
+        core.counts[k] += n;
+        if (k < kNumTotals && numCores_ > 1)
+            totalCounts_[k] += n;
+    }
+
+    /** Machine-wide total of @p k. */
+    std::uint64_t total(Counter k) const { return totals_[k]->value(); }
+    /** @p core's share of @p k. */
     std::uint64_t count(CoreId core, Counter k) const;
 
     /** Run @p core's prefetcher on a demand L2 access, queue candidates. */
@@ -391,6 +403,9 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
     std::vector<BlockAddr> pfCandidates_;  ///< scratch, reused per access
     std::vector<DoneFn> fillWaiters_;      ///< scratch, reused per fill
 
+    /** A co-run's machine-wide counts, bumped beside each core's; a
+     *  one-core machine's totals name core 0's counts instead. */
+    std::array<std::uint64_t, kNumTotals> totalCounts_{};
     /** Machine-wide totals (the first kNumTotals counters). */
     CounterStats totals_;
 };

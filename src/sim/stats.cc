@@ -15,6 +15,13 @@ ScalarStat::ScalarStat(StatGroup &group, std::string name, std::string desc)
     group.scalars_.push_back(this);
 }
 
+ScalarStat::ScalarStat(StatGroup &group, std::string name, std::string desc,
+                       std::uint64_t &counter)
+    : ScalarStat(group, std::move(name), std::move(desc))
+{
+    value_ = &counter;
+}
+
 DistributionStat::DistributionStat(StatGroup &group, std::string name,
                                    std::string desc, std::size_t buckets)
     : name_(std::move(name)), desc_(std::move(desc)), buckets_(buckets, 0)
@@ -88,7 +95,7 @@ StatGroup::snapFields(Self &self, Io &io)
     io.fixedU32(self.scalars_.size(), "scalars");
     for (ScalarStat *s : self.scalars_) {
         io.fixedStr(s->name(), "scalar");
-        io.u64(s->value_);
+        io.u64(*s->value_);
     }
     io.fixedU32(self.distributions_.size(), "distributions");
     for (DistributionStat *d : self.distributions_) {

@@ -24,31 +24,42 @@ namespace fdp
 
 class StatGroup;
 
-/** A single named 64-bit event counter. */
+/**
+ * A single named 64-bit event counter. The statistic holds its own
+ * count, or names a counter its component owns and increments itself;
+ * either way every read, reset and snapshot sees the live count.
+ */
 class ScalarStat
 {
   public:
     /** Register this statistic as @p name under @p group. */
     ScalarStat(StatGroup &group, std::string name, std::string desc);
 
+    /** Register @p counter, owned by the caller and outliving this
+     *  statistic, as @p name under @p group. */
+    ScalarStat(StatGroup &group, std::string name, std::string desc,
+               std::uint64_t &counter);
+
     ScalarStat(const ScalarStat &) = delete;
     ScalarStat &operator=(const ScalarStat &) = delete;
 
-    ScalarStat &operator++() { ++value_; return *this; }
-    ScalarStat &operator+=(std::uint64_t n) { value_ += n; return *this; }
+    ScalarStat &operator++() { ++*value_; return *this; }
+    ScalarStat &operator+=(std::uint64_t n) { *value_ += n; return *this; }
 
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
+    std::uint64_t value() const { return *value_; }
+    void reset() { *value_ = 0; }
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
 
   private:
-    friend class StatGroup;  // snapshots value_
+    friend class StatGroup;  // snapshots *value_
 
     std::string name_;
     std::string desc_;
-    std::uint64_t value_ = 0;
+    std::uint64_t own_ = 0;
+    /** The counted value: own_, or the component's counter. */
+    std::uint64_t *value_ = &own_;
 };
 
 /** A named bucketed distribution (fixed bucket count known up front). */

@@ -109,6 +109,35 @@ TEST(WorkloadMix, AloneStreamMatchesCoRunStreamModuloBase)
     }
 }
 
+TEST(WorkloadMix, AloneBaselineOfEachDuplicateReplaysItsCoRunStream)
+{
+    // The alone baseline of a duplicate is only right while it takes
+    // the same index as the co-run build: both read duplicateIndex.
+    MixSpec spec = benchMix({"swim", "mgrid", "swim", "swim"});
+    spec.entries.push_back(MixEntry{"", "a.fdptrace"});
+    spec.entries.push_back(MixEntry{"", "a.fdptrace"});
+    const unsigned expected[] = {0, 0, 1, 2, 0, 1};
+    for (unsigned c = 0; c < spec.numCores(); ++c)
+        EXPECT_EQ(duplicateIndex(spec, c), expected[c]) << "core " << c;
+
+    spec.entries.resize(4);
+    const auto corun = buildMixWorkloads(spec);
+    for (unsigned c = 0; c < spec.numCores(); ++c) {
+        const auto alone =
+            buildAloneWorkload(spec.entries[c], duplicateIndex(spec, c));
+        const Addr base = kCoreAddrStride * c;
+        for (int i = 0; i < 2000; ++i) {
+            const MicroOp a = alone->next();
+            const MicroOp b = corun[c]->next();
+            ASSERT_EQ(a.kind, b.kind) << "core " << c << " op " << i;
+            if (a.kind != OpKind::Int) {
+                ASSERT_EQ(a.addr + base, b.addr)
+                    << "core " << c << " op " << i;
+            }
+        }
+    }
+}
+
 TEST(WorkloadMix, DuplicateBenchmarksGetDistinctStreams)
 {
     const auto workloads = buildMixWorkloads(benchMix({"swim", "swim"}));

@@ -242,8 +242,6 @@ TEST(MemorySystem, WritebacksReachDram)
         t = s.events.horizon() + 1000;
     }
     s.events.serviceUntil(t + 1000000);
-    // Reading the stat group directly: publish the batched counters.
-    s.mem->flushStats();
     bool saw_writeback = false;
     for (const auto *st : s.mem_stats.scalars())
         if (st->name() == "writebacks" && st->value() > 0)
@@ -382,7 +380,6 @@ struct OneCoreWithoutGroups
                              events.horizon(), [](Cycle) {});
             events.serviceUntil(events.horizon() + 100000);
         }
-        mem.flushStats();
     }
 
     EventQueue events;

@@ -27,6 +27,30 @@ TEST(ScalarStat, CountsAndResets)
     EXPECT_EQ(s.value(), 0u);
 }
 
+TEST(ScalarStat, NamedCounterIsReadResetAndRestoredInPlace)
+{
+    // The component increments its own counter; the statistic reads,
+    // zeroes, dumps and restores that counter, never a copy of it.
+    std::uint64_t counter = 0;
+    StatGroup g("g");
+    ScalarStat s(g, "events", "test events", counter);
+    counter += 7;
+    EXPECT_EQ(s.value(), 7u);
+    ++s;
+    EXPECT_EQ(counter, 8u);
+    std::ostringstream out;
+    g.dump(out);
+    EXPECT_NE(out.str().find("8  # test events"), std::string::npos);
+
+    SnapWriter w;
+    g.saveState(w);
+    g.resetAll();
+    EXPECT_EQ(counter, 0u);
+    SnapReader r(w.bytes());
+    g.loadState(r);
+    EXPECT_EQ(counter, 8u);
+}
+
 TEST(ScalarStat, RegistersWithGroup)
 {
     StatGroup g("g");

@@ -40,7 +40,6 @@ runAndCapture(SimMachine &m, std::uint64_t insts)
 {
     m.run(insts);
     drainToQuiesce(m.events, m.mem);
-    m.mem.flushStats();
     return captureMachine(m.parts());
 }
 

@@ -31,7 +31,7 @@ namespace
 {
 
 /** Hex FNV-1a of the body swim leaves after 60k micro-ops under
- *  @p config, drained and flushed. */
+ *  @p config, drained. */
 std::string
 bodyHash(const RunConfig &config)
 {
@@ -39,7 +39,6 @@ bodyHash(const RunConfig &config)
     SimMachine m(w, config);
     m.run(60'000);
     drainToQuiesce(m.events, m.mem);
-    m.mem.flushStats();
     const SnapshotImageBody body = captureMachine(m.parts());
     return hashHex(fnv1a64(std::string(body.bytes.begin(),
                                        body.bytes.end())));

@@ -83,6 +83,27 @@ stage_tier1() {
     cmake --build "$ROOT/build-ci" -j "$JOBS"
     ctest --test-dir "$ROOT/build-ci" --output-on-failure -j "$JOBS"
 
+    echo "==== stage tier1: quickstart statistics smoke ===="
+    # The public-API example dumps its stat groups with no publish step,
+    # so each dumped counter must equal the summary line that reads the
+    # same count through its accessor.
+    local qout="$ROOT/build-ci/quickstart.out"
+    "$ROOT/build-ci/examples/quickstart" > "$qout"
+    local pair stat line dumped summary
+    for pair in "mem.l2_misses:L2 demand misses" \
+        "core.retired:retired micro-ops"; do
+        stat="${pair%%:*}"
+        line="${pair#*:}"
+        dumped="$(awk -v s="$stat" '$1 == s { print $2 }' "$qout")"
+        summary="$(awk -F' *: ' -v l="$line" '$1 == l { print $2 }' "$qout")"
+        if [ -z "$summary" ] || [ "$dumped" != "$summary" ]; then
+            echo "quickstart smoke: $stat dumps \`$dumped' but" \
+                "\`$line' reads \`$summary'" >&2
+            exit 1
+        fi
+    done
+    echo "quickstart smoke: dumped statistics match the summary lines"
+
     echo "==== stage tier1: benchmark package build + tests ===="
     # perfbench/ is its own CMake project compiled against the simulator
     # library API, so a src/ change that breaks it must fail here.
