@@ -1,13 +1,10 @@
 #include "harness/reporting.hh"
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <iostream>
+#include <sstream>
 
 #include "harness/json_value.hh"
 #include "sim/logging.hh"
+#include "snap/snapshot_file.hh"
 
 namespace fdp
 {
@@ -70,33 +67,6 @@ buildMetricTable(const std::string &title,
     return table;
 }
 
-double
-SweepStats::runsPerSecond() const
-{
-    return wallSeconds > 0.0
-               ? static_cast<double>(runs) / wallSeconds
-               : 0.0;
-}
-
-void
-printSweepThroughput(const SweepStats &stats, std::ostream &os)
-{
-    const auto flags = os.flags();
-    const auto precision = os.precision();
-    os << "sweep-throughput: runs=" << stats.runs
-       << " jobs=" << stats.jobs << std::fixed << " wall_s="
-       << std::setprecision(3) << stats.wallSeconds << " runs_per_s="
-       << std::setprecision(2) << stats.runsPerSecond() << '\n';
-    os.flags(flags);
-    os.precision(precision);
-}
-
-void
-printSweepThroughput(const SweepStats &stats)
-{
-    printSweepThroughput(stats, std::cerr);
-}
-
 ResultsJson::ResultsJson(std::string source) : source_(std::move(source)) {}
 
 void
@@ -146,16 +116,12 @@ ResultsJson::writeFile(const std::string &path) const
     // An unwritable results path is a user/environment error (typo'd
     // directory, full disk), not a harness bug: report which path and
     // why, and exit instead of aborting.
-    errno = 0;
-    std::ofstream os(path);
-    if (!os)
-        fatal("cannot open results file %s for writing: %s", path.c_str(),
-              std::strerror(errno));
+    std::ostringstream os;
     write(os);
-    os.flush();
-    if (!os)
-        fatal("failed writing results file %s: %s", path.c_str(),
-              std::strerror(errno));
+    std::string error;
+    if (!writeFileAtomic(path, os.str(), &error))
+        fatal("cannot open results file %s for writing: %s", path.c_str(),
+              error.c_str());
 }
 
 void

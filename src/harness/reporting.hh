@@ -62,26 +62,6 @@ double meanDelta(const std::vector<RunResult> &base,
                  const std::vector<RunResult> &test, const Metric &metric,
                  MeanKind mean);
 
-/** Wall-clock accounting for one sweep (see printSweepThroughput). */
-struct SweepStats
-{
-    std::size_t runs = 0;     ///< (benchmark, config) cells executed
-    unsigned jobs = 1;        ///< worker threads used
-    double wallSeconds = 0.0;
-
-    double runsPerSecond() const;
-};
-
-/**
- * Emit the machine-readable sweep throughput line
- * ("sweep-throughput: runs=N jobs=N wall_s=X runs_per_s=Y") a script
- * can track sweep speed with. Goes to @p os — std::cerr in the
- * one-argument form, so stdout result tables stay bit-identical across
- * thread counts.
- */
-void printSweepThroughput(const SweepStats &stats, std::ostream &os);
-void printSweepThroughput(const SweepStats &stats);
-
 /**
  * Builder for the "fdp-results-v1" JSON document shared by the sweep
  * binaries' --out files and golden_metrics, whose output is the CI
@@ -108,8 +88,8 @@ class ResultsJson
 
     void write(std::ostream &os) const;
 
-    /** Write to @p path; fatal on I/O failure (a sweep's results are
-     *  too expensive to lose silently). */
+    /** Write to @p path (writeFileAtomic); fatal on I/O failure (a
+     *  sweep's results are too expensive to lose silently). */
     void writeFile(const std::string &path) const;
 
     std::size_t size() const { return entries_.size(); }

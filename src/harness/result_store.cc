@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -39,21 +38,6 @@ fnvStep(std::uint64_t h, std::uint64_t value)
         h *= kFnvPrime;
     }
     return h;
-}
-
-/** Read a whole file; false (without diagnosis) when it cannot be. */
-bool
-readFileBytes(const std::string &path, std::string *out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad())
-        return false;
-    *out = buffer.str();
-    return true;
 }
 
 /** @{ One RunResult field as an entry prints it. */
@@ -364,10 +348,10 @@ ResultStore::lookup(const StoreKey &key, RunResult *out) const
 {
     const std::string path = dir_ + "/" + key.fileName();
     std::string bytes;
-    if (!readFileBytes(path, &bytes))
+    std::string error;
+    if (!readFileBytes(path, &bytes, &error))
         return false;  // absent (the common miss): stay quiet
     StoreEntry entry;
-    std::string error;
     if (!decodeEntry(bytes, &entry, &error)) {
         warn("result store: %s is corrupt (%s); treating as a miss",
              path.c_str(), error.c_str());
@@ -417,8 +401,8 @@ ResultStore::readEntry(const std::string &fileName, StoreEntry *out,
 {
     const std::string path = dir_ + "/" + fileName;
     std::string bytes;
-    if (!readFileBytes(path, &bytes)) {
-        *error = "cannot read " + path;
+    if (!readFileBytes(path, &bytes, error)) {
+        *error = path + ": " + *error;
         return false;
     }
     out->fileName = fileName;
@@ -433,8 +417,8 @@ ResultStore::copyEntryTo(const std::string &fileName,
     if (!readEntry(fileName, &entry, error))
         return false;
     std::string bytes;
-    if (!readFileBytes(dir_ + "/" + fileName, &bytes)) {
-        *error = "cannot re-read " + dir_ + "/" + fileName;
+    if (!readFileBytes(dir_ + "/" + fileName, &bytes, error)) {
+        *error = dir_ + "/" + fileName + ": " + *error;
         return false;
     }
     return writeFileAtomic(dst.dir() + "/" + fileName, bytes, error);

@@ -125,7 +125,7 @@ struct StoreEntry
 /**
  * The on-disk store. Thread-compatible the way the sweep needs it:
  * lookups happen on the main thread before cells are submitted, and
- * concurrent insert() calls from pool workers are safe because each
+ * concurrent insert() calls from sweep workers are safe because each
  * writes its own temp file and rename() is atomic.
  */
 class ResultStore

@@ -1,10 +1,7 @@
 #include "harness/results_diff.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <set>
@@ -12,6 +9,7 @@
 
 #include "harness/json_value.hh"
 #include "sim/logging.hh"
+#include "snap/snapshot_file.hh"
 
 namespace fdp
 {
@@ -46,20 +44,14 @@ bool
 loadResultsFile(const std::string &path, ResultsFile *out,
                 std::string *error)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        *error = path + ": " + std::strerror(errno);
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad()) {
-        *error = path + ": read failed";
+    std::string text;
+    if (!readFileBytes(path, &text, error)) {
+        *error = path + ": " + *error;
         return false;
     }
 
     JsonValue doc;
-    if (!parseJson(buffer.str(), &doc, error)) {
+    if (!parseJson(text, &doc, error)) {
         *error = path + ": " + *error;
         return false;
     }
@@ -243,15 +235,10 @@ writeVerdictFile(const std::string &path, const DiffReport &report,
     }
     os << "\n  ]\n}\n";
 
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    if (!file)
+    std::string error;
+    if (!writeFileAtomic(path, os.str(), &error))
         fatal("cannot open verdict file %s for writing: %s", path.c_str(),
-              std::strerror(errno));
-    file << os.str();
-    file.flush();
-    if (!file)
-        fatal("failed writing verdict file %s: %s", path.c_str(),
-              std::strerror(errno));
+              error.c_str());
 }
 
 } // namespace fdp

@@ -1,18 +1,22 @@
 #include "harness/sweep_pool.hh"
 
-// fdp-analyze: suppress-file(wall-clock, steady_clock feeds the
-// stderr throughput report only; simulated results never read it)
+// fdp-analyze: suppress-file(wall-clock, steady_clock feeds
+// SweepStopwatch, which times the stderr sweep report lines only;
+// simulated results never read it)
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <tuple>
 
 #include "harness/reporting.hh"
@@ -39,87 +43,6 @@ SweepStoreConfig::check() const
         fatal("--resume needs --store DIR (nothing to resume from)");
 }
 
-SweepPool::SweepPool(unsigned threads)
-{
-    if (threads == 0)
-        threads = 1;
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-SweepPool::~SweepPool()
-{
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-        pending_.clear();
-    }
-    workReady_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-SweepPool::submit(std::function<void()> job)
-{
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        pending_.push_back(std::move(job));
-    }
-    workReady_.notify_one();
-}
-
-void
-SweepPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock,
-                  [this] { return pending_.empty() && running_ == 0; });
-    if (firstError_) {
-        std::exception_ptr e = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-void
-SweepPool::workerLoop()
-{
-    // A fatal() inside a job must not std::exit(1) from a worker:
-    // sibling workers would still be running while static destructors
-    // tear the process down. The guard turns it into a FatalError that
-    // the catch below stores and wait() rethrows on the main thread.
-    const detail::FatalThrowsGuard fatalThrows;
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                return stopping_ || !pending_.empty();
-            });
-            if (stopping_)
-                return;
-            job = std::move(pending_.front());
-            pending_.pop_front();
-            ++running_;
-        }
-        try {
-            job();
-        } catch (...) {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            --running_;
-            if (pending_.empty() && running_ == 0)
-                allDone_.notify_all();
-        }
-    }
-}
-
 void
 runJobs(const std::vector<std::function<void()>> &jobs, unsigned threads)
 {
@@ -130,24 +53,61 @@ runJobs(const std::vector<std::function<void()>> &jobs, unsigned threads)
             job();
         return;
     }
-    // A worker fatal is deferred (FatalThrowsGuard) and re-raised here
-    // on the calling thread — but only after the pool has left scope
-    // and joined every worker, so the exit cannot race them.
-    std::string workerFatal;
-    bool sawWorkerFatal = false;
+    std::vector<std::exception_ptr> errors(jobs.size());
+    std::atomic<std::size_t> next{0};
     {
-        SweepPool pool(threads);
-        for (const auto &job : jobs)
-            pool.submit(job);
+        std::vector<std::jthread> workers;
+        workers.reserve(threads);
+        for (unsigned t = 0; t < threads; ++t)
+            workers.emplace_back([&] {
+                // A fatal() inside a job must not std::exit(1) from a
+                // worker while its siblings run: the guard turns it into
+                // a FatalError, kept in the job's slot like any other
+                // exception.
+                const detail::FatalThrowsGuard fatalThrows;
+                for (std::size_t i = next++; i < jobs.size(); i = next++) {
+                    try {
+                        jobs[i]();
+                    } catch (...) {
+                        errors[i] = std::current_exception();
+                    }
+                }
+            });
+    }  // the jthreads join here, so the re-raise below cannot race them
+    for (const std::exception_ptr &error : errors) {
+        if (!error)
+            continue;
         try {
-            pool.wait();
+            std::rethrow_exception(error);
         } catch (const FatalError &e) {
-            sawWorkerFatal = true;
-            workerFatal = e.what();
+            fatal("%s", e.what());
         }
     }
-    if (sawWorkerFatal)
-        fatal("%s", workerFatal.c_str());
+}
+
+SweepStopwatch::SweepStopwatch()
+    : start_(std::chrono::steady_clock::now().time_since_epoch())
+{
+}
+
+double
+SweepStopwatch::seconds() const
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch() - start_)
+        .count();
+}
+
+void
+SweepStopwatch::printThroughput(std::size_t runs, unsigned jobs) const
+{
+    const double wall = seconds();
+    std::ostringstream line;
+    line << "sweep-throughput: runs=" << runs << " jobs=" << jobs
+         << std::fixed << " wall_s=" << std::setprecision(3) << wall
+         << " runs_per_s=" << std::setprecision(2)
+         << (wall > 0.0 ? static_cast<double>(runs) / wall : 0.0) << '\n';
+    std::cerr << line.str();
 }
 
 std::vector<std::vector<RunResult>>
@@ -166,19 +126,19 @@ runSweep(const std::vector<std::string> &benchmarks,
     // thread, before any worker exists, instead of from inside a job.
     for (const auto &b : benchmarks)
         benchmarkParams(b);
-    const auto start = std::chrono::steady_clock::now();
+    const SweepStopwatch sweepClock;
 
     std::vector<std::vector<RunResult>> results(configs.size());
     for (auto &row : results)
         row.resize(benchmarks.size());
 
-    // The sweep runs as up to three runJobs phases on the same workers,
-    // each a barrier before the next: store-key trace hashes, warm
-    // captures, then the cells. Every job writes only its own pre-sized
-    // slot, so no result depends on which worker ran which job.
+    // The sweep runs as up to three runJobs phases, each a barrier
+    // before the next: store-key trace hashes, warm captures, then the
+    // cells. Every job writes only its own pre-sized slot, so no result
+    // depends on which worker ran which job.
 
     // Phase 1, with a result store: hash each distinct (benchmark,
-    // numInsts) workload stream on the pool. Then, on the main thread
+    // numInsts) workload stream on the workers. Then, on the main thread
     // and in cell order, build every cell's key and serve resumable
     // cells straight into their slots. The cell jobs of phase 3 only
     // insert, each into its own entry file.
@@ -268,31 +228,16 @@ runSweep(const std::vector<std::string> &benchmarks,
                     configs[g.cell / benchmarks.size()].second,
                     &g.storeHit);
             });
-        const auto captureStart = std::chrono::steady_clock::now();
+        const SweepStopwatch captureClock;
         runJobs(captures, jobs);
-        captureSeconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - captureStart)
-                             .count();
+        captureSeconds = captureClock.seconds();
     }
 
-    // Phase 3, the cells, longest first (LPT): the cells with the most
-    // simulated instructions go first so the pool tail does not idle
-    // behind one long run picked up last. Ties keep the c-major order,
-    // and every result still lands in its pre-sized slot, so the output
-    // tables are unaffected by the ordering.
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < cells; ++i)
-        if (!isCached(i))
-            order.push_back(i);
-    const auto insts = [&](std::size_t cell) {
-        return configs[cell / benchmarks.size()].second.numInsts;
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t l, std::size_t r) {
-                         return insts(l) > insts(r);
-                     });
+    // Phase 3, the cells, in config-major order.
     std::vector<std::function<void()>> work;
-    for (const std::size_t cell : order) {
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+        if (isCached(cell))
+            continue;
         work.push_back([&, cell] {
             const std::size_t c = cell / benchmarks.size();
             const std::size_t b = cell % benchmarks.size();
@@ -308,13 +253,7 @@ runSweep(const std::vector<std::string> &benchmarks,
     }
     runJobs(work, jobs);
 
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - start;
-    SweepStats stats;
-    stats.runs = cells - hits;  // cells actually simulated
-    stats.jobs = jobs;
-    stats.wallSeconds = wall.count();
-    printSweepThroughput(stats);
+    sweepClock.printThroughput(cells - hits, jobs);  // cells simulated
     // Like the throughput line: stderr only, so stdout result tables
     // stay bit-identical between cold and resumed runs.
     if (store)
@@ -335,15 +274,6 @@ runSweep(const std::vector<std::string> &benchmarks,
         std::cerr << line.str();
     }
     return results;
-}
-
-std::vector<RunResult>
-runSuiteParallel(const std::vector<std::string> &benchmarks,
-                 const RunConfig &config, const std::string &configLabel,
-                 unsigned jobs, const SweepStoreConfig &store)
-{
-    std::vector<LabeledConfig> configs = {{configLabel, config}};
-    return std::move(runSweep(benchmarks, configs, jobs, store).front());
 }
 
 unsigned

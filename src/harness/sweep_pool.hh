@@ -1,30 +1,28 @@
 /**
  * @file
- * Parallel sweep scheduler for the experiment harness.
+ * Parallel sweep runner for the experiment harness.
  *
  * Every paper artifact is a benchmark x configuration sweep of fully
- * independent simulated machines, so the harness fans each (benchmark,
- * config) cell out to a fixed-size thread pool. Determinism contract
+ * independent simulated machines, so the harness runs each (benchmark,
+ * config) cell as one job of a fork-join (runJobs). Determinism contract
  * (DESIGN.md Section 10): each run's workload seed is the benchmark's
  * calibrated one from spec_suite.cc — a pure function of the benchmark
  * name, so every config sees the identical trace — and a run shares no
  * mutable state with any other run, so result tables are bit-identical
  * regardless of thread count or completion order.
  *
- * This is the only file in src/ or tools/ allowed to touch std::thread
- * (enforced by fdp_analyze rule pool-only-threading).
+ * sweep_pool.cc is the only file in src/ or tools/ allowed to start a
+ * thread (enforced by fdp_analyze rule pool-only-threading), and the
+ * only one in src/ that reads the host clock (SweepStopwatch).
  */
 
 #ifndef FDP_HARNESS_SWEEP_POOL_HH
 #define FDP_HARNESS_SWEEP_POOL_HH
 
-#include <condition_variable>
-#include <deque>
-#include <exception>
+#include <chrono>
+#include <cstddef>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,65 +33,40 @@ namespace fdp
 {
 
 /**
- * Fixed-size worker pool. Jobs are opaque closures; the pool makes no
- * fairness or ordering guarantee between them, which is why sweep
- * results are written into pre-sized slots instead of being collected
- * in completion order.
- */
-class SweepPool
-{
-  public:
-    /** Spin up @p threads workers (clamped to at least one). */
-    explicit SweepPool(unsigned threads);
-
-    /**
-     * Joins all workers. Jobs that have not started yet are dropped so
-     * an early exit (e.g. an exception unwinding a sweep) cannot hang
-     * on a deep queue; the currently running jobs complete first.
-     */
-    ~SweepPool();
-
-    SweepPool(const SweepPool &) = delete;
-    SweepPool &operator=(const SweepPool &) = delete;
-
-    /** Enqueue one job. Must not be called concurrently with wait(). */
-    void submit(std::function<void()> job);
-
-    /**
-     * Block until every submitted job has finished, then rethrow the
-     * first exception any job raised (if one did).
-     */
-    void wait();
-
-    /** Number of worker threads. */
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-  private:
-    void workerLoop();
-
-    std::mutex mutex_;
-    std::condition_variable workReady_;
-    std::condition_variable allDone_;
-    std::deque<std::function<void()>> pending_;
-    std::vector<std::thread> workers_;
-    std::size_t running_ = 0;
-    bool stopping_ = false;
-    std::exception_ptr firstError_;
-};
-
-/**
- * Run every job of @p jobs in order on min(@p threads, jobs.size())
- * threads: inline on the calling thread when that is at most 1, else
- * submitted in that order to a SweepPool of that many workers. Returns
- * once every job has finished (a barrier). A worker's fatal() is
- * re-raised here, on the calling thread, once the pool has joined
- * every worker.
+ * Run every job of @p jobs once and return when all have finished (a
+ * fork-join). With @p threads at most 1, or a single job, they run in
+ * order, inline on the calling thread. Otherwise min(@p threads,
+ * jobs.size()) workers each take the next job index in order, and a
+ * job's exception is kept in that job's own slot. Once every worker has
+ * joined, the lowest-index failure is re-raised here, a worker's
+ * fatal() as this thread's fatal(), so --jobs N reports the failure
+ * --jobs 1 hits.
  */
 void runJobs(const std::vector<std::function<void()>> &jobs,
              unsigned threads);
+
+/**
+ * Host wall-clock time since construction. It feeds the sweeps' stderr
+ * report lines only; no simulated result ever reads it.
+ */
+class SweepStopwatch
+{
+  public:
+    SweepStopwatch();
+
+    /** Seconds since construction. */
+    double seconds() const;
+
+    /**
+     * Print "sweep-throughput: runs=N jobs=N wall_s=X runs_per_s=Y" to
+     * stderr, a line a script can track sweep speed with; stdout result
+     * tables stay bit-identical across thread counts.
+     */
+    void printThroughput(std::size_t runs, unsigned jobs) const;
+
+  private:
+    std::chrono::nanoseconds start_;
+};
 
 /** One labeled configuration column of a sweep. */
 using LabeledConfig = std::pair<std::string, RunConfig>;
@@ -128,11 +101,8 @@ struct SweepStoreConfig
  * the same workers hash each workload stream the store keys need
  * (only with a store), then load or capture one warm image per
  * (benchmark, geometry, warm-up) group of warmed cells; each phase
- * finishes before the next starts. Cells are handed to the pool
- * longest-first (LPT by the config's instruction count) so a long run
- * picked up last cannot leave the tail of the sweep running on one
- * thread; the ordering only affects wall-clock, never results. Prints
- * one sweep-throughput line to stderr (stdout tables stay
+ * finishes before the next starts. Cells run in config-major order.
+ * Prints one sweep-throughput line to stderr (stdout tables stay
  * bit-identical across thread counts), plus sweep-store and sweep-snap
  * lines when a store or warm images are involved.
  */
@@ -140,12 +110,6 @@ std::vector<std::vector<RunResult>>
 runSweep(const std::vector<std::string> &benchmarks,
          const std::vector<LabeledConfig> &configs, unsigned jobs = 0,
          const SweepStoreConfig &store = {});
-
-/** Single-configuration sweep: results[b] is benchmark b. */
-std::vector<RunResult>
-runSuiteParallel(const std::vector<std::string> &benchmarks,
-                 const RunConfig &config, const std::string &configLabel,
-                 unsigned jobs = 0, const SweepStoreConfig &store = {});
 
 /**
  * Sweep width when the caller does not say: FDP_JOBS from the

@@ -72,7 +72,7 @@ std::string warmSnapshotPath(const std::string &storeDir,
  * hash the key needs. An image that fails any container check, or
  * whose header disagrees with its key, warns and counts as a miss: it
  * is recaptured and overwritten. @p wasHit reports which happened (may
- * be nullptr). Safe to run concurrently on sweep pool workers for
+ * be nullptr). Safe to run concurrently on sweep workers for
  * distinct keys: runSweep runs one call per (benchmark, geometry,
  * warm-up) group.
  */

@@ -1,10 +1,6 @@
 #include "mc/mix_runner.hh"
 
-// fdp-analyze: suppress-file(wall-clock, steady_clock feeds the
-// stderr throughput report only; simulated results never read it)
-
 #include <algorithm>
-#include <chrono>
 
 #include "harness/sweep_pool.hh"
 #include "sim/logging.hh"
@@ -122,7 +118,7 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
         jobs = defaultSweepJobs();
     if (static_cast<std::size_t>(jobs) > cells)
         jobs = static_cast<unsigned>(cells);
-    const auto start = std::chrono::steady_clock::now();
+    const SweepStopwatch stopwatch;
 
     std::vector<McRunResult> results(configs.size());
     std::vector<std::vector<RunResult>> alone(configs.size());
@@ -160,13 +156,7 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
         finalizeSpeedups(results[c], aloneIpc);
     }
 
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - start;
-    SweepStats stats;
-    stats.runs = cells;
-    stats.jobs = jobs;
-    stats.wallSeconds = wall.count();
-    printSweepThroughput(stats);
+    stopwatch.printThroughput(cells, jobs);
     return results;
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Mix sweep runner: one workload mix under several co-run
  * configurations, with the single-core alone baselines needed for
- * weighted/harmonic speedup, fanned out over the harness sweep pool.
+ * weighted/harmonic speedup, fanned out through the harness runJobs.
  *
  * Determinism contract (DESIGN.md §10): every cell — co-run or alone
  * baseline — is an independent simulated machine whose workload seeds

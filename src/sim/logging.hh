@@ -27,8 +27,9 @@ namespace fdp
 
 /**
  * A fatal() raised on a thread where exiting is not allowed (a sweep
- * pool worker — see detail::FatalThrowsGuard). Carries the formatted
- * message; SweepPool::wait() rethrows it on the main thread, where it
+ * worker — see detail::FatalThrowsGuard). Carries the formatted
+ * message; runJobs() keeps it in the failing job's slot and, once every
+ * worker has joined, re-raises it on the calling thread, where it
  * becomes a normal fatal exit.
  */
 class FatalError : public std::runtime_error
@@ -84,14 +85,15 @@ void emitLine(std::FILE *stream, const char *prefix,
  * instead, deferring both the diagnostic and the exit to whichever
  * thread catches it. std::exit from a worker thread while siblings run
  * is undefined behavior (static destructors race live workers), so the
- * sweep pool routes every worker fatal through this escape hatch.
+ * sweep runner routes every worker fatal through this escape hatch.
  */
 [[noreturn]] void fatalExit(const std::string &message);
 
 /**
  * RAII guard: while alive, fatal() on this thread throws FatalError
- * instead of exiting the process. Held for the lifetime of each sweep
- * pool worker (src/harness/sweep_pool.cc) and nothing else.
+ * instead of exiting the process. Each runJobs worker
+ * (src/harness/sweep_pool.cc) holds one for its whole life, and nothing
+ * else holds one.
  */
 class FatalThrowsGuard
 {
@@ -118,7 +120,7 @@ panic(const char *fmt, Args &&...args)
 
 /**
  * Report an unrecoverable user/configuration error and exit — except on
- * a sweep pool worker thread, where it throws FatalError for the main
+ * a sweep worker thread, where it throws FatalError for the main
  * thread to report (see detail::FatalThrowsGuard).
  */
 template <detail::Printable... Args>

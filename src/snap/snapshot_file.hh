@@ -56,13 +56,26 @@ struct SnapshotImage
 };
 
 /**
+ * The project's one whole-file reader and one file writer, shared by
+ * snapshot images, result-store entries, and the results and verdict
+ * JSON files.
+ */
+/// @{
+/**
+ * Read the whole file at @p path into @p out. False with
+ * "cannot open: <reason>" or "read failed: <reason>" in @p error.
+ */
+bool readFileBytes(const std::string &path, std::string *out,
+                   std::string *error);
+
+/**
  * Write @p bytes to @p path through a temp file beside it plus an
  * atomic rename(), so a killed writer never leaves a partial file under
- * @p path. False with a diagnostic on failure. Shared by snapshot
- * images and result-store entries.
+ * @p path. False on failure, with "<reason> (<file>)" in @p error.
  */
 bool writeFileAtomic(const std::string &path, std::string_view bytes,
                      std::string *error);
+/// @}
 
 /** Write @p image to @p path (writeFileAtomic); fatal on any I/O
  *  failure. */

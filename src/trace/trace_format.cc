@@ -71,6 +71,12 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
         out.push_back(static_cast<std::uint8_t>(v >> shift));
 }
 
+void
+putBytes(std::vector<std::uint8_t> &out, std::string_view bytes)
+{
+    out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
 std::uint16_t
 getU16(const std::uint8_t *p)
 {

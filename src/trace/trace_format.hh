@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -94,6 +95,8 @@ std::uint32_t crc32(const std::uint8_t *data, std::size_t len);
 void putU16(std::vector<std::uint8_t> &out, std::uint16_t v);
 void putU32(std::vector<std::uint8_t> &out, std::uint32_t v);
 void putU64(std::vector<std::uint8_t> &out, std::uint64_t v);
+/** Append @p bytes as they are (a magic, a name). */
+void putBytes(std::vector<std::uint8_t> &out, std::string_view bytes);
 /// @}
 
 /// @name Little-endian scalar read helpers (caller checks bounds)

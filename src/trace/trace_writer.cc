@@ -25,10 +25,10 @@ TraceWriter::TraceWriter(const std::string &path,
               path_.c_str(), kTraceMaxNameLen, benchmark.size());
 
     std::vector<std::uint8_t> header;
-    header.insert(header.end(), kTraceMagic, kTraceMagic + kTraceMagicLen);
+    putBytes(header, {kTraceMagic, kTraceMagicLen});
     putU32(header, kTraceVersion);
     putU16(header, static_cast<std::uint16_t>(benchmark.size()));
-    header.insert(header.end(), benchmark.begin(), benchmark.end());
+    putBytes(header, benchmark);
     putU64(header, seed);
     opCountOffset_ = header.size();
     putU64(header, 0);  // opCount placeholder; finish() patches it
@@ -82,8 +82,7 @@ TraceWriter::finish()
     std::vector<std::uint8_t> footer;
     putU32(footer, crc_.value());
     putU64(footer, opCount_);
-    footer.insert(footer.end(), kTraceEndMagic,
-                  kTraceEndMagic + kTraceMagicLen);
+    putBytes(footer, {kTraceEndMagic, kTraceMagicLen});
     out_.write(reinterpret_cast<const char *>(footer.data()),
                static_cast<std::streamsize>(footer.size()));
 

@@ -1,4 +1,4 @@
-// Seeded violation: spawning threads outside the sweep pool, with the
+// Seeded violation: spawning threads outside the sweep runner, with the
 // declaration split across lines to defeat line-based matching.
 // fdp-analyze-expect: pool-only-threading
 

@@ -1,4 +1,4 @@
-// Seeded violation: file I/O outside the trace/reporting layers.
+// Seeded violation: file I/O outside the trace/snapshot layers.
 // fdp-analyze-expect: file-io
 
 #include <fstream>

@@ -184,26 +184,41 @@ TEST(Checks, ReasonlessSuppressionIsAFinding)
 
 TEST(Checks, WallClockAndThreadingAllowlists)
 {
+    // No file is exempt from wall-clock: the sweep stopwatch's file
+    // carries a reasoned suppression, and the mix runner none.
     const std::string clock =
         "void f() { auto t = std::chrono::steady_clock::now(); (void)t; }\n";
     EXPECT_EQ(firing(tree("src/core/a.cc", clock), "wall-clock").size(), 1u);
+    EXPECT_EQ(
+        firing(tree("src/mc/mix_runner.cc", clock), "wall-clock").size(), 1u);
 
+    // Threads start in sweep_pool.cc only, not even in its header.
     const std::string thread = "void f() { std::thread t([]{}); t.join(); }\n";
     EXPECT_EQ(
         firing(tree("src/core/a.cc", thread), "pool-only-threading").size(),
         1u);
+    EXPECT_EQ(firing(tree("src/harness/sweep_pool.hh", thread),
+                     "pool-only-threading")
+                  .size(),
+              1u);
     EXPECT_TRUE(firing(tree("src/harness/sweep_pool.cc", thread),
                        "pool-only-threading")
                     .empty());
 }
 
-TEST(Checks, FileIoAllowlistCoversTraceAndReporting)
+TEST(Checks, FileIoAllowlistIsTraceAndSnapOnly)
 {
     const std::string io = "void f() { std::ofstream out(\"x\"); }\n";
     EXPECT_EQ(firing(tree("src/mem/a.cc", io), "file-io").size(), 1u);
     EXPECT_TRUE(firing(tree("src/trace/a.cc", io), "file-io").empty());
-    EXPECT_TRUE(
-        firing(tree("src/harness/reporting.cc", io), "file-io").empty());
+    EXPECT_TRUE(firing(tree("src/snap/a.cc", io), "file-io").empty());
+    // The harness writes and reads its artifacts through snap's
+    // readFileBytes and writeFileAtomic.
+    for (const char *harness :
+         {"src/harness/reporting.cc", "src/harness/result_store.cc",
+          "src/harness/results_diff.cc"})
+        EXPECT_EQ(firing(tree(harness, io), "file-io").size(), 1u)
+            << harness;
 }
 
 TEST(Checks, LoggingOnlyFlagsPrintfCallsOutsideTheSinks)

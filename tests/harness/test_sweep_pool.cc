@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the parallel sweep scheduler: the pool itself (execution,
- * exception propagation, teardown under early exit), the determinism
- * contract across thread counts, deterministic row ordering, and the
- * --jobs / FDP_JOBS knobs.
+ * Tests for the parallel sweep runner: runJobs itself (every job once,
+ * inline execution, lowest-index failure after the join), the
+ * determinism contract across thread counts, deterministic row
+ * ordering, the throughput line, and the --jobs / FDP_JOBS knobs.
  */
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,86 +26,96 @@ namespace fdp
 namespace
 {
 
-TEST(SweepPool, ExecutesEverySubmittedJob)
+TEST(RunJobs, EveryJobRunsExactlyOnce)
 {
-    std::atomic<int> ran{0};
-    SweepPool pool(4);
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 100);
+    // 0 and 1 run inline; 8 threads on 3 jobs is more threads than jobs.
+    for (const auto &[threads, count] :
+         {std::pair{0u, 50u}, std::pair{1u, 50u}, std::pair{2u, 50u},
+          std::pair{8u, 50u}, std::pair{8u, 3u}}) {
+        std::vector<std::atomic<int>> runs(count);
+        std::vector<std::function<void()>> jobs;
+        for (unsigned i = 0; i < count; ++i)
+            jobs.push_back([&runs, i] { ++runs[i]; });
+        runJobs(jobs, threads);
+        for (unsigned i = 0; i < count; ++i)
+            EXPECT_EQ(runs[i].load(), 1)
+                << "job " << i << " with " << threads << " threads";
+    }
 }
 
-TEST(SweepPool, ZeroThreadRequestClampsToOne)
+TEST(RunJobs, OneThreadRunsTheJobsInlineInOrder)
 {
-    SweepPool pool(0);
-    EXPECT_EQ(pool.threadCount(), 1u);
-    std::atomic<int> ran{0};
-    pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 1);
+    for (const unsigned threads : {0u, 1u}) {
+        std::vector<std::thread::id> ranOn;
+        std::vector<std::function<void()>> jobs;
+        for (int i = 0; i < 4; ++i)
+            jobs.push_back(
+                [&ranOn] { ranOn.push_back(std::this_thread::get_id()); });
+        runJobs(jobs, threads);
+        EXPECT_EQ(ranOn, std::vector<std::thread::id>(
+                             4, std::this_thread::get_id()));
+    }
 }
 
-TEST(SweepPool, WaitRethrowsTheFirstJobException)
+TEST(RunJobs, LowestIndexExceptionSurfacesAfterEveryOtherJob)
 {
-    SweepPool pool(2);
+    // Job 2 fails only once job 5 has failed, and the other jobs are
+    // slow, so the failures and the rest overlap on four workers; the
+    // caller still sees job 2's exception, after every job has run.
+    std::atomic<bool> laterFailed{false};
     std::atomic<int> ran{0};
-    pool.submit([] { throw std::runtime_error("job failed"); });
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&ran] { ++ran; });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is reported once, then the pool is usable again.
-    pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(SweepPool, TeardownUnderEarlyExitDropsPendingJobs)
-{
-    // A single worker is held busy while jobs pile up behind it; the
-    // destructor must drop the not-yet-started jobs and join promptly
-    // instead of draining the queue (or hanging).
-    std::atomic<bool> started{false};
-    std::atomic<int> ran{0};
-    const auto start = std::chrono::steady_clock::now();
-    {
-        SweepPool pool(1);
-        pool.submit([&started, &ran] {
-            started = true;
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < 12; ++i)
+        jobs.push_back([&ran] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
             ++ran;
         });
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&ran] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(100));
-                ++ran;
-            });
-        // Only destroy once the worker is inside the first job, so the
-        // ten queued jobs are provably pending at teardown.
-        while (!started)
+    jobs[2] = [&laterFailed] {
+        while (!laterFailed)
             std::this_thread::yield();
+        throw std::runtime_error("job 2");
+    };
+    jobs[5] = [&laterFailed] {
+        laterFailed = true;
+        throw std::logic_error("job 5");
+    };
+    try {
+        runJobs(jobs, 4);
+        FAIL() << "runJobs did not re-raise a job exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "job 2");
     }
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - start;
-    EXPECT_GE(ran.load(), 1);
-    EXPECT_LT(ran.load(), 11) << "destructor drained the whole queue";
-    EXPECT_LT(wall.count(), 1.0) << "teardown waited on pending jobs";
+    EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(SweepPool, FatalInsideAJobThrowsInsteadOfExiting)
+TEST(RunJobs, LowestIndexWorkerFatalExitsTheProcess)
 {
-    // fatal() on a worker thread must not std::exit(1) while sibling
-    // workers run; the pool's FatalThrowsGuard defers it as a
-    // FatalError that wait() rethrows on the calling thread.
-    SweepPool pool(2);
-    pool.submit([] { fatal("bad cell: %d", 7); });
-    try {
-        pool.wait();
-        FAIL() << "wait() did not rethrow the worker fatal";
-    } catch (const FatalError &e) {
-        EXPECT_STREQ(e.what(), "bad cell: 7");
-    }
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Both jobs call fatal(), job 1 first. Job 0 waits until job 1's
+    // fatal() has unwound job 1's stack, which it does only as the
+    // FatalError a worker's fatal() must be: exiting on the worker
+    // would print job 1's message alone. runJobs then re-raises the
+    // lower index's on the calling thread.
+    struct SetOnUnwind
+    {
+        std::atomic<bool> &flag;
+        ~SetOnUnwind() { flag = true; }
+    };
+    const auto twoFatals = [] {
+        std::atomic<bool> oneUnwound{false};
+        runJobs({[&oneUnwound] {
+                     while (!oneUnwound)
+                         std::this_thread::yield();
+                     fatal("bad cell: %d", 0);
+                 },
+                 [&oneUnwound] {
+                     const SetOnUnwind unwind{oneUnwound};
+                     fatal("bad cell: %d", 1);
+                 }},
+                2);
+    };
+    EXPECT_EXIT(twoFatals(), testing::ExitedWithCode(1),
+                "fatal: bad cell: 0");
 }
 
 RunConfig
@@ -151,12 +164,12 @@ TEST(SweepOrdering, ResultsLandInArgumentOrder)
     }
 }
 
-TEST(SweepOrdering, RunSuiteParallelMatchesRunSuite)
+TEST(SweepOrdering, OneConfigSweepMatchesAcrossJobs)
 {
-    // --jobs 1 runs every cell inline on this thread; 4 uses the pool.
+    // --jobs 1 runs every cell inline on this thread; 4 starts workers.
     const RunConfig c = smallConfig(RunConfig::staticLevelConfig(3));
-    expectBitIdentical(runSuiteParallel(kSweepBenches, c, "mid", 1),
-                       runSuiteParallel(kSweepBenches, c, "mid", 4));
+    expectBitIdentical(runSweep(kSweepBenches, {{"mid", c}}, 1),
+                       runSweep(kSweepBenches, {{"mid", c}}, 4));
 }
 
 TEST(SweepDeterminism, ConfigColumnsShareOneTracePerBenchmark)
@@ -189,7 +202,21 @@ TEST(SweepReporting, SequentialFallbackReportsOneJob)
     testing::internal::CaptureStderr();
     runSweep({"gap"}, {{"mid", c}}, 8);
     const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("runs=1 jobs=1 "), std::string::npos) << err;
+    // The whole of stderr is the one line, its times at fixed decimals.
+    double wall = -1.0;
+    double rate = -1.0;
+    ASSERT_EQ(std::sscanf(err.c_str(),
+                          "sweep-throughput: runs=1 jobs=1 wall_s=%lf "
+                          "runs_per_s=%lf",
+                          &wall, &rate),
+              2)
+        << err;
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  "sweep-throughput: runs=1 jobs=1 wall_s=%.3f "
+                  "runs_per_s=%.2f\n",
+                  wall, rate);
+    EXPECT_EQ(err, line);
 }
 
 TEST(SweepJobs, CommandLineOverridesEverything)

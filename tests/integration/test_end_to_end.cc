@@ -97,8 +97,9 @@ TEST(EndToEnd, ResultsAreReproducible)
 TEST(EndToEnd, RunSuiteShapesMatch)
 {
     const std::vector<std::string> names = {"swim", "art"};
-    const auto results = runSuiteParallel(
-        names, quick(RunConfig::noPrefetching(), 100'000), "none");
+    const auto results =
+        runSweep(names, {{"none", quick(RunConfig::noPrefetching(), 100'000)}})
+            .front();
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].benchmark, "swim");
     EXPECT_EQ(results[1].benchmark, "art");

@@ -6,7 +6,8 @@
  * flipped payload byte, flipped CRC byte, future format version) is a
  * clean one-line fatal() naming the file, never UB or silent garbage.
  * The checked reader the result store uses reports the same reasons
- * without exiting, and writes replace a file whole.
+ * without exiting, the shared whole-file reader returns every byte, and
+ * writes replace a file whole.
  */
 
 #include <gtest/gtest.h>
@@ -127,6 +128,25 @@ TEST(SnapshotFile, WriteReplacesAnExistingFileAndLeavesNoTemp)
     struct stat st = {};
     EXPECT_NE(::stat(tmp.c_str(), &st), 0) << tmp;
     std::remove(path.c_str());
+}
+
+TEST(SnapshotFile, ReadFileBytesReturnsTheWholeFileOrTheReason)
+{
+    // Longer than one read chunk and full of NULs, so no chunk and no
+    // byte after a terminator is lost.
+    const std::string path = tempSnapPath("whole");
+    std::vector<std::uint8_t> bytes(200000);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i % 7 == 0 ? 0 : i);
+    writeFileBytes(path, bytes);
+    std::string back;
+    std::string error;
+    ASSERT_TRUE(fdp::readFileBytes(path, &back, &error)) << error;
+    EXPECT_EQ(back, std::string(bytes.begin(), bytes.end()));
+
+    std::remove(path.c_str());
+    EXPECT_FALSE(fdp::readFileBytes(path, &back, &error));
+    EXPECT_EQ(error, "cannot open: No such file or directory");
 }
 
 TEST(SnapshotFile, AtomicWriteFailureIsReportedNotFatal)

@@ -3,8 +3,8 @@
  * Golden determinism: for every calibrated benchmark, a live run, a
  * recording run, and a replay of the recorded trace must agree on every
  * RunResult field bit-for-bit (so every rendering of them matches too).
- * The parallel case runs the live side through the sweep pool at
- * --jobs 4 to prove replay equivalence is independent of scheduling.
+ * The parallel case runs the live side as a --jobs 4 sweep to prove
+ * replay equivalence is independent of scheduling.
  */
 
 #include <gtest/gtest.h>
@@ -63,15 +63,15 @@ TEST(ReplayGolden, ReplayIsConfigIndependent)
     expectBitIdentical(live, replayed);
 }
 
-TEST(ReplayGolden, SweepPoolJobs4MatchesSequentialReplays)
+TEST(ReplayGolden, SweepJobs4MatchesSequentialReplays)
 {
     const std::vector<std::string> benches = {"swim", "mcf", "art",
                                               "galgel", "ammp"};
     const RunConfig config = goldenConfig();
 
-    // Live sweep through the pool at --jobs 4 (the CI smoke shape).
+    // Live sweep on four workers (--jobs 4, the CI smoke shape).
     const std::vector<RunResult> parallelLive =
-        runSuiteParallel(benches, config, "fdp", 4);
+        runSweep(benches, {{"fdp", config}}, 4).front();
     ASSERT_EQ(parallelLive.size(), benches.size());
 
     for (std::size_t i = 0; i < benches.size(); ++i) {

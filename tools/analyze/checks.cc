@@ -759,8 +759,7 @@ isAnalyzerFile(const std::string &rel)
 void
 checkThreading(const SourceFile &f, std::vector<Finding> *findings)
 {
-    if (f.relPath == "src/harness/sweep_pool.hh" ||
-        f.relPath == "src/harness/sweep_pool.cc")
+    if (f.relPath == "src/harness/sweep_pool.cc")
         return;
     const Tokens &t = f.lx.tokens;
     static const std::set<std::string> primitives = {"thread", "jthread",
@@ -770,13 +769,13 @@ checkThreading(const SourceFile &f, std::vector<Finding> *findings)
             primitives.count(t[i + 2].text)) {
             findings->push_back(
                 {f.relPath, t[i + 2].line, "pool-only-threading",
-                 "std::" + t[i + 2].text + " outside the sweep pool: all "
+                 "std::" + t[i + 2].text + " outside the sweep runner: all "
                  "concurrency enters through harness/sweep_pool.hh"});
         }
         if (is(t, i, "pthread_create") && is(t, i + 1, "(")) {
             findings->push_back(
                 {f.relPath, t[i].line, "pool-only-threading",
-                 "pthread_create outside the sweep pool: all concurrency "
+                 "pthread_create outside the sweep runner: all concurrency "
                  "enters through harness/sweep_pool.hh"});
         }
     }
@@ -785,17 +784,11 @@ checkThreading(const SourceFile &f, std::vector<Finding> *findings)
 void
 checkFileIo(const SourceFile &f, std::vector<Finding> *findings)
 {
-    // The sanctioned homes of raw file I/O: the trace codecs, the
-    // snapshot container (fdpsnap-v1), the two results-artifact writers
-    // (reporting, the result store), and the differ that reads them
-    // back. Everything else routes through them.
+    // The sanctioned homes of raw file I/O: the trace codecs and the
+    // snapshot container (fdpsnap-v1), whose readFileBytes and
+    // writeFileAtomic every other artifact goes through.
     if (pathUnder(f.relPath, "src/trace") ||
-        pathUnder(f.relPath, "src/snap") ||
-        f.relPath == "src/harness/reporting.hh" ||
-        f.relPath == "src/harness/reporting.cc" ||
-        f.relPath == "src/harness/result_store.cc" ||
-        f.relPath == "src/harness/results_diff.cc" ||
-        isAnalyzerFile(f.relPath))
+        pathUnder(f.relPath, "src/snap") || isAnalyzerFile(f.relPath))
         return;
     const Tokens &t = f.lx.tokens;
     static const std::set<std::string> streams = {
@@ -808,17 +801,17 @@ checkFileIo(const SourceFile &f, std::vector<Finding> *findings)
             streams.count(t[i + 2].text)) {
             findings->push_back(
                 {f.relPath, t[i + 2].line, "file-io",
-                 "std::" + t[i + 2].text + " outside src/trace/ and the "
-                 "harness artifact writers: route artifacts through "
-                 "TraceReader/TraceWriter, ResultsJson, or ResultStore"});
+                 "std::" + t[i + 2].text + " outside src/trace/ and "
+                 "src/snap/: route artifacts through TraceReader/"
+                 "TraceWriter or readFileBytes/writeFileAtomic"});
         }
         if (isIdent(t, i) && cApis.count(t[i].text) && is(t, i + 1, "(") &&
             calledBare(t, i)) {
             findings->push_back(
                 {f.relPath, t[i].line, "file-io",
-                 t[i].text + "() outside src/trace/ and the harness "
-                 "artifact writers: route artifacts through TraceReader/"
-                 "TraceWriter, ResultsJson, or ResultStore"});
+                 t[i].text + "() outside src/trace/ and src/snap/: route "
+                 "artifacts through TraceReader/TraceWriter or "
+                 "readFileBytes/writeFileAtomic"});
         }
     }
 }
@@ -880,7 +873,8 @@ checkCatalog()
         {"typed-core-id", "raw integer core ids outside src/mc/"},
         {"unit-mixing", "additive arithmetic across cycle/inst/byte units"},
         {"no-raw-new", "raw new/delete"},
-        {"pool-only-threading", "threading primitives outside the sweep pool"},
+        {"pool-only-threading",
+         "threading primitives outside the sweep runner"},
         {"file-io", "raw file I/O outside the sanctioned sinks"},
         {"include-guard", "missing or misnamed include guards"},
         {"include-cycle", "cyclic quoted includes"},

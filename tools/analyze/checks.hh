@@ -21,9 +21,10 @@
  *                        unit-suffixed identifiers
  *   no-raw-new           raw new/delete (own state via containers and
  *                        std::unique_ptr)
- *   pool-only-threading  raw threading primitives outside the sweep pool
- *   file-io              raw file I/O outside src/trace/,
- *                        harness/reporting, and the analyzer itself
+ *   pool-only-threading  raw threading primitives outside
+ *                        harness/sweep_pool.cc
+ *   file-io              raw file I/O outside src/trace/, src/snap/,
+ *                        and the analyzer itself
  *   include-guard        missing or misnamed FDP_<DIR>_<STEM>_HH guards
  *   include-cycle        cyclic quoted includes
  *   layering             subsystem layering violations (include_graph.hh)

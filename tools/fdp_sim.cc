@@ -19,6 +19,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/cli.hh"
@@ -52,11 +53,31 @@ const Policy kPolicies[] = {
     {"accuracy-only", [](unsigned) { return RunConfig::accuracyOnlyFdp(); }},
 };
 
+/** Every --policy name, in table order, joined by " | ". */
+std::string
+policyNames()
+{
+    std::string names;
+    for (const Policy &p : kPolicies)
+        names += (names.empty() ? "" : " | ") + std::string(p.name);
+    return names;
+}
+
+/** The kPolicies row named @p name; fatal listing the names if none. */
+const Policy &
+policyNamed(const char *name)
+{
+    for (const Policy &p : kPolicies)
+        if (std::strcmp(p.name, name) == 0)
+            return p;
+    fatal("--policy wants %s (got `%s')", policyNames().c_str(), name);
+}
+
 /** Everything the command line sets, each value validated once. */
 struct Cli
 {
     std::vector<std::string> benches;
-    const Policy *policy = &kPolicies[4];
+    const Policy *policy = &policyNamed("fdp");
     unsigned level = 5;
     PrefetcherSelection prefetcher;
     /** Machine, budget, and warm-up, set in place by their flags. */
@@ -143,15 +164,8 @@ flagTable(Cli &o)
          }},
         {"--list-prefetchers", "", "list the --prefetcher selections and exit",
          [](const char *) { listAndExit(knownPrefetcherNames()); }},
-        {"--policy", "P",
-         "none | static | dyn-aggr | dyn-ins | fdp | accuracy-only\n"
-         "(default fdp)",
-         [&o](const char *v) {
-             o.policy = &kPolicies[choice(
-                 "--policy", v,
-                 {"none", "static", "dyn-aggr", "dyn-ins", "fdp",
-                  "accuracy-only"})];
-         }},
+        {"--policy", "P", policyNames() + "\n(default fdp)",
+         [&o](const char *v) { o.policy = &policyNamed(v); }},
         {"--level", "N", "static aggressiveness 1..5 (default 5)",
          [&o](const char *v) {
              o.level = static_cast<unsigned>(parseCountArg("--level", v, 5));
@@ -339,7 +353,7 @@ RunConfig
 buildConfig(const Cli &o)
 {
     RunConfig c = o.policy->make(o.level);
-    if (o.policy != &kPolicies[0]) {
+    if (o.policy != &policyNamed("none")) {
         c.prefetcher = o.prefetcher.kind;
         c.manager = o.prefetcher.manager;
     }
@@ -421,8 +435,8 @@ main(int argc, char **argv)
         results.push_back(
             recordBenchmark(o.benches.front(), config, label, o.record));
     else
-        results =
-            runSuiteParallel(o.benches, config, label, o.jobs, o.store);
+        results = std::move(
+            runSweep(o.benches, {{label, config}}, o.jobs, o.store).front());
     if (!o.out.empty()) {
         ResultsJson out("fdp_sim");
         for (const RunResult &r : results)
